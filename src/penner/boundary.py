@@ -31,6 +31,7 @@ from .core import (
     Scalar,
     TwistWord,
     exact,
+    identity_matrix,
     mat_mul,
     scale,
     twist_product,
@@ -51,7 +52,7 @@ from .spectral import (
     default_digits,
     pf_eigenvalue,
 )
-from .factor import deflate
+from .factor import deflated_distance
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +109,11 @@ def q_arrow(omega, i: int, j: int) -> ExactMatrix:
     w = omega.entry(i, j)
     if i == j or w == 0:
         raise NotAnEdge(f"curves {i} and {j} do not intersect")
-    n = omega.n
     inv = Fraction(1, 1) / Fraction(w)
-    rows = []
-    for r in range(n):
-        if r == j - 1:
-            rows.append(tuple(
-                exact((1 if c == r else 0) - inv * omega.entries[i - 1][c])
-                for c in range(n)
-            ))
-        else:
-            rows.append(tuple(1 if c == r else 0 for c in range(n)))
+    rows = list(identity_matrix(omega.n))
+    rows[j - 1] = tuple(
+        exact(x - inv * v) for x, v in zip(rows[j - 1], omega.entries[i - 1])
+    )
     return tuple(rows)
 
 
@@ -136,8 +131,7 @@ def p_gamma(omega, gamma: Sequence[int]) -> ExactMatrix:
     gamma = tuple(gamma)
     if len(gamma) < 2:
         raise NotSupported("a closed path needs at least two vertices")
-    n = omega.n
-    product = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n))
+    product = identity_matrix(omega.n)
     steps = list(zip(gamma, gamma[1:] + gamma[:1]))
     for frm, to in steps:
         try:
@@ -401,18 +395,11 @@ def ray_convergence_experiment(
     rows = []
     if supported:
         limit_poly = f_gamma(omega, word.gamma).charpoly
-        limit_coeffs = [_to_mpf(c) for c in limit_poly.coeffs]
         for k in scales:
             m = twist_product(scale(omega, k), word)
             u = char_poly_exact(m)
             lam = pf_eigenvalue(u, digits).value
-            defl = deflate(u, lam, digits)
-            with mp.workdps(digits + 10):
-                dist = max(
-                    abs((defl[i] if i < len(defl) else mp.mpf(0))
-                        - (limit_coeffs[i] if i < len(limit_coeffs) else mp.mpf(0)))
-                    for i in range(max(len(defl), len(limit_coeffs)))
-                )
+            dist, defl = deflated_distance(u, lam, limit_poly, digits)
             rows.append(RayRow(k, u, lam, dist, defl, None))
         return RayTable(True, tuple(rows), limit_poly, None)
     # divergent branch: fit eigenvalue magnitudes against the scale

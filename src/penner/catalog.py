@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .core import ExactMatrix, IntersectionMatrix, Scalar, exact, validate_omega
+from .core import ExactMatrix, IntersectionMatrix, exact, validate_omega
 from .errors import (
     CurvesIntersect,
     IndexOutOfRange,

@@ -22,7 +22,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -41,6 +40,7 @@ from .core import (
     IntersectionMatrix,
     TwistWord,
     generator,
+    identity_matrix,
     mat_eq,
     mat_mul,
     scale,
@@ -52,7 +52,6 @@ from .errors import (
     KBudgetExhausted,
     NotContractible,
     NotGeneralPath,
-    PennerError,
     PreconditionError,
     ValidationError,
 )
@@ -67,6 +66,7 @@ from .graphs import (
 from .spectral import (
     Poly,
     SpectralReport,
+    check_digits,
     default_digits,
     poly_str,
     spectral_report,
@@ -128,10 +128,7 @@ def run_recipe(
         omega_k = scale(omega, k)
         matrix = twist_product(omega_k, word)
         if crosscheck and k <= 3:
-            naive = tuple(
-                tuple(1 if c == r else 0 for c in range(omega.n))
-                for r in range(omega.n)
-            )
+            naive = identity_matrix(omega.n)
             for i, p in zip(word.gamma, word.powers):
                 q = generator(omega_k, i)
                 for _ in range(p):
@@ -171,7 +168,8 @@ def run_recipe(
 def load_omega(path: str) -> IntersectionMatrix:
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "entries" not in data:
+    if (not isinstance(data, dict) or not isinstance(data.get("entries"), list)
+            or not all(isinstance(row, list) for row in data["entries"])):
         raise ValidationError('omega file must be {"n": int, "entries": [[...]]}')
     omega = validate_omega(data["entries"])
     if "n" in data and data["n"] != omega.n:
@@ -192,6 +190,14 @@ def word_from_args(args) -> TwistWord:
     gamma = parse_ints(args.gamma)
     powers = parse_ints(args.powers) if args.powers else (1,) * len(gamma)
     return TwistWord(gamma, powers)
+
+
+def digits_arg(raw: str) -> int:
+    """``--digits`` value; below the minimum it is a usage error (exit 2)."""
+    try:
+        return check_digits(raw, "value")
+    except ValidationError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _nstr(x, digits: int) -> str:
@@ -419,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated curve indices (1-based)")
         p.add_argument("--powers", default=None,
                        help="comma-separated positive exponents (default: all 1)")
-        p.add_argument("--digits", type=int, default=default_digits(),
+        p.add_argument("--digits", type=digits_arg, default=default_digits(),
                        help="working precision in decimal digits")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if scales:
@@ -464,9 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import (
     IndexOutOfRange,
+    InvalidEntry,
     InvalidWord,
     NegativeEntry,
     NonpositiveScale,
@@ -64,10 +65,6 @@ def identity_matrix(n: int) -> ExactMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_vector(n: int) -> ExactVector:
-    return (0,) * n
-
-
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
@@ -89,14 +86,6 @@ def vec_mat(v: ExactVector, a: ExactMatrix) -> ExactVector:
     if len(a) != len(v):
         raise ValueError("incompatible shapes")
     return tuple(exact(sum(v[i] * a[i][j] for i in range(len(v)))) for j in range(len(a[0])))
-
-
-def mat_transpose(a: ExactMatrix) -> ExactMatrix:
-    return tuple(zip(*a))
-
-
-def mat_trace(a: ExactMatrix) -> Scalar:
-    return exact(sum(a[i][i] for i in range(len(a))))
 
 
 def mat_eq(a: ExactMatrix, b: ExactMatrix) -> bool:
@@ -150,16 +139,27 @@ class IntersectionMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
+def _entry(value, i: int, j: int) -> Scalar:
+    try:
+        return exact(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidEntry(
+            f"entry at ({i + 1},{j + 1}) is {value!r}, not an integer or \"p/q\" string"
+        ) from None
+
+
 def validate_omega(raw: Sequence[Sequence]) -> IntersectionMatrix:
     """Validate raw data as an intersection matrix.
 
     Accepts any nested sequence of ints, Fractions, or ``"p/q"`` strings.
-    Raises :class:`NotSquare`, :class:`NotSymmetric`, :class:`NegativeEntry`
-    or :class:`NonzeroDiagonal` with 1-based positions in the message.
+    Raises :class:`InvalidEntry`, :class:`NotSquare`, :class:`NotSymmetric`,
+    :class:`NegativeEntry` or :class:`NonzeroDiagonal` with 1-based
+    positions in the message.
     """
     if isinstance(raw, IntersectionMatrix):
         return raw
-    rows = [tuple(exact(x) for x in row) for row in raw]
+    rows = [tuple(_entry(x, i, j) for j, x in enumerate(row))
+            for i, row in enumerate(raw)]
     n = len(rows)
     if n == 0:
         raise NotSquare("empty matrix")
@@ -181,7 +181,7 @@ def validate_omega(raw: Sequence[Sequence]) -> IntersectionMatrix:
 
 def scale(omega: IntersectionMatrix, k: Scalar) -> IntersectionMatrix:
     """Return ``k * omega`` for a positive rational ``k``."""
-    k = exact(k) if not isinstance(k, Fraction) else exact(k)
+    k = exact(k)
     if k <= 0:
         raise NonpositiveScale(f"scale factor must be positive, got {k}")
     return IntersectionMatrix(
@@ -280,15 +280,8 @@ def generator(omega: IntersectionMatrix, i: int) -> ExactMatrix:
     powering identity ``Q_i(omega)^k = Q_i(k * omega)``.
     """
     omega.check_index(i)
-    n = omega.n
-    rows = []
-    for r in range(n):
-        if r == i - 1:
-            rows.append(tuple(
-                exact((1 if c == r else 0) + omega.entries[r][c]) for c in range(n)
-            ))
-        else:
-            rows.append(tuple(1 if c == r else 0 for c in range(n)))
+    rows = list(identity_matrix(omega.n))
+    rows[i - 1] = tuple(exact(x + w) for x, w in zip(rows[i - 1], omega.entries[i - 1]))
     return tuple(rows)
 
 
@@ -302,7 +295,7 @@ def twist_product(omega: IntersectionMatrix, word: TwistWord) -> ExactMatrix:
     """
     word.check_indices(omega.n)
     n = omega.n
-    m = [[1 if c == r else 0 for c in range(n)] for r in range(n)]
+    m = [list(row) for row in identity_matrix(n)]
     for i, p in zip(word.gamma, word.powers):
         r = i - 1
         omega_row = omega.entries[r]

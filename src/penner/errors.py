@@ -53,6 +53,10 @@ class UnknownId(ValidationError):
     pass
 
 
+class InvalidEntry(ValidationError):
+    pass
+
+
 # --- mathematical preconditions (CLI exit code 3) ---------------------------
 
 class PreconditionError(PennerError):
@@ -68,10 +72,6 @@ class DivisionFailed(PreconditionError):
 
 
 class NotBipartite(PreconditionError):
-    pass
-
-
-class BlocksNotContiguous(PreconditionError):
     pass
 
 

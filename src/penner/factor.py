@@ -10,16 +10,16 @@ degree of the stretch factor is the degree of that factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Dict, Optional, Sequence, Tuple
 
 import mpmath as mp
 import sympy
 
 from .errors import AmbiguousRootAssignment, RootMismatch
 from .spectral import (
-    PFEigenvalue,
     Poly,
     SpectralReport,
     _to_mpf,
@@ -179,6 +179,21 @@ def deflate(p: Poly, lam: mp.mpf, digits: int = 50) -> Tuple[mp.mpf, ...]:
         return tuple(reversed(out[:-1]))
 
 
+def deflated_distance(
+    u: Poly, lam: mp.mpf, limit: Poly, digits: int = 50
+) -> Tuple[mp.mpf, Tuple[mp.mpf, ...]]:
+    """``(distance, deflated)``: the coefficients of ``u(x) / (x - lam)``
+    (see :func:`deflate`) as ``deflated``, and as ``distance`` their
+    sup-distance to the coefficients of ``limit``, the shorter list padded
+    with zeros."""
+    defl = deflate(u, lam, digits)
+    with mp.workdps(digits + 10):
+        target = [c if isinstance(c, mp.mpf) else _to_mpf(c) for c in limit.coeffs]
+        dist = max(abs(a - b)
+                   for a, b in zip_longest(defl, target, fillvalue=mp.mpf(0)))
+    return dist, defl
+
+
 def convergence_diagnostic(
     sequence: Sequence[Tuple[object, Poly, mp.mpf]],
     limit: Poly,
@@ -199,8 +214,6 @@ def convergence_diagnostic(
     ``u_k`` to tolerance ``tol``.
     """
     with mp.workdps(digits + 10):
-        limit_coeffs = [_to_mpf(c) if not isinstance(c, mp.mpf) else c
-                        for c in limit.coeffs]
         thetas = [
             t for t in mp.polyroots([_to_mpf(c) for c in limit.leading_first()],
                                     maxsteps=200)
@@ -217,13 +230,7 @@ def convergence_diagnostic(
                     f"lambda = {lam} is not a root of the polynomial at scale "
                     f"{scale_value} (residual {residual})"
                 )
-            defl = deflate(u, lam, digits)
-            dist = mp.mpf(0)
-            width = max(len(defl), len(limit_coeffs))
-            for idx in range(width):
-                a = defl[idx] if idx < len(defl) else mp.mpf(0)
-                b = limit_coeffs[idx] if idx < len(limit_coeffs) else mp.mpf(0)
-                dist = max(dist, abs(a - b))
+            dist, defl = deflated_distance(u, lam, limit, digits)
             fz = factor_monic(u)
             lam_factor = min(fz.factors, key=lambda fe: abs(fe[0](lam)))[0]
             agreement: Dict[complex, bool] = {}

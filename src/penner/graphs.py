@@ -7,7 +7,7 @@ the combinatorial carriers of twist words and of the boundary-limit maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .core import IntersectionMatrix, TwistWord

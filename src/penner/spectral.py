@@ -1,7 +1,7 @@
 """Exact spectral invariants of twist products.
 
-Characteristic polynomials are computed exactly (integer or rational
-coefficients), ranks by fraction-free elimination, and the leading
+Characteristic polynomials (Berkowitz) and ranks are computed exactly by
+sympy's ``DomainMatrix`` over the integers or the rationals, and the leading
 eigenvalue numerically to a requested number of digits via mpmath, always
 starting from the exact polynomial.
 
@@ -19,10 +19,11 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from .core import (
     ExactMatrix,
-    ExactVector,
     IntersectionMatrix,
     Scalar,
     TwistWord,
@@ -35,10 +36,26 @@ from .errors import (
     DivisionFailed,
     NotBipartite,
     NotPerronFrobenius,
+    ValidationError,
 )
 from .graphs import bipartition, graph_of, is_connected, is_general
 
 DEFAULT_DIGITS = 50
+MIN_DIGITS = 5
+
+
+def check_digits(raw, source: str) -> int:
+    """``raw`` as a working precision of at least ``MIN_DIGITS`` digits.
+
+    Raises :class:`ValidationError` naming ``source`` otherwise.
+    """
+    try:
+        digits = int(raw)
+    except ValueError:
+        raise ValidationError(f"{source} must be an integer, got {raw!r}") from None
+    if digits < MIN_DIGITS:
+        raise ValidationError(f"{source} must be at least {MIN_DIGITS}, got {digits}")
+    return digits
 
 
 def default_digits() -> int:
@@ -46,10 +63,7 @@ def default_digits() -> int:
     raw = os.environ.get("PENNER_PRECISION")
     if raw is None:
         return DEFAULT_DIGITS
-    digits = int(raw)
-    if digits < 5:
-        raise ValueError("PENNER_PRECISION must be at least 5")
-    return digits
+    return check_digits(raw, "PENNER_PRECISION")
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +213,22 @@ X_MINUS_ONE = Poly([-1, 1])
 # characteristic polynomial and rank
 # ---------------------------------------------------------------------------
 
+def _domain_matrix(m: ExactMatrix) -> DomainMatrix:
+    """``m`` as a sympy ``DomainMatrix`` over ZZ if integral, else over QQ."""
+    integral = all(isinstance(x, int) for row in m for x in row)
+    return DomainMatrix.from_list([list(row) for row in m], ZZ if integral else QQ)
+
+
 def char_poly_exact(m: ExactMatrix) -> Poly:
     """The characteristic polynomial ``det(x I - M)``, exactly.
 
-    Faddeev–LeVerrier recursion: with ``N_0 = I``,
-    ``c_k = -trace(M N_(k-1)) / k`` and ``N_k = M N_(k-1) + c_k I``.
-    The divisions are exact over the integers whenever ``M`` is integral.
+    Berkowitz's division-free algorithm via sympy's ``DomainMatrix`` (over
+    ZZ for integer matrices, QQ otherwise); the coefficients come back as
+    plain ``int`` / ``Fraction``.
     """
-    n = len(m)
-    integral = all(isinstance(x, int) for row in m for x in row)
-    coeffs_desc: list = [1]  # leading first
-    nmat = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    for k in range(1, n + 1):
-        mn = mat_mul(m, nmat)
-        tr = sum(mn[i][i] for i in range(n))
-        if integral:
-            q, r = divmod(-tr, k)
-            if r != 0:  # pragma: no cover - FL division is always exact
-                raise ArithmeticError("inexact division in characteristic polynomial")
-            c = q
-        else:
-            c = exact(Fraction(-tr, k) if isinstance(tr, int) else -Fraction(tr) / k)
-        coeffs_desc.append(c)
-        nmat = tuple(
-            tuple(exact(mn[i][j] + (c if i == j else 0)) for j in range(n))
-            for i in range(n)
-        )
-    return Poly(list(reversed(coeffs_desc)))
+    coeffs = _domain_matrix(m).charpoly()
+    return Poly([Fraction(int(c.numerator), int(c.denominator))
+                 for c in reversed(coeffs)])
 
 
 def determinant_from_char_poly(chi: Poly) -> Scalar:
@@ -234,84 +237,59 @@ def determinant_from_char_poly(chi: Poly) -> Scalar:
 
 
 def rank_exact(matrix: Union[ExactMatrix, IntersectionMatrix]) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
+    """Rank over the rationals, via sympy's ``DomainMatrix``."""
     if isinstance(matrix, IntersectionMatrix):
         matrix = matrix.entries
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return _domain_matrix(matrix).rank()
 
 
 # ---------------------------------------------------------------------------
 # structure of the characteristic polynomial
 # ---------------------------------------------------------------------------
 
+def strip_unit_root(p: Poly) -> Tuple[int, Poly]:
+    """``(m, q)`` with ``p = (x - 1)^m * q`` and ``q(1) != 0``, exactly.
+
+    Raises ``TypeError`` for inexact coefficients.
+    """
+    if not p.is_exact:
+        raise TypeError("stripping unit roots requires exact coefficients")
+    mult = 0
+    while p.degree > 0 and p(1) == 0:
+        p, _ = p.divmod_exact(X_MINUS_ONE)
+        mult += 1
+    return mult, p
+
+
 def structure_split(chi: Poly, rank: int) -> Tuple[int, Poly]:
     """Split ``chi = (x - 1)^(n - rank) * p`` with ``p(1) != 0``.
 
-    Returns ``(n - rank, p)``.  Raises :class:`DivisionFailed` if the
-    division is not exact or the reduced polynomial still vanishes at 1.
+    Returns ``(n - rank, p)``.  Raises :class:`DivisionFailed` if
+    ``(x - 1)^(n - rank)`` does not divide ``chi`` or the reduced polynomial
+    still vanishes at 1.
     """
     n = chi.degree
     exponent = n - rank
     if exponent < 0:
         raise DivisionFailed(f"rank {rank} exceeds polynomial degree {n}")
-    reduced = chi
-    for _ in range(exponent):
-        quot, rem = reduced.divmod_exact(X_MINUS_ONE)
-        if not rem.is_zero():
-            raise DivisionFailed(
-                f"(x - 1)^{exponent} does not divide the characteristic polynomial"
-            )
-        reduced = quot
-    if reduced(1) == 0:
+    mult, reduced = strip_unit_root(chi)
+    if mult < exponent:
+        raise DivisionFailed(
+            f"(x - 1)^{exponent} does not divide the characteristic polynomial"
+        )
+    if mult > exponent:
         raise DivisionFailed("reduced polynomial still vanishes at x = 1")
     return exponent, reduced
 
 
 def unit_root_multiplicity(p: Poly) -> int:
     """The multiplicity of 1 as a root, exactly (exact coefficients only)."""
-    mult = 0
-    cur = p
-    while cur.degree > 0 and cur(1) == 0:
-        cur, rem = cur.divmod_exact(X_MINUS_ONE)
-        assert rem.is_zero()
-        mult += 1
-    return mult
+    return strip_unit_root(p)[0]
 
 
-def complexity(p: Poly, tol: Optional[float] = None) -> int:
-    """Number of roots (with multiplicity) different from 1.
-
-    Exact for exact coefficients.  For float coefficients, roots within
-    ``tol`` (default ``1e-9``) of 1 are considered unit roots.
-    """
-    if p.is_exact:
-        return p.degree - unit_root_multiplicity(p)
-    tol = 1e-9 if tol is None else tol
-    roots = mp.polyroots([mp.mpf(str(c)) for c in p.leading_first()], maxsteps=200)
-    return sum(1 for r in roots if abs(r - 1) > tol)
+def complexity(p: Poly) -> int:
+    """Number of roots (with multiplicity) different from 1, exactly."""
+    return strip_unit_root(p)[1].degree
 
 
 def is_reciprocal(p: Poly) -> bool:
@@ -349,28 +327,20 @@ def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
     Returns the root to roughly ``digits`` significant digits together with
     a residual-based error bound ``2 |p(x)/p'(x)|``.
     """
-    dp = p.derivative()
     with mp.workdps(digits + 15):
         x = mp.mpf(str(x0)) if not isinstance(x0, mp.mpf) else mp.mpf(x0)
-        coeffs = [_to_mpf(c) for c in p.coeffs]
-        dcoeffs = [_to_mpf(c) for c in dp.coeffs]
-
-        def ev(cs, t):
-            acc = mp.mpf(0)
-            for c in reversed(cs):
-                acc = acc * t + c
-            return acc
-
+        f = Poly([_to_mpf(c) for c in p.coeffs])
+        df = Poly([_to_mpf(c) for c in p.derivative().coeffs])
         for _ in range(200):
-            fx = ev(coeffs, x)
-            dfx = ev(dcoeffs, x)
+            fx = f(x)
+            dfx = df(x)
             if dfx == 0:
                 break
             dx = fx / dfx
             x = x - dx
             if abs(dx) <= mp.mpf(10) ** (-(digits + 5)) * max(1, abs(x)):
                 break
-        err = 2 * abs(ev(coeffs, x) / ev(dcoeffs, x))
+        err = 2 * abs(f(x) / df(x))
         return PFEigenvalue(mp.mpf(x), mp.mpf(err))
 
 
@@ -387,12 +357,7 @@ def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None
     """
     digits = default_digits() if digits is None else digits
     chi = source if isinstance(source, Poly) else char_poly_exact(source)
-    if not chi.is_exact:
-        raise TypeError("pf_eigenvalue requires an exact polynomial")
-    mult1 = unit_root_multiplicity(chi)
-    reduced = chi
-    for _ in range(mult1):
-        reduced, _rem = reduced.divmod_exact(X_MINUS_ONE)
+    _mult, reduced = strip_unit_root(chi)
     if reduced.degree == 0:
         raise NotPerronFrobenius("all eigenvalues equal 1")
     dps = digits + 15
@@ -510,7 +475,6 @@ def spectral_report(
     chi = char_poly_exact(m)
     r = rank_exact(omega)
     exponent, reduced = structure_split(chi, r)
-    delta = complexity(chi)
     certified = pf_certify(omega, word)
     lam = err = None
     if certified:
@@ -521,7 +485,7 @@ def spectral_report(
         rank=r,
         unit_exponent=exponent,
         reduced=reduced,
-        complexity=delta,
+        complexity=reduced.degree,
         is_pf=certified,
         pf_value=lam,
         pf_error=err,

@@ -2,8 +2,13 @@
 output, precision environment variable, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import penner
 
 from penner.cli import main
 from penner.spectral import default_digits
@@ -158,3 +163,42 @@ def test_precision_env_var(monkeypatch):
     assert default_digits() == 80
     monkeypatch.delenv("PENNER_PRECISION")
     assert default_digits() == 50
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[0, 1.0, 1], [1, 0, 1], [1, 1, 0]], "entry at (1,2) is 1.0"),
+    ([[0, True, 1], [1, 0, 1], [1, 1, 0]], "entry at (1,2) is True"),
+    (["011", "101", "110"], "omega file must be"),
+])
+def test_non_integer_entry_exits_2(entries, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "entries": entries}))
+    code, _, err = run(capsys, [
+        "degree", "--omega", str(path), "--gamma", "1,2,3",
+    ])
+    assert code == 2
+    assert err.count("\n") == 1 and message in err
+
+
+def test_digits_below_minimum_exits_2(omega_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "--omega", omega_file, "--gamma", "1,2,3", "--digits", "0"])
+    assert exc.value.code == 2
+    assert "at least 5" in capsys.readouterr().err
+
+
+def test_malformed_precision_env_var_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("PENNER_PRECISION", "abc")
+    code, _, err = run(capsys, ["catalog", "list"])
+    assert code == 2
+    assert err.count("\n") == 1 and "PENNER_PRECISION" in err
+
+
+def test_python_dash_m_penner():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(penner.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "penner", "catalog", "list"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "S43-max" in done.stdout

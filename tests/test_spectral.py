@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from penner import (
     IntersectionMatrix,
@@ -27,7 +27,9 @@ from penner import (
     symplectic_check,
     twist_product,
 )
+from penner.catalog import catalog_get
 from penner.errors import DivisionFailed, NotBipartite, NotPerronFrobenius
+from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import (
     X_MINUS_ONE,
     determinant_from_char_poly,
@@ -63,17 +65,42 @@ def test_poly_mul_pow():
 # characteristic polynomial and rank against an independent oracle
 # ---------------------------------------------------------------------------
 
+def s43_tour_product(k):
+    entry = catalog_get("S43-max")
+    tour = spanning_tree_tour(graph_of(entry.omega), root=1)
+    return twist_product(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour)))
+
+
+def assert_char_poly_matches_determinants(m):
+    """``chi(t) == det(t I - M)`` at ``n + 1`` integer points, with the
+    determinants from sympy's Bareiss elimination."""
+    chi = char_poly_exact(m)
+    n = len(m)
+    assert chi.degree == n and chi.is_monic
+    sm = sympy.Matrix(m)
+    for t in range(n + 1):
+        det = (t * sympy.eye(n) - sm).det(method="bareiss")
+        assert chi(t) == Fraction(int(det.p), int(det.q))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_char_poly_matches_sympy(seed):
+@given(st.integers(0, 10**6), st.none())
+@example(0, 1)
+@example(0, 64)
+@example(0, 256)
+def test_char_poly_matches_sympy(seed, s43_scale):
+    if s43_scale is not None:
+        assert_char_poly_matches_determinants(s43_tour_product(s43_scale))
+        return
     rng = random.Random(seed)
     n = rng.randint(1, 5)
-    m = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
-    chi = char_poly_exact(m)
-    x = sympy.Symbol("x")
-    expected = sympy.Matrix(m).charpoly(x).as_expr()
-    got = sum(c * x**i for i, c in enumerate(chi.coeffs))
-    assert sympy.expand(got - expected) == 0
+    integral = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+    assert_char_poly_matches_determinants(integral)
+    rational = tuple(
+        tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
+        for _ in range(n)
+    )
+    assert_char_poly_matches_determinants(rational)
 
 
 @settings(max_examples=25, deadline=None)
