@@ -110,6 +110,13 @@ def run_recipe(
     update per letter) is compared against the naive product of elementary
     twist matrices.
 
+    The leading eigenvalue is computed on demand: a scale whose reduced
+    polynomial is irreducible gets its degree from the exact factorization
+    alone, so the eigenvalue is found only at ``k*`` and at scales whose
+    reduced polynomial factors.  A scale whose eigenvalue is not needed
+    does not raise :class:`NotPerronFrobenius`, even where the root finder
+    would fail.
+
     Raises :class:`NotContractible`, :class:`NotGeneralPath`, or
     :class:`KBudgetExhausted`.
     """

@@ -105,20 +105,27 @@ def degree_of_pf_root(
     """Identify the irreducible factor of the reduced characteristic
     polynomial that has the leading eigenvalue as a root.
 
-    Returns ``(degree, minimal_polynomial, factorization)``.  The candidate
-    factor (smallest ``|f(lambda)|``) is verified with exact rational
-    arithmetic: it must change sign across a tight bracket around ``lambda``
-    while every other factor keeps a constant sign there.  On failure the
-    working precision is quadrupled, up to ``max_retries`` attempts; if the
-    assignment never becomes unambiguous, :class:`AmbiguousRootAssignment`
-    is raised.
+    Returns ``(degree, minimal_polynomial, factorization)``.  When the report
+    is certified Perron-Frobenius and the reduced polynomial is irreducible,
+    the exact factorization is the whole certificate: the leading eigenvalue
+    is a root of the reduced polynomial, which is then its minimal
+    polynomial, so no numerics are needed and ``report.pf_value`` is not
+    read.  Otherwise the factor is found from ``report.pf_value`` with exact
+    rational arithmetic: it must change sign across a tight bracket around
+    ``lambda`` while every other factor keeps a constant sign there.  On
+    failure the working precision is quadrupled, up to ``max_retries``
+    attempts; if the assignment never becomes unambiguous,
+    :class:`AmbiguousRootAssignment` is raised.  A report that is not
+    Perron-Frobenius raises :class:`RootMismatch`.
     """
-    if report.pf_value is None:
-        raise RootMismatch("report carries no leading eigenvalue")
-    digits = report.digits if digits is None else digits
     reduced = report.reduced
     fz = factor_monic(reduced)
+    if fz.factors == ((reduced, 1),) and report.is_pf:
+        return reduced.degree, reduced, fz
     lam = report.pf_value
+    if lam is None:
+        raise RootMismatch("report carries no leading eigenvalue")
+    digits = report.digits if digits is None else digits
     for attempt in range(max_retries):
         pf = refine_real_root(reduced, lam, digits)
         lam, err = pf.value, pf.error

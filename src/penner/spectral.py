@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -450,7 +451,14 @@ def height(omega: IntersectionMatrix, v: Sequence[Scalar]) -> Scalar:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Everything the degree pipeline needs about one twist product."""
+    """Everything the degree pipeline needs about one twist product.
+
+    The leading eigenvalue ``pf_value`` and its error bound ``pf_error`` are
+    computed from ``reduced`` at ``digits`` digits on first access, by
+    :func:`pf_eigenvalue`, and cached; both are ``None`` when the product is
+    not certified Perron-Frobenius.  Reading them may raise
+    :class:`NotPerronFrobenius` when the numerical root finding fails.
+    """
 
     charpoly: Poly
     rank: int
@@ -458,9 +466,19 @@ class SpectralReport:
     reduced: Poly
     complexity: int
     is_pf: bool
-    pf_value: Optional[mp.mpf]
-    pf_error: Optional[mp.mpf]
     digits: int
+
+    @cached_property
+    def _pf(self) -> Optional[PFEigenvalue]:
+        return pf_eigenvalue(self.reduced, self.digits) if self.is_pf else None
+
+    @property
+    def pf_value(self) -> Optional[mp.mpf]:
+        return None if self._pf is None else self._pf.value
+
+    @property
+    def pf_error(self) -> Optional[mp.mpf]:
+        return None if self._pf is None else self._pf.error
 
 
 def spectral_report(
@@ -469,25 +487,22 @@ def spectral_report(
     digits: Optional[int] = None,
     matrix: Optional[ExactMatrix] = None,
 ) -> SpectralReport:
-    """Build the full spectral report for ``M = twist_product(omega, word)``."""
+    """Build the exact spectral report for ``M = twist_product(omega, word)``.
+
+    Only exact work happens here; the leading eigenvalue is left to the
+    report, which computes it when it is first read.
+    """
     digits = default_digits() if digits is None else digits
     m = twist_product(omega, word) if matrix is None else matrix
     chi = char_poly_exact(m)
     r = rank_exact(omega)
     exponent, reduced = structure_split(chi, r)
-    certified = pf_certify(omega, word)
-    lam = err = None
-    if certified:
-        pf = pf_eigenvalue(reduced, digits)
-        lam, err = pf.value, pf.error
     return SpectralReport(
         charpoly=chi,
         rank=r,
         unit_exponent=exponent,
         reduced=reduced,
         complexity=reduced.degree,
-        is_pf=certified,
-        pf_value=lam,
-        pf_error=err,
+        is_pf=pf_certify(omega, word),
         digits=digits,
     )

@@ -90,6 +90,22 @@ def random_closed_walk(omega, rng, steps):
     return tuple(out) if len(out) >= 2 else None
 
 
+def count_pf_eigenvalue(monkeypatch):
+    """Wrap ``penner.spectral.pf_eigenvalue`` through ``monkeypatch`` (a
+    ``pytest.MonkeyPatch``); returns the list its calls are appended to."""
+    import penner.spectral
+
+    calls = []
+    real = penner.spectral.pf_eigenvalue
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(penner.spectral, "pf_eigenvalue", counted)
+    return calls
+
+
 def general_word(omega, rng, max_power=3):
     """A random general word: spanning-tree tour with random positive powers."""
     gamma = tour_path(omega, rng)

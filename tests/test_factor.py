@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penner import (
+    IntersectionMatrix,
     Poly,
     TwistWord,
     convergence_diagnostic,
@@ -87,6 +88,31 @@ def test_degree_of_pf_root_picks_right_factor():
 
     degree, minpoly, _ = degree_of_pf_root(FakeReport())
     assert degree == 2 and minpoly == Poly([1, -3, 1])
+
+
+class IrreducibleReport:
+    """A certified report whose eigenvalue must not be read."""
+
+    reduced = Poly([-1, 5, -7, 1])  # x^3 - 7x^2 + 5x - 1, irreducible
+    is_pf = True
+    digits = 50
+
+    @property
+    def pf_value(self):
+        raise AssertionError("pf_value read for an irreducible reduced polynomial")
+
+
+def test_degree_of_irreducible_reduced_needs_no_eigenvalue():
+    degree, minpoly, fz = degree_of_pf_root(IrreducibleReport())
+    assert degree == 3 and minpoly == IrreducibleReport.reduced
+    assert fz.factors == ((IrreducibleReport.reduced, 1),)
+
+
+def test_degree_of_pf_root_rejects_uncertified_report():
+    om = IntersectionMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    rep = spectral_report(om, TwistWord((1, 2, 3), (1, 1, 1)))
+    with pytest.raises(RootMismatch):
+        degree_of_pf_root(rep)
 
 
 def test_deflate_quadratic():

@@ -27,6 +27,7 @@ from penner import (
     symplectic_check,
     twist_product,
 )
+import penner.spectral
 from penner.catalog import catalog_get
 from penner.errors import DivisionFailed, NotBipartite, NotPerronFrobenius
 from penner.graphs import graph_of, spanning_tree_tour
@@ -38,7 +39,7 @@ from penner.spectral import (
     unit_root_multiplicity,
 )
 
-from conftest import general_word, random_omega
+from conftest import count_pf_eigenvalue, general_word, random_omega
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,27 @@ def test_spectral_report(omega3):
     assert rep.rank == 3 and rep.unit_exponent == 0
     assert rep.is_pf and rep.pf_value is not None
     assert rep.complexity == 3
+
+
+def test_spectral_report_computes_lambda_once_on_demand(omega3, monkeypatch):
+    calls = count_pf_eigenvalue(monkeypatch)
+    rep = spectral_report(omega3, TwistWord((1, 2, 3), (1, 1, 1)), digits=40)
+    assert calls == []
+    lam = rep.pf_value
+    assert rep.pf_value is lam and rep.pf_error is not None
+    assert len(calls) == 1
+    assert lam == pf_eigenvalue(rep.reduced, 40).value
+
+
+def test_uncertified_report_never_computes_lambda(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("pf_eigenvalue called for an uncertified report")
+
+    monkeypatch.setattr(penner.spectral, "pf_eigenvalue", refuse)
+    om = IntersectionMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    rep = spectral_report(om, TwistWord((1, 2, 3), (1, 1, 1)))
+    assert not rep.is_pf
+    assert rep.pf_value is None and rep.pf_error is None
 
 
 # ---------------------------------------------------------------------------
