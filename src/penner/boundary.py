@@ -43,6 +43,7 @@ from .errors import (
     NotGeneral,
     NotSupported,
     PreconditionViolated,
+    ValidationError,
 )
 from .graphs import covers_vertices, graph_of, word_supported
 from .spectral import (
@@ -385,7 +386,9 @@ def ray_convergence_experiment(
     powers of ``k`` instead: each eigenvalue magnitude is fitted to
     ``constant * k^exponent`` by log-log least squares.
 
-    Raises :class:`NotGeneral` if the word does not use every curve.
+    Raises :class:`NotGeneral` if the word does not use every curve, and
+    :class:`ValidationError` if an unsupported path comes with fewer than
+    two scales.
     """
     digits = default_digits() if digits is None else digits
     if not covers_vertices(word.gamma, omega.n):
@@ -403,6 +406,8 @@ def ray_convergence_experiment(
             rows.append(RayRow(k, u, lam, dist, defl, None))
         return RayTable(True, tuple(rows), limit_poly, None)
     # divergent branch: fit eigenvalue magnitudes against the scale
+    if len(scales) < 2:
+        raise ValidationError("need at least two scales to fit growth exponents")
     mags_per_scale = []
     for k in scales:
         m = twist_product(scale(omega, k), word)
@@ -413,8 +418,6 @@ def ray_convergence_experiment(
             mags = tuple(sorted((abs(r) for r in roots), reverse=True))
         mags_per_scale.append(mags)
         rows.append(RayRow(k, u, None, None, None, mags))
-    if len(scales) < 2:
-        raise ValueError("need at least two scales to fit growth exponents")
     exponents = []
     constants = []
     nslots = min(len(m) for m in mags_per_scale)

@@ -32,6 +32,7 @@ from .errors import (
     NoPseudoAnosov,
     OutOfFormulaRange,
     UnknownId,
+    ValidationError,
 )
 from .graphs import graph_of, is_bipartite
 from .spectral import rank_exact
@@ -52,9 +53,9 @@ class SurfaceSpec:
 
     def __post_init__(self):
         if self.genus < 0 or self.punctures < 0:
-            raise ValueError("genus and punctures must be nonnegative")
+            raise ValidationError("genus and punctures must be nonnegative")
         if not self.orientable and self.genus < 1:
-            raise ValueError("a nonorientable surface needs at least one crosscap")
+            raise ValidationError("a nonorientable surface needs at least one crosscap")
 
     def __str__(self):
         letter = "S" if self.orientable else "N"

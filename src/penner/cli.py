@@ -117,9 +117,12 @@ def run_recipe(
     does not raise :class:`NotPerronFrobenius`, even where the root finder
     would fail.
 
-    Raises :class:`NotContractible`, :class:`NotGeneralPath`, or
+    Raises :class:`ValidationError` for a ``window`` below 1,
+    :class:`NotContractible`, :class:`NotGeneralPath`, or
     :class:`KBudgetExhausted`.
     """
+    if window < 1:
+        raise ValidationError(f"window must be at least 1, got {window}")
     digits = default_digits() if digits is None else digits
     g = graph_of(omega)
     if not word_supported(word, g):

@@ -11,20 +11,14 @@ degree of the stretch factor is the degree of that factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import mpmath as mp
 import sympy
 
 from .errors import AmbiguousRootAssignment, RootMismatch
-from .spectral import (
-    Poly,
-    SpectralReport,
-    _to_mpf,
-    refine_real_root,
-)
+from .spectral import Poly, SpectralReport, _to_mpf, brackets_root
 
 _X = sympy.Symbol("x")
 
@@ -83,25 +77,7 @@ def is_irreducible(p: Poly) -> bool:
 # degree of the leading eigenvalue
 # ---------------------------------------------------------------------------
 
-def _mpf_to_fraction(x: mp.mpf) -> Fraction:
-    """The exact rational value stored in an mpf (no re-rounding)."""
-    if not isinstance(x, mp.mpf):
-        raise TypeError(f"expected an mpf, got {type(x).__name__}")
-    man, exp = x.man_exp
-    if exp >= 0:
-        return Fraction(int(man) << int(exp))
-    return Fraction(int(man), 1 << int(-exp))
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def degree_of_pf_root(
-    report: SpectralReport,
-    digits: Optional[int] = None,
-    max_retries: int = 5,
-) -> Tuple[int, Poly, Factorization]:
+def degree_of_pf_root(report: SpectralReport) -> Tuple[int, Poly, Factorization]:
     """Identify the irreducible factor of the reduced characteristic
     polynomial that has the leading eigenvalue as a root.
 
@@ -110,11 +86,9 @@ def degree_of_pf_root(
     the exact factorization is the whole certificate: the leading eigenvalue
     is a root of the reduced polynomial, which is then its minimal
     polynomial, so no numerics are needed and ``report.pf_value`` is not
-    read.  Otherwise the factor is found from ``report.pf_value`` with exact
-    rational arithmetic: it must change sign across a tight bracket around
-    ``lambda`` while every other factor keeps a constant sign there.  On
-    failure the working precision is quadrupled, up to ``max_retries``
-    attempts; if the assignment never becomes unambiguous,
+    read.  Otherwise the factor is the one that changes sign, over
+    ``Fraction``s, on the report's enclosure ``[pf_value - pf_error,
+    pf_value + pf_error]``; if not exactly one factor does,
     :class:`AmbiguousRootAssignment` is raised.  A report that is not
     Perron-Frobenius raises :class:`RootMismatch`.
     """
@@ -125,32 +99,12 @@ def degree_of_pf_root(
     lam = report.pf_value
     if lam is None:
         raise RootMismatch("report carries no leading eigenvalue")
-    digits = report.digits if digits is None else digits
-    for attempt in range(max_retries):
-        pf = refine_real_root(reduced, lam, digits)
-        lam, err = pf.value, pf.error
-        eps = max(err, mp.mpf(10) ** (-(digits - 2)))
-        lam_frac = _mpf_to_fraction(lam)
-        eps_frac = _mpf_to_fraction(eps)
-        lo = lam_frac - 10 * eps_frac
-        hi = lam_frac + 10 * eps_frac
-        best = None
-        ambiguous = False
-        for f, _e in fz.factors:
-            s_lo = _sign(Fraction(f(lo)))
-            s_hi = _sign(Fraction(f(hi)))
-            changes = s_lo * s_hi <= 0
-            if changes:
-                if best is None:
-                    best = f
-                else:
-                    ambiguous = True
-        if best is not None and not ambiguous:
-            return best.degree, best, fz
-        digits *= 4
-    raise AmbiguousRootAssignment(
-        "could not isolate the leading eigenvalue inside a unique factor"
-    )
+    owners = [f for f, _e in fz.factors if brackets_root(f, lam, report.pf_error)]
+    if len(owners) != 1:
+        raise AmbiguousRootAssignment(
+            "could not isolate the leading eigenvalue inside a unique factor"
+        )
+    return owners[0].degree, owners[0], fz
 
 
 # ---------------------------------------------------------------------------

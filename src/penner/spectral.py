@@ -322,16 +322,33 @@ def _to_mpf(c) -> mp.mpf:
     return mp.mpf(c)
 
 
+def _mpf_to_fraction(x: mp.mpf) -> Fraction:
+    """The exact rational value stored in an mpf (no re-rounding)."""
+    man, exp = x.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
+    """Whether the exact polynomial ``p`` has a root in
+    ``[value - error, value + error]``: its values at the two ends, computed
+    over ``Fraction``s, are of opposite sign or zero."""
+    v, e = _mpf_to_fraction(value), _mpf_to_fraction(error)
+    return p(v - e) * p(v + e) <= 0
+
+
 def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
     """Newton-refine a simple real root of an exact polynomial.
 
     Returns the root to roughly ``digits`` significant digits together with
-    a residual-based error bound ``2 |p(x)/p'(x)|``.
+    an error estimate: the residual-based ``2 |p(x)/p'(x)|``, but never less
+    than the stopping tolerance ``10^-(digits+5) * max(1, |x|)``, below which
+    the residual is rounding noise.
     """
     with mp.workdps(digits + 15):
         x = mp.mpf(str(x0)) if not isinstance(x0, mp.mpf) else mp.mpf(x0)
         f = Poly([_to_mpf(c) for c in p.coeffs])
         df = Poly([_to_mpf(c) for c in p.derivative().coeffs])
+        tol = mp.mpf(10) ** (-(digits + 5))
         for _ in range(200):
             fx = f(x)
             dfx = df(x)
@@ -339,9 +356,9 @@ def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
                 break
             dx = fx / dfx
             x = x - dx
-            if abs(dx) <= mp.mpf(10) ** (-(digits + 5)) * max(1, abs(x)):
+            if abs(dx) <= tol * max(1, abs(x)):
                 break
-        err = 2 * abs(f(x) / df(x))
+        err = max(2 * abs(f(x) / df(x)), tol * max(1, abs(x)))
         return PFEigenvalue(mp.mpf(x), mp.mpf(err))
 
 
@@ -352,9 +369,11 @@ def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None
     polynomial.  Eigenvalue 1 is stripped off exactly first (it may occur
     with high multiplicity), then the remaining roots are isolated
     numerically and the dominant one Newton-refined on the exact polynomial.
+    The returned ``error`` is proven: the reduced polynomial changes sign on
+    ``[value - error, value + error]``, checked over ``Fraction``s.
 
     Raises :class:`NotPerronFrobenius` if there is no simple dominant real
-    eigenvalue strictly greater than 1.
+    eigenvalue strictly greater than 1, or if the sign-change check fails.
     """
     digits = default_digits() if digits is None else digits
     chi = source if isinstance(source, Poly) else char_poly_exact(source)
@@ -379,7 +398,13 @@ def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None
         lam0 = mp.re(real_dominant[0])
         if lam0 <= 1:
             raise NotPerronFrobenius(f"leading eigenvalue {lam0} is not > 1")
-    return refine_real_root(reduced, lam0, digits)
+    pf = refine_real_root(reduced, lam0, digits)
+    if not brackets_root(reduced, pf.value, pf.error):
+        raise NotPerronFrobenius(
+            f"leading eigenvalue {mp.nstr(pf.value, 15)} +- "
+            f"{mp.nstr(pf.error, 5)} does not enclose a root"
+        )
+    return pf
 
 
 def pf_lower_bound(omega: IntersectionMatrix) -> Scalar:
@@ -456,8 +481,10 @@ class SpectralReport:
     The leading eigenvalue ``pf_value`` and its error bound ``pf_error`` are
     computed from ``reduced`` at ``digits`` digits on first access, by
     :func:`pf_eigenvalue`, and cached; both are ``None`` when the product is
-    not certified Perron-Frobenius.  Reading them may raise
-    :class:`NotPerronFrobenius` when the numerical root finding fails.
+    not certified Perron-Frobenius.  ``reduced`` changes sign on
+    ``[pf_value - pf_error, pf_value + pf_error]`` (see :func:`brackets_root`).
+    Reading them may raise :class:`NotPerronFrobenius` when the numerical
+    root finding fails.
     """
 
     charpoly: Poly

@@ -5,6 +5,7 @@ so failures are reproducible without hypothesis' database.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -90,20 +91,28 @@ def random_closed_walk(omega, rng, steps):
     return tuple(out) if len(out) >= 2 else None
 
 
-def count_pf_eigenvalue(monkeypatch):
-    """Wrap ``penner.spectral.pf_eigenvalue`` through ``monkeypatch`` (a
-    ``pytest.MonkeyPatch``); returns the list its calls are appended to."""
-    import penner.spectral
-
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` through ``monkeypatch`` (a ``pytest.MonkeyPatch``)
+    in every ``penner`` module that binds it; returns the list its calls are
+    appended to."""
     calls = []
-    real = penner.spectral.pf_eigenvalue
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(penner.spectral, "pf_eigenvalue", counted)
+    for key, mod in list(sys.modules.items()):
+        if (key == "penner" or key.startswith("penner.")) and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def count_pf_eigenvalue(monkeypatch):
+    """Count the calls of ``penner.spectral.pf_eigenvalue``."""
+    import penner.spectral
+
+    return count_calls(monkeypatch, penner.spectral, "pf_eigenvalue")
 
 
 def general_word(omega, rng, max_power=3):

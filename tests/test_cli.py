@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 import penner
+import penner.cli
 
 from penner.cli import main
 from penner.spectral import default_digits
@@ -76,6 +78,21 @@ def test_recipe_budget_exhausted(omega_file, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_recipe_window_below_one_exits_2_before_scanning(
+        window, omega_file, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a scale was scanned")
+
+    monkeypatch.setattr(penner.cli, "spectral_report", refuse)
+    code, _, err = run(capsys, [
+        "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
+        "--window", window,
+    ])
+    assert code == 2
+    assert err.count("\n") == 1 and "window" in err
+
+
 def test_limit_supported(omega_file, capsys):
     code, out, _ = run(capsys, [
         "limit", "--omega", omega_file, "--gamma", "1,2,3",
@@ -86,20 +103,40 @@ def test_limit_supported(omega_file, capsys):
     assert payload["supported"] and payload["limit"] == "x^2 + x"
 
 
-def test_limit_divergent(tmp_path, capsys):
+@pytest.fixture
+def div4_file(tmp_path):
+    """The 4x4 collection with a missing edge: the path 1,2,3,4 is not
+    supported in its intersection graph."""
     path = tmp_path / "div4.json"
     path.write_text(json.dumps({
         "n": 4,
         "entries": [[0, 0, 1, 2], [0, 0, 1, 1], [1, 1, 0, 1], [2, 1, 1, 0]],
     }))
+    return str(path)
+
+
+def test_limit_divergent(div4_file, capsys):
     code, out, _ = run(capsys, [
-        "limit", "--omega", str(path), "--gamma", "1,2,3,4",
+        "limit", "--omega", div4_file, "--gamma", "1,2,3,4",
         "--scales", "16,32,64,128", "--json",
     ])
     assert code == 0
     payload = json.loads(out)
     assert not payload["supported"]
     assert len(payload["exponents"]) == 4
+
+
+def test_limit_divergent_one_scale_exits_2_before_root_finding(
+        div4_file, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("roots found before the scales were checked")
+
+    monkeypatch.setattr(mp, "polyroots", refuse)
+    code, _, err = run(capsys, [
+        "limit", "--omega", div4_file, "--gamma", "1,2,3,4", "--scales", "4",
+    ])
+    assert code == 2
+    assert err.count("\n") == 1 and "two scales" in err
 
 
 def test_catalog_list(capsys):
@@ -134,6 +171,17 @@ def test_catalog_degrees_no_pa(capsys):
         "catalog", "degrees", "--kind", "N", "--genus", "3",
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--genus", "-1"],
+    ["--kind", "N", "--genus", "0"],
+    ["--punctures", "-2"],
+])
+def test_catalog_degrees_invalid_surface_exits_2(argv, capsys):
+    code, _, err = run(capsys, ["catalog", "degrees", *argv])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_selftest(capsys):

@@ -19,10 +19,11 @@ from penner import (
     spectral_report,
     twist_product,
 )
+import penner.spectral
 from penner.errors import RootMismatch
 from penner.factor import deflate, is_irreducible
 
-from conftest import general_word, random_omega
+from conftest import count_calls, general_word, random_omega
 
 
 def test_factor_monic_splits_product():
@@ -75,7 +76,7 @@ def test_degree_of_pf_root_triangle(omega3):
     assert minpoly == Poly([-1, 5, -7, 1])
 
 
-def test_degree_of_pf_root_picks_right_factor():
+def test_degree_of_pf_root_picks_right_factor(monkeypatch):
     # (x^2 - 3x + 1)(x - 2): leading root (3+sqrt(5))/2 ~ 2.618 belongs to
     # the quadratic factor even though x - 2 has a root nearby
     p = Poly([1, -3, 1]) * Poly([-2, 1])
@@ -84,10 +85,13 @@ def test_degree_of_pf_root_picks_right_factor():
     class FakeReport:
         reduced = p
         pf_value = lam.value
+        pf_error = lam.error
         digits = 50
 
+    refinements = count_calls(monkeypatch, penner.spectral, "refine_real_root")
     degree, minpoly, _ = degree_of_pf_root(FakeReport())
     assert degree == 2 and minpoly == Poly([1, -3, 1])
+    assert refinements == []
 
 
 class IrreducibleReport:

@@ -9,6 +9,8 @@ import mpmath as mp
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from penner import (
     IntersectionMatrix,
@@ -74,14 +76,18 @@ def s43_tour_product(k):
 
 def assert_char_poly_matches_determinants(m):
     """``chi(t) == det(t I - M)`` at ``n + 1`` integer points, with the
-    determinants from sympy's Bareiss elimination."""
+    determinants from fraction-free Bareiss elimination (sympy's dense
+    ``DomainMatrix.det`` over ZZ or QQ; independent of the Berkowitz
+    ``charpoly`` under test)."""
     chi = char_poly_exact(m)
     n = len(m)
     assert chi.degree == n and chi.is_monic
-    sm = sympy.Matrix(m)
+    domain = ZZ if all(isinstance(x, int) for row in m for x in row) else QQ
     for t in range(n + 1):
-        det = (t * sympy.eye(n) - sm).det(method="bareiss")
-        assert chi(t) == Fraction(int(det.p), int(det.q))
+        rows = [[(t if i == j else 0) - x for j, x in enumerate(row)]
+                for i, row in enumerate(m)]
+        det = DomainMatrix.from_list(rows, domain).det()
+        assert chi(t) == Fraction(int(det.numerator), int(det.denominator))
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,6 +177,33 @@ def test_pf_certify_and_lower_bound(omega3):
     m = twist_product(omega3, word)
     lam = pf_eigenvalue(m)
     assert lam.value >= pf_lower_bound(omega3)
+
+
+def mpf_fraction(x):
+    man, exp = x.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def test_s43_enclosure_is_proven_at_k27():
+    entry = catalog_get("S43-max")
+    tour = spanning_tree_tour(graph_of(entry.omega), root=1)
+    rep = spectral_report(scale(entry.omega, 27), TwistWord(tour, (1,) * len(tour)),
+                          digits=50)
+    lam, err = mpf_fraction(rep.pf_value), mpf_fraction(rep.pf_error)
+    lo, hi = rep.reduced(lam - err), rep.reduced(lam + err)
+    assert isinstance(lo, Fraction) and lo * hi < 0
+
+
+def test_pf_eigenvalue_rejects_an_enclosure_without_a_root(monkeypatch):
+    real = penner.spectral.refine_real_root
+
+    def off_by_one(p, x0, digits):
+        pf = real(p, x0, digits)
+        return pf._replace(value=pf.value + 1)
+
+    monkeypatch.setattr(penner.spectral, "refine_real_root", off_by_one)
+    with pytest.raises(NotPerronFrobenius, match="does not enclose a root"):
+        pf_eigenvalue(Poly([-1, 5, -7, 1]), 30)
 
 
 def test_pf_rejects_identity():
