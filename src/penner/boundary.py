@@ -413,8 +413,7 @@ def ray_convergence_experiment(
         m = twist_product(scale(omega, k), word)
         u = char_poly_exact(m)
         with mp.workdps(digits + 10):
-            roots = mp.polyroots([_to_mpf(c) for c in u.leading_first()],
-                                 maxsteps=300, extraprec=200)
+            roots = mp.polyroots(u.mpf_coeffs(), maxsteps=300, extraprec=200)
             mags = tuple(sorted((abs(r) for r in roots), reverse=True))
         mags_per_scale.append(mags)
         rows.append(RayRow(k, u, None, None, None, mags))

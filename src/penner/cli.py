@@ -59,7 +59,6 @@ from .factor import degree_of_pf_root
 from .graphs import (
     covers_vertices,
     graph_of,
-    is_connected,
     is_contractible,
     word_supported,
 )
@@ -131,8 +130,6 @@ def run_recipe(
         raise NotGeneralPath("the path must visit every curve")
     if not is_contractible(word.gamma):
         raise NotContractible("the path must be contractible in the graph")
-    if not is_connected(g):
-        raise NotGeneralPath("the intersection graph must be connected")
     streak: List[Tuple[int, SpectralReport, int, Poly]] = []
     for k in range(1, k_max + 1):
         omega_k = scale(omega, k)
@@ -176,8 +173,13 @@ def run_recipe(
 # ---------------------------------------------------------------------------
 
 def load_omega(path: str) -> IntersectionMatrix:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as e:
+        # malformed JSON, non-UTF-8 bytes, an integer past Python's digit
+        # limit, or nesting past the recursion limit
+        raise ValidationError(f"cannot read omega file {path}: {e}") from None
     if (not isinstance(data, dict) or not isinstance(data.get("entries"), list)
             or not all(isinstance(row, list) for row in data["entries"])):
         raise ValidationError('omega file must be {"n": int, "entries": [[...]]}')

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import mpmath as mp
 import sympy
 
 from .errors import AmbiguousRootAssignment, RootMismatch
-from .spectral import Poly, SpectralReport, _to_mpf, brackets_root
+from .spectral import Poly, SpectralReport, brackets_root, default_digits
 
 _X = sympy.Symbol("x")
 
@@ -47,7 +47,7 @@ def factor_monic(p: Poly) -> Factorization:
     The factor list is certified by exact re-multiplication; factors are
     sorted by (degree, coefficients) for determinism.
     """
-    if not p.is_exact or not all(isinstance(c, int) for c in p.coeffs):
+    if not all(isinstance(c, int) for c in p.coeffs):
         raise ValueError("factor_monic requires integer coefficients")
     if not p.is_monic:
         raise ValueError("factor_monic requires a monic polynomial")
@@ -126,30 +126,34 @@ class ConvergenceReport:
     lambdas_increasing: bool
 
 
-def deflate(p: Poly, lam: mp.mpf, digits: int = 50) -> Tuple[mp.mpf, ...]:
+def deflate(
+    p: Poly, lam: mp.mpf, digits: Optional[int] = None
+) -> Tuple[mp.mpf, ...]:
     """Coefficients (constant first) of ``p(x) / (x - lam)`` by synthetic
-    division, dropping the remainder."""
+    division, dropping the remainder.  ``digits`` defaults to
+    :func:`~penner.spectral.default_digits`."""
+    digits = default_digits() if digits is None else digits
     with mp.workdps(digits + 10):
-        lead = p.leading_first()
         out = []
         acc = mp.mpf(0)
-        for c in lead:
-            acc = acc * lam + _to_mpf(c)
+        for c in p.mpf_coeffs():
+            acc = acc * lam + c
             out.append(acc)
         # out[-1] is the remainder p(lam); quotient is out[:-1], leading first
         return tuple(reversed(out[:-1]))
 
 
 def deflated_distance(
-    u: Poly, lam: mp.mpf, limit: Poly, digits: int = 50
+    u: Poly, lam: mp.mpf, limit: Poly, digits: Optional[int] = None
 ) -> Tuple[mp.mpf, Tuple[mp.mpf, ...]]:
     """``(distance, deflated)``: the coefficients of ``u(x) / (x - lam)``
     (see :func:`deflate`) as ``deflated``, and as ``distance`` their
     sup-distance to the coefficients of ``limit``, the shorter list padded
     with zeros."""
+    digits = default_digits() if digits is None else digits
     defl = deflate(u, lam, digits)
     with mp.workdps(digits + 10):
-        target = [c if isinstance(c, mp.mpf) else _to_mpf(c) for c in limit.coeffs]
+        target = limit.mpf_coeffs()[::-1]
         dist = max(abs(a - b)
                    for a, b in zip_longest(defl, target, fillvalue=mp.mpf(0)))
     return dist, defl
@@ -159,7 +163,7 @@ def convergence_diagnostic(
     sequence: Sequence[Tuple[object, Poly, mp.mpf]],
     limit: Poly,
     tol: float = 1e-8,
-    digits: int = 50,
+    digits: Optional[int] = None,
 ) -> ConvergenceReport:
     """Diagnose convergence of deflated characteristic polynomials.
 
@@ -172,12 +176,13 @@ def convergence_diagnostic(
     records whether the irreducible factor of ``u_k`` owning the root of
     ``u_k`` nearest ``theta`` coincides with the factor owning ``lambda_k``.
     Raises :class:`RootMismatch` if some ``lambda_k`` fails to be a root of
-    ``u_k`` to tolerance ``tol``.
+    ``u_k`` to tolerance ``tol``.  ``digits`` defaults to
+    :func:`~penner.spectral.default_digits`.
     """
+    digits = default_digits() if digits is None else digits
     with mp.workdps(digits + 10):
         thetas = [
-            t for t in mp.polyroots([_to_mpf(c) for c in limit.leading_first()],
-                                    maxsteps=200)
+            t for t in mp.polyroots(limit.mpf_coeffs(), maxsteps=200)
             if abs(t) > 1e-9
         ] if limit.degree > 0 else []
         rows = []
@@ -196,8 +201,8 @@ def convergence_diagnostic(
             lam_factor = min(fz.factors, key=lambda fe: abs(fe[0](lam)))[0]
             agreement: Dict[complex, bool] = {}
             if thetas:
-                u_roots = mp.polyroots([_to_mpf(c) for c in u.leading_first()],
-                                       maxsteps=300, extraprec=100)
+                u_roots = mp.polyroots(u.mpf_coeffs(), maxsteps=300,
+                                       extraprec=100)
                 for theta in thetas:
                     nearest = min(u_roots, key=lambda r: abs(r - theta))
                     theta_factor = min(fz.factors,

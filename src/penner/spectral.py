@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 from sympy import QQ, ZZ
@@ -72,22 +72,21 @@ def default_digits() -> int:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """A univariate polynomial, coefficients stored constant term first.
+    """A univariate polynomial with exact coefficients, constant term first.
 
-    Coefficients are exact (``int`` / ``Fraction``) for everything computed
-    symbolically; float/mpf coefficients are allowed for numeric targets
-    (deflated polynomials, limits).
+    Every coefficient passes through :func:`penner.core.exact`, so it is an
+    ``int`` or a ``Fraction``; a float or mpf coefficient raises
+    ``TypeError``.  Numerical work reaches the coefficients only through
+    :meth:`mpf_coeffs`.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = list(coeffs)
-        while len(cs) > 1 and _is_zero(cs[-1]):
+        cs = [exact(c) for c in coeffs]
+        while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(
-            exact(c) if isinstance(c, (int, Fraction)) else c for c in cs
-        )
+        self.coeffs = tuple(cs)
 
     # -- basic structure ----------------------------------------------------
 
@@ -96,15 +95,15 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
-
-    @property
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
     def leading_first(self) -> Tuple:
         return tuple(reversed(self.coeffs))
+
+    def mpf_coeffs(self) -> List[mp.mpf]:
+        """The coefficients, leading first, as mpf at the working precision."""
+        return list(map(_to_mpf, reversed(self.coeffs)))
 
     def __call__(self, x):
         acc = 0 * x  # keep the numeric type of x
@@ -136,8 +135,6 @@ class Poly:
 
     def divmod_exact(self, divisor: "Poly") -> Tuple["Poly", "Poly"]:
         """Exact polynomial division over the rationals."""
-        if not (self.is_exact and divisor.is_exact):
-            raise TypeError("exact division requires exact coefficients")
         rem = [Fraction(c) for c in self.coeffs]
         lead = Fraction(divisor.coeffs[-1])
         d = divisor.degree
@@ -172,11 +169,10 @@ class Poly:
         return poly_str(self)
 
 
-def _is_zero(c) -> bool:
-    try:
-        return c == 0
-    except TypeError:  # pragma: no cover
-        return False
+def _to_mpf(c: Scalar) -> mp.mpf:
+    if isinstance(c, Fraction):
+        return mp.mpf(c.numerator) / mp.mpf(c.denominator)
+    return mp.mpf(c)
 
 
 def poly_str(p: Poly, var: str = "x") -> str:
@@ -185,26 +181,18 @@ def poly_str(p: Poly, var: str = "x") -> str:
         c = p.coeffs[k]
         if c == 0 and p.degree > 0:
             continue
+        mag = abs(c)
         if k == 0:
-            body = str(abs(c) if isinstance(c, (int, Fraction)) else c)
+            body = str(mag)
         else:
             xpow = var if k == 1 else f"{var}^{k}"
-            mag = abs(c) if isinstance(c, (int, Fraction)) else c
             body = xpow if mag == 1 else f"{mag}*{xpow}"
-        if not terms:
-            sign = "-" if _negative(c) else ""
-            terms.append(f"{sign}{body}")
+        if c < 0:
+            sign = "- " if terms else "-"
         else:
-            sign = "- " if _negative(c) else "+ "
-            terms.append(f"{sign}{body}")
+            sign = "+ " if terms else ""
+        terms.append(f"{sign}{body}")
     return " ".join(terms) if terms else "0"
-
-
-def _negative(c) -> bool:
-    try:
-        return c < 0
-    except TypeError:  # pragma: no cover
-        return False
 
 
 X_MINUS_ONE = Poly([-1, 1])
@@ -249,12 +237,7 @@ def rank_exact(matrix: Union[ExactMatrix, IntersectionMatrix]) -> int:
 # ---------------------------------------------------------------------------
 
 def strip_unit_root(p: Poly) -> Tuple[int, Poly]:
-    """``(m, q)`` with ``p = (x - 1)^m * q`` and ``q(1) != 0``, exactly.
-
-    Raises ``TypeError`` for inexact coefficients.
-    """
-    if not p.is_exact:
-        raise TypeError("stripping unit roots requires exact coefficients")
+    """``(m, q)`` with ``p = (x - 1)^m * q`` and ``q(1) != 0``, exactly."""
     mult = 0
     while p.degree > 0 and p(1) == 0:
         p, _ = p.divmod_exact(X_MINUS_ONE)
@@ -284,7 +267,7 @@ def structure_split(chi: Poly, rank: int) -> Tuple[int, Poly]:
 
 
 def unit_root_multiplicity(p: Poly) -> int:
-    """The multiplicity of 1 as a root, exactly (exact coefficients only)."""
+    """The multiplicity of 1 as a root, exactly."""
     return strip_unit_root(p)[0]
 
 
@@ -316,12 +299,6 @@ class PFEigenvalue(NamedTuple):
     error: mp.mpf
 
 
-def _to_mpf(c) -> mp.mpf:
-    if isinstance(c, Fraction):
-        return mp.mpf(c.numerator) / mp.mpf(c.denominator)
-    return mp.mpf(c)
-
-
 def _mpf_to_fraction(x: mp.mpf) -> Fraction:
     """The exact rational value stored in an mpf (no re-rounding)."""
     man, exp = x.man_exp
@@ -346,19 +323,20 @@ def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
     """
     with mp.workdps(digits + 15):
         x = mp.mpf(str(x0)) if not isinstance(x0, mp.mpf) else mp.mpf(x0)
-        f = Poly([_to_mpf(c) for c in p.coeffs])
-        df = Poly([_to_mpf(c) for c in p.derivative().coeffs])
+        f = p.mpf_coeffs()
+        df = p.derivative().mpf_coeffs()
         tol = mp.mpf(10) ** (-(digits + 5))
         for _ in range(200):
-            fx = f(x)
-            dfx = df(x)
+            fx = mp.polyval(f, x)
+            dfx = mp.polyval(df, x)
             if dfx == 0:
                 break
             dx = fx / dfx
             x = x - dx
             if abs(dx) <= tol * max(1, abs(x)):
                 break
-        err = max(2 * abs(f(x) / df(x)), tol * max(1, abs(x)))
+        err = max(2 * abs(mp.polyval(f, x) / mp.polyval(df, x)),
+                  tol * max(1, abs(x)))
         return PFEigenvalue(mp.mpf(x), mp.mpf(err))
 
 
@@ -382,9 +360,9 @@ def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None
         raise NotPerronFrobenius("all eigenvalues equal 1")
     dps = digits + 15
     with mp.workdps(dps):
-        coeffs = [_to_mpf(c) for c in reduced.leading_first()]
         try:
-            roots = mp.polyroots(coeffs, maxsteps=300, extraprec=4 * dps)
+            roots = mp.polyroots(reduced.mpf_coeffs(), maxsteps=300,
+                                 extraprec=4 * dps)
         except mp.libmp.libhyper.NoConvergence as e:  # pragma: no cover
             raise NotPerronFrobenius(f"root finding failed: {e}")
         radius = max(abs(r) for r in roots)

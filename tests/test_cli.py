@@ -192,11 +192,19 @@ def test_selftest(capsys):
 
 def test_invalid_omega_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": 2, "entries": [[0, -1], [-1, 0]]}))
-    code, _, err = run(capsys, [
-        "degree", "--omega", str(path), "--gamma", "1,2",
-    ])
-    assert code == 2
+    for content in (
+        json.dumps({"n": 2, "entries": [[0, -1], [-1, 0]]}).encode(),
+        b'{"n": 3, "entries": [[0, 1',  # truncated JSON
+        b"\xff\xfe\x00{",  # not UTF-8
+        b'{"n": 2, "entries": [[0, 1' + b"0" * 5000 + b'], [1, 0]]}',
+        b'{"n": 1, "entries": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    ):
+        path.write_bytes(content)
+        code, _, err = run(capsys, [
+            "degree", "--omega", str(path), "--gamma", "1,2,3",
+        ])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_missing_omega_file(capsys):

@@ -132,9 +132,12 @@ def naive_product(omega, word):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_twist_product_matches_naive(seed):
+    # at a random positive rational scale, so the fast product is checked
+    # on Fraction entries as well as integers
     rng = random.Random(seed)
     om = random_omega(rng, rng.randint(2, 6))
     word = general_word(om, rng)
+    om = scale(om, Fraction(rng.randint(1, 12), rng.randint(1, 12)))
     assert mat_eq(twist_product(om, word), naive_product(om, word))
 
 

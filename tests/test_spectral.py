@@ -64,6 +64,20 @@ def test_poly_mul_pow():
     assert Poly([0, 1]) * Poly([1, 1]) == Poly([0, 1, 1])
 
 
+def test_poly_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        Poly([1, 0.5])
+    with pytest.raises(TypeError):
+        Poly([mp.mpf(1)])
+
+
+def test_poly_mpf_coeffs_leading_first():
+    with mp.workdps(30):
+        cs = Poly([Fraction(1, 3), 0, 2]).mpf_coeffs()
+        assert cs == [mp.mpf(2), mp.mpf(0), mp.mpf(1) / 3]
+        assert all(isinstance(c, mp.mpf) for c in cs)
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial and rank against an independent oracle
 # ---------------------------------------------------------------------------
