@@ -7,13 +7,16 @@ The package implements, with exact arithmetic throughout:
 * the intersection graph and path combinatorics (:mod:`penner.graphs`);
 * exact characteristic polynomials, ranks, Perron-Frobenius certification
   and high-precision leading eigenvalues (:mod:`penner.spectral`);
-* integer factorization and degree certification of the stretch factor
-  (:mod:`penner.factor`);
+* factorization over the integers or the rationals and degree
+  certification of the stretch factor (:mod:`penner.factor`);
+* the degree-realization recipe, a scan over scales ``k * omega``
+  (:mod:`penner.recipe`);
 * limits of twist products along rays of intersection matrices
   (:mod:`penner.boundary`);
 * a catalog of curve collections, augmentation moves, and degree-set
   formulas (:mod:`penner.catalog`);
-* a command-line interface (:mod:`penner.cli`).
+* a command-line interface that parses arguments and prints answers
+  (:mod:`penner.cli`).
 """
 
 from .core import (
@@ -30,7 +33,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     is_contractible,
-    is_general,
     reduce_backtracking,
     word_supported,
 )
@@ -75,7 +77,8 @@ from .catalog import (
     puncture_augment,
     teich_dim,
 )
-from .cli import RecipeResult, run_recipe
+from .recipe import RecipeResult, run_recipe
+from . import cli  # noqa: F401  (``penner.cli`` loads with the package)
 
 __version__ = "0.1.0"
 
@@ -83,7 +86,7 @@ __all__ = [
     "IntersectionMatrix", "TwistWord", "generator", "scale", "twist_product",
     "validate_omega", "PennerError",
     "graph_of", "is_bipartite", "is_connected", "is_contractible",
-    "is_general", "reduce_backtracking", "word_supported",
+    "reduce_backtracking", "word_supported",
     "Poly", "SpectralReport", "char_poly_exact", "complexity", "height",
     "is_reciprocal", "pf_certify", "pf_eigenvalue", "rank_exact",
     "spectral_report", "structure_split", "symplectic_check",

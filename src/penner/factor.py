@@ -1,16 +1,18 @@
-"""Factorization over the integers and degree certification of the leading
-eigenvalue.
+"""Factorization over the integers or the rationals and degree certification
+of the leading eigenvalue.
 
-``factor_monic`` factors a monic integer polynomial into irreducible integer
-factors (delegated to sympy's Zassenhaus/LLL machinery) and certifies the
-result by exact re-multiplication.  ``degree_of_pf_root`` then identifies the
-unique irreducible factor vanishing at the leading eigenvalue: the algebraic
-degree of the stretch factor is the degree of that factor.
+``factor_monic`` factors a monic polynomial with integer or rational
+coefficients into monic irreducible factors (delegated to sympy's
+Zassenhaus/LLL machinery) and certifies the result by exact
+re-multiplication.  ``degree_of_pf_root`` then identifies the unique
+irreducible factor vanishing at the leading eigenvalue: the algebraic degree
+of the stretch factor is the degree of that factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -25,13 +27,9 @@ _X = sympy.Symbol("x")
 
 @dataclass(frozen=True)
 class Factorization:
-    """Irreducible factorization ``product(f^e) = input`` over the integers."""
+    """Irreducible factorization ``product(f^e) = input`` over the rationals."""
 
     factors: Tuple[Tuple[Poly, int], ...]
-    certified: bool
-
-    def __iter__(self):
-        return iter(self.factors)
 
     def product(self) -> Poly:
         out = Poly([1])
@@ -42,30 +40,27 @@ class Factorization:
 
 
 def factor_monic(p: Poly) -> Factorization:
-    """Factor a monic integer polynomial into monic irreducible factors.
-
-    The factor list is certified by exact re-multiplication; factors are
-    sorted by (degree, coefficients) for determinism.
+    """Factor a monic polynomial into monic factors irreducible over the
+    rationals: by sympy over ZZ if every coefficient is an integer, else over
+    QQ (the rule of :func:`~penner.spectral.char_poly_exact`).  The factor
+    list is certified by exact re-multiplication; factors are sorted by
+    (degree, coefficients) for determinism.
     """
-    if not all(isinstance(c, int) for c in p.coeffs):
-        raise ValueError("factor_monic requires integer coefficients")
     if not p.is_monic:
         raise ValueError("factor_monic requires a monic polynomial")
     if p.degree < 1:
         raise ValueError("factor_monic requires degree >= 1")
-    spoly = sympy.Poly(list(p.leading_first()), _X, domain="ZZ")
-    content, sym_factors = spoly.factor_list()
-    if content != 1:  # pragma: no cover - impossible for monic input
-        raise ValueError("unexpected content in monic factorization")
+    integral = all(isinstance(c, int) for c in p.coeffs)
+    spoly = sympy.Poly(list(p.leading_first()), _X, domain="ZZ" if integral else "QQ")
     factors = []
-    for f, e in sym_factors:
-        coeffs = [int(c) for c in reversed(f.all_coeffs())]
-        factors.append((Poly(coeffs), int(e)))
+    for f, e in spoly.factor_list()[1]:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+        factors.append((Poly([c / coeffs[-1] for c in coeffs]), int(e)))
     factors.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
-    result = Factorization(tuple(factors), certified=False)
+    result = Factorization(tuple(factors))
     if result.product() != p:  # pragma: no cover - sympy returned bad factors
         raise ArithmeticError("factorization failed certification")
-    return Factorization(tuple(factors), certified=True)
+    return result
 
 
 def is_irreducible(p: Poly) -> bool:

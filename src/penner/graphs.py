@@ -120,12 +120,6 @@ def word_supported(word: TwistWord, g: OmegaGraph) -> bool:
     return True
 
 
-def is_general(word: TwistWord, n: int) -> bool:
-    """Whether the word uses every curve index ``1..n`` at least once."""
-    word.check_indices(n)
-    return set(word.gamma) == set(range(1, n + 1))
-
-
 def _reduce_open(seq: list) -> list:
     """Free reduction of an open vertex path: repeatedly delete backtracking
     subpaths ``(..., a, b, a, ...) -> (..., a, ...)``."""

@@ -39,7 +39,7 @@ from .errors import (
     NotPerronFrobenius,
     ValidationError,
 )
-from .graphs import bipartition, graph_of, is_connected, is_general
+from .graphs import bipartition, covers_vertices, graph_of, is_connected
 
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 5
@@ -266,11 +266,6 @@ def structure_split(chi: Poly, rank: int) -> Tuple[int, Poly]:
     return exponent, reduced
 
 
-def unit_root_multiplicity(p: Poly) -> int:
-    """The multiplicity of 1 as a root, exactly."""
-    return strip_unit_root(p)[0]
-
-
 def complexity(p: Poly) -> int:
     """Number of roots (with multiplicity) different from 1, exactly."""
     return strip_unit_root(p)[1].degree
@@ -289,9 +284,12 @@ def is_reciprocal(p: Poly) -> bool:
 
 def pf_certify(omega: IntersectionMatrix, word: TwistWord) -> bool:
     """Exact criterion: the twist product over ``omega`` is Perron-Frobenius
-    iff the intersection graph is connected and the word uses every curve."""
+    iff there are at least two curves, the intersection graph is connected
+    and the word uses every curve.  A single curve meets nothing, and its
+    twist acts as the identity."""
     word.check_indices(omega.n)
-    return is_connected(graph_of(omega)) and is_general(word, omega.n)
+    return (omega.n >= 2 and is_connected(graph_of(omega))
+            and covers_vertices(word.gamma, omega.n))
 
 
 class PFEigenvalue(NamedTuple):
@@ -456,8 +454,9 @@ def height(omega: IntersectionMatrix, v: Sequence[Scalar]) -> Scalar:
 class SpectralReport:
     """Everything the degree pipeline needs about one twist product.
 
-    The leading eigenvalue ``pf_value`` and its error bound ``pf_error`` are
-    computed from ``reduced`` at ``digits`` digits on first access, by
+    Build it with :meth:`from_charpoly`.  The leading eigenvalue
+    ``pf_value`` and its error bound ``pf_error`` are computed from
+    ``reduced`` at ``digits`` digits on first access, by
     :func:`pf_eigenvalue`, and cached; both are ``None`` when the product is
     not certified Perron-Frobenius.  ``reduced`` changes sign on
     ``[pf_value - pf_error, pf_value + pf_error]`` (see :func:`brackets_root`).
@@ -467,11 +466,29 @@ class SpectralReport:
 
     charpoly: Poly
     rank: int
-    unit_exponent: int
     reduced: Poly
-    complexity: int
     is_pf: bool
     digits: int
+
+    @classmethod
+    def from_charpoly(cls, charpoly: Poly, rank: int, is_pf: bool,
+                      digits: Optional[int] = None) -> "SpectralReport":
+        """The report on a product with characteristic polynomial ``charpoly``
+        over an ``omega`` of rank ``rank``; ``is_pf`` is :func:`pf_certify`'s
+        verdict."""
+        _exponent, reduced = structure_split(charpoly, rank)
+        return cls(charpoly, rank, reduced, is_pf,
+                   default_digits() if digits is None else digits)
+
+    @property
+    def unit_exponent(self) -> int:
+        """The exponent ``n - rank`` of ``(x - 1)`` split off ``charpoly``."""
+        return self.charpoly.degree - self.rank
+
+    @property
+    def complexity(self) -> int:
+        """The number of eigenvalues different from 1."""
+        return self.reduced.degree
 
     @cached_property
     def _pf(self) -> Optional[PFEigenvalue]:
@@ -490,24 +507,12 @@ def spectral_report(
     omega: IntersectionMatrix,
     word: TwistWord,
     digits: Optional[int] = None,
-    matrix: Optional[ExactMatrix] = None,
 ) -> SpectralReport:
     """Build the exact spectral report for ``M = twist_product(omega, word)``.
 
     Only exact work happens here; the leading eigenvalue is left to the
     report, which computes it when it is first read.
     """
-    digits = default_digits() if digits is None else digits
-    m = twist_product(omega, word) if matrix is None else matrix
-    chi = char_poly_exact(m)
-    r = rank_exact(omega)
-    exponent, reduced = structure_split(chi, r)
-    return SpectralReport(
-        charpoly=chi,
-        rank=r,
-        unit_exponent=exponent,
-        reduced=reduced,
-        complexity=reduced.degree,
-        is_pf=pf_certify(omega, word),
-        digits=digits,
-    )
+    chi = char_poly_exact(twist_product(omega, word))
+    return SpectralReport.from_charpoly(
+        chi, rank_exact(omega), pf_certify(omega, word), digits)

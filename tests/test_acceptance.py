@@ -291,7 +291,8 @@ def test_criterion_11_fixture_polynomials():
     sextic = Poly([1, 1, -1, 0, -1, -3, 1])
     quintic = Poly([-1, -1, 1, -1, -3, 1])
     irr = is_irreducible(sextic) and is_irreducible(quintic)
-    cert = factor_monic(sextic).certified and factor_monic(quintic).certified
+    cert = (factor_monic(sextic).product() == sextic
+            and factor_monic(quintic).product() == quintic)
     root6 = pf_eigenvalue(sextic, digits=50).value
     root5 = pf_eigenvalue(quintic, digits=50).value
     roots_ok = (abs(root6 - mp.mpf("3.318022")) < 1e-5

