@@ -46,7 +46,7 @@ from .core import (
 from .errors import BudgetError, PreconditionError, ValidationError
 from .factor import degree_of_pf_root
 from .recipe import run_recipe
-from .spectral import check_digits, default_digits, poly_str, spectral_report
+from .spectral import SINGLE_CURVE, check_digits, default_digits, poly_str, spectral_report
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +107,10 @@ def cmd_degree(args) -> int:
     digits = args.digits
     report = spectral_report(omega, word, digits=digits)
     if not report.is_pf:
-        raise PreconditionError(
+        raise PreconditionError(SINGLE_CURVE if omega.n < 2 else (
             "twist product is not Perron-Frobenius: the intersection graph "
             "must be connected and the word must use every curve"
-        )
+        ))
     degree, minpoly, fz = degree_of_pf_root(report)
     payload = {
         "charpoly": poly_str(report.charpoly),

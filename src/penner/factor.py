@@ -20,7 +20,7 @@ import mpmath as mp
 import sympy
 
 from .errors import AmbiguousRootAssignment, RootMismatch
-from .spectral import Poly, SpectralReport, brackets_root, default_digits
+from .spectral import Poly, SpectralReport, brackets_root, default_digits, synthetic_division
 
 _X = sympy.Symbol("x")
 
@@ -129,13 +129,8 @@ def deflate(
     :func:`~penner.spectral.default_digits`."""
     digits = default_digits() if digits is None else digits
     with mp.workdps(digits + 10):
-        out = []
-        acc = mp.mpf(0)
-        for c in p.mpf_coeffs():
-            acc = acc * lam + c
-            out.append(acc)
-        # out[-1] is the remainder p(lam); quotient is out[:-1], leading first
-        return tuple(reversed(out[:-1]))
+        quotient, _remainder = synthetic_division(p.mpf_coeffs(), lam)
+        return tuple(reversed(quotient))
 
 
 def deflated_distance(

@@ -29,6 +29,7 @@ from .errors import (
 from .factor import degree_of_pf_root
 from .graphs import covers_vertices, graph_of, is_contractible, word_supported
 from .spectral import (
+    SINGLE_CURVE,
     Poly,
     SpectralReport,
     char_poly_exact,
@@ -99,8 +100,7 @@ def run_recipe(
     if not is_contractible(word.gamma):
         raise NotContractible("the path must be contractible in the graph")
     if not pf_certify(omega, word):
-        raise NotPerronFrobenius("the twist product is not Perron-Frobenius: "
-                                 "a single curve meets nothing")
+        raise NotPerronFrobenius(SINGLE_CURVE)
     rank = rank_exact(omega)
     streak: List[Tuple[int, SpectralReport, Poly]] = []  # (k, report, minpoly)
     for k in range(1, k_max + 1):

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 from sympy import QQ, ZZ
@@ -71,19 +71,37 @@ def default_digits() -> int:
 # polynomials
 # ---------------------------------------------------------------------------
 
+def synthetic_division(coeffs: Iterable, r) -> Tuple[List, object]:
+    """Divide the polynomial with coefficients ``coeffs`` (leading first, at
+    least one) by ``x - r``: Horner's rule ``acc = acc * r + c``.
+
+    Returns ``(quotient, remainder)``, the quotient's coefficients leading
+    first and the remainder, which is the value at ``r``.  The arithmetic is
+    that of ``r`` and the coefficients: exact for ``int`` and ``Fraction``,
+    at the working precision for ``mpf``.
+    """
+    acc = 0 * r  # keep the numeric type of r
+    steps = []
+    for c in coeffs:
+        acc = acc * r + c
+        steps.append(acc)
+    return steps[:-1], steps[-1]
+
+
 class Poly:
     """A univariate polynomial with exact coefficients, constant term first.
 
     Every coefficient passes through :func:`penner.core.exact`, so it is an
     ``int`` or a ``Fraction``; a float or mpf coefficient raises
-    ``TypeError``.  Numerical work reaches the coefficients only through
-    :meth:`mpf_coeffs`.
+    ``TypeError``.  No coefficients means the zero polynomial.  Evaluation
+    and division by ``x - r`` go through :func:`synthetic_division`;
+    numerical work reaches the coefficients only through :meth:`mpf_coeffs`.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [exact(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs] or [0]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -106,14 +124,9 @@ class Poly:
         return list(map(_to_mpf, reversed(self.coeffs)))
 
     def __call__(self, x):
-        acc = 0 * x  # keep the numeric type of x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return synthetic_division(reversed(self.coeffs), x)[1]
 
     def derivative(self) -> "Poly":
-        if self.degree == 0:
-            return Poly([0])
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     # -- arithmetic (exact) -------------------------------------------------
@@ -127,30 +140,11 @@ class Poly:
                 out[i + j] += a * b
         return Poly(out)
 
-    def __pow__(self, k: int) -> "Poly":
-        result = Poly([1])
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def divmod_exact(self, divisor: "Poly") -> Tuple["Poly", "Poly"]:
-        """Exact polynomial division over the rationals."""
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(divisor.coeffs[-1])
-        d = divisor.degree
-        if len(rem) - 1 < d:
-            return Poly([0]), Poly(rem)
-        quot = [Fraction(0)] * (len(rem) - d)
-        for top in range(len(rem) - 1, d - 1, -1):
-            q = rem[top] / lead
-            quot[top - d] = q
-            if q != 0:
-                for j, c in enumerate(divisor.coeffs):
-                    rem[top - d + j] -= q * c
-        return Poly(quot), Poly(rem)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def divide_linear(self, r: Scalar) -> Tuple["Poly", Scalar]:
+        """``(q, p(r))`` with ``p = (x - r) * q + p(r)``, exactly, for an
+        ``int`` or ``Fraction`` ``r``."""
+        quotient, remainder = synthetic_division(reversed(self.coeffs), r)
+        return Poly(quotient[::-1]), exact(remainder)
 
     # -- comparison / display -----------------------------------------------
 
@@ -192,10 +186,7 @@ def poly_str(p: Poly, var: str = "x") -> str:
         else:
             sign = "+ " if terms else ""
         terms.append(f"{sign}{body}")
-    return " ".join(terms) if terms else "0"
-
-
-X_MINUS_ONE = Poly([-1, 1])
+    return " ".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +230,11 @@ def rank_exact(matrix: Union[ExactMatrix, IntersectionMatrix]) -> int:
 def strip_unit_root(p: Poly) -> Tuple[int, Poly]:
     """``(m, q)`` with ``p = (x - 1)^m * q`` and ``q(1) != 0``, exactly."""
     mult = 0
-    while p.degree > 0 and p(1) == 0:
-        p, _ = p.divmod_exact(X_MINUS_ONE)
-        mult += 1
+    while p.degree > 0:
+        quotient, remainder = p.divide_linear(1)
+        if remainder != 0:
+            break
+        p, mult = quotient, mult + 1
     return mult, p
 
 
@@ -281,6 +274,10 @@ def is_reciprocal(p: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # Perron-Frobenius
 # ---------------------------------------------------------------------------
+
+#: Why a one-curve twist product is not Perron-Frobenius (see :func:`pf_certify`).
+SINGLE_CURVE = "the twist product is not Perron-Frobenius: a single curve meets nothing"
+
 
 def pf_certify(omega: IntersectionMatrix, word: TwistWord) -> bool:
     """Exact criterion: the twist product over ``omega`` is Perron-Frobenius
@@ -361,7 +358,7 @@ def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None
         try:
             roots = mp.polyroots(reduced.mpf_coeffs(), maxsteps=300,
                                  extraprec=4 * dps)
-        except mp.libmp.libhyper.NoConvergence as e:  # pragma: no cover
+        except mp.libmp.libhyper.NoConvergence as e:
             raise NotPerronFrobenius(f"root finding failed: {e}")
         radius = max(abs(r) for r in roots)
         tol = mp.mpf(10) ** (-digits // 2)

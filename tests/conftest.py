@@ -4,12 +4,14 @@ All randomized tests draw from explicitly seeded ``random.Random`` instances
 so failures are reproducible without hypothesis' database.
 """
 
+import functools
 import random
 import sys
 
 import pytest
+import sympy
 
-from penner import IntersectionMatrix, TwistWord, graph_of
+from penner import IntersectionMatrix, Poly, TwistWord, graph_of
 from penner.graphs import spanning_tree_tour
 
 
@@ -33,6 +35,14 @@ def random_omega(rng, n, max_entry=3, density=0.6, connected=True):
                 v = rng.randint(1, max_entry)
                 rows[prev][cur] = rows[cur][prev] = v
     return IntersectionMatrix(tuple(tuple(r) for r in rows))
+
+
+@functools.lru_cache(maxsize=None)
+def collapsed_charpoly(n):
+    """``x (x - 1)^(n - 2)``, the characteristic polynomial of a completely
+    collapsed limit map on ``n`` curves, expanded by sympy."""
+    x = sympy.Symbol("x")
+    return Poly([int(c) for c in reversed(sympy.Poly(x * (x - 1) ** (n - 2), x).all_coeffs())])
 
 
 def tour_path(omega, rng=None, spurs=0):

@@ -13,8 +13,12 @@ import penner
 import penner.cli
 import penner.recipe
 
+from penner.catalog import catalog_get
 from penner.cli import main
+from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import default_digits
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 OMEGA3 = {"n": 3, "entries": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
@@ -134,6 +138,7 @@ def test_degree_with_one_curve_exits_3(one_curve_file, capsys):
     code, _, err = run(capsys, ["degree", "--omega", one_curve_file, "--gamma", "1"])
     assert code == 3
     assert err.count("\n") == 1 and "not Perron-Frobenius" in err
+    assert "a single curve meets nothing" in err and "connected" not in err
 
 
 def test_recipe_with_one_curve_exits_3_before_scanning(
@@ -145,6 +150,40 @@ def test_recipe_with_one_curve_exits_3_before_scanning(
     code, _, err = run(capsys, ["recipe", "--omega", one_curve_file, "--gamma", "1"])
     assert code == 3
     assert err.count("\n") == 1 and "not Perron-Frobenius" in err
+
+
+def test_degree_root_finding_failure_exits_3(omega_file, capsys, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
+
+    monkeypatch.setattr(mp, "polyroots", fail)
+    code, out, err = run(capsys, ["degree", "--omega", omega_file, "--gamma", "1,2,3", "--json"])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "root finding failed" in err
+
+
+def assert_golden(capsys, monkeypatch, name, argv):
+    """``penner`` prints exactly the bytes of ``tests/golden/<name>``."""
+    monkeypatch.delenv("PENNER_PRECISION", raising=False)
+    code, out, err = run(capsys, argv)
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert (code, out, err) == (0, fh.read(), "")
+
+
+def test_degree_json_golden(tmp_path, capsys, monkeypatch):
+    # Mr-5 scaled by k = 2, word: the spanning-tree tour from curve 1
+    entry = catalog_get("Mr-5")
+    path = tmp_path / "mr5-k2.json"
+    path.write_text(json.dumps({"n": entry.omega.n, "entries": [
+        [2 * x for x in row] for row in entry.omega.entries]}))
+    gamma = spanning_tree_tour(graph_of(entry.omega), root=1)
+    assert_golden(capsys, monkeypatch, "degree_mr5_k2.json", [
+        "degree", "--omega", str(path), "--gamma", ",".join(map(str, gamma)), "--json"])
+
+
+def test_limit_json_golden(omega_file, capsys, monkeypatch):
+    assert_golden(capsys, monkeypatch, "limit_triangle_4_8.json", [
+        "limit", "--omega", omega_file, "--gamma", "1,2,3", "--scales", "4,8", "--json"])
 
 
 def test_limit_supported(omega_file, capsys):

@@ -34,7 +34,6 @@ from penner.catalog import catalog_get
 from penner.errors import DivisionFailed, NotBipartite, NotPerronFrobenius
 from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import (
-    X_MINUS_ONE,
     determinant_from_char_poly,
     pf_lower_bound,
     poly_str,
@@ -53,14 +52,36 @@ def test_poly_str():
     assert str(Poly([0, 1, 1])) == "x^2 + x"
 
 
-def test_poly_divmod_exact():
+def test_poly_divide_linear():
     p = Poly([-1, 0, 1])  # x^2 - 1
-    q, r = p.divmod_exact(X_MINUS_ONE)
-    assert q == Poly([1, 1]) and r.is_zero()
+    assert p.divide_linear(1) == (Poly([1, 1]), 0)
+    assert p.divide_linear(Fraction(1, 2)) == (Poly([Fraction(1, 2), 1]), Fraction(-3, 4))
+    assert Poly([5]).divide_linear(3) == (Poly([0]), 5)
 
 
-def test_poly_mul_pow():
-    assert Poly([1, 1]) ** 2 == Poly([1, 2, 1])
+_exact_scalars = st.one_of(st.integers(-10**12, 10**12),
+                           st.fractions(max_denominator=10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exact_scalars, min_size=1, max_size=12),
+       st.one_of(st.integers(-50, 50), st.fractions(max_denominator=100)))
+def test_divide_linear_matches_sympy(coeffs, r):
+    # oracle: sympy's division by x - r over QQ
+    x = sympy.Symbol("x")
+    p = Poly(coeffs)
+    quotient, remainder = p.divide_linear(r)
+    sq, sr = sympy.div(
+        sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                    for c in p.leading_first()], x, domain=QQ),
+        sympy.Poly(x - sympy.Rational(r.numerator, r.denominator), x, domain=QQ))
+    assert quotient == Poly([Fraction(int(c.p), int(c.q)) for c in reversed(sq.all_coeffs())])
+    assert remainder == Fraction(int(sr.LC().p), int(sr.LC().q))
+    assert p(r) == remainder
+
+
+def test_poly_mul():
+    assert Poly([1, 1]) * Poly([1, 1]) == Poly([1, 2, 1])
     assert Poly([0, 1]) * Poly([1, 1]) == Poly([0, 1, 1])
 
 
@@ -217,6 +238,15 @@ def test_pf_eigenvalue_rejects_an_enclosure_without_a_root(monkeypatch):
 
     monkeypatch.setattr(penner.spectral, "refine_real_root", off_by_one)
     with pytest.raises(NotPerronFrobenius, match="does not enclose a root"):
+        pf_eigenvalue(Poly([-1, 5, -7, 1]), 30)
+
+
+def test_pf_eigenvalue_root_finding_failure(monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
+
+    monkeypatch.setattr(mp, "polyroots", fail)
+    with pytest.raises(NotPerronFrobenius, match="root finding failed"):
         pf_eigenvalue(Poly([-1, 5, -7, 1]), 30)
 
 
