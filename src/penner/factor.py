@@ -81,9 +81,9 @@ def degree_of_pf_root(report: SpectralReport) -> Tuple[int, Poly, Factorization]
     the exact factorization is the whole certificate: the leading eigenvalue
     is a root of the reduced polynomial, which is then its minimal
     polynomial, so no numerics are needed and ``report.pf_value`` is not
-    read.  Otherwise the factor is the one that changes sign, over
-    ``Fraction``s, on the report's enclosure ``[pf_value - pf_error,
-    pf_value + pf_error]``; if not exactly one factor does,
+    read.  Otherwise the factor is the one that changes sign, exactly (see
+    :func:`~penner.spectral.brackets_root`), on the report's enclosure
+    ``[pf_value - pf_error, pf_value + pf_error]``; if not exactly one factor does,
     :class:`AmbiguousRootAssignment` is raised.  A report that is not
     Perron-Frobenius raises :class:`RootMismatch`.
     """

@@ -187,9 +187,11 @@ def covers_vertices(gamma: Sequence[int], n: int) -> bool:
 def spanning_tree_tour(g: OmegaGraph, root: int = 1) -> Tuple[int, ...]:
     """A contractible closed path visiting every vertex of a connected graph.
 
-    Depth-first tour of a spanning tree rooted at ``root``: each tree edge is
-    traversed once in each direction, so the tour is freely null-homotopic.
-    The final return to the root is left implicit (the path closes up).
+    Depth-first tour of a spanning tree rooted at ``root``, neighbours in
+    increasing order: each tree edge is traversed once in each direction, so
+    the tour is freely null-homotopic.  The final return to the root is left
+    implicit (the path closes up).  The walk keeps its own stack, so the
+    depth of the tree is not limited by Python's recursion limit.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -198,17 +200,19 @@ def spanning_tree_tour(g: OmegaGraph, root: int = 1) -> Tuple[int, ...]:
     adj = g.adjacency()
     seen = {root}
     tour = [root]
-
-    def visit(v: int) -> None:
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                tour.append(w)
-                visit(w)
-                tour.append(v)
-
-    visit(root)
+    # the tree path from the root to the current vertex, each vertex with
+    # an iterator over the neighbours it has yet to try
+    path = [(root, iter(adj[root]))]
+    while path:
+        w = next((w for w in path[-1][1] if w not in seen), None)
+        if w is None:
+            path.pop()
+            if path:
+                tour.append(path[-1][0])  # back up the tree edge
+            continue
+        seen.add(w)
+        tour.append(w)
+        path.append((w, iter(adj[w])))
     # tour currently ends at root; drop the final entry so the closing edge
     # is the wrap-around pair (last, root)
-    assert tour[-1] == root and len(tour) >= 2
     return tuple(tour[:-1])

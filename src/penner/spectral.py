@@ -13,6 +13,7 @@ the number of eigenvalues different from 1 (the *complexity*) equals ``r``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -271,6 +272,33 @@ def is_reciprocal(p: Poly) -> bool:
     return fwd == rev or fwd == tuple(-c for c in rev)
 
 
+def trace_polynomial(p: Poly) -> Optional[Poly]:
+    """The trace polynomial ``T`` of degree ``m`` with
+    ``p(x) = x^m T(x + 1/x)``, for a palindromic ``p`` of even degree ``2m``;
+    ``None`` for any other ``p``.
+
+    The roots of ``p`` are the pairs ``x, 1/x`` over the roots ``y`` of
+    ``T``, each pair the roots of ``x^2 - y x + 1``.  ``T`` is exact: with
+    ``p = c_m + sum_j c_(m+j) (x^j + x^-j)`` after division by ``x^m``, each
+    ``x^j + x^-j`` is an integer polynomial ``V_j`` in ``y = x + 1/x``, from
+    ``V_0 = 2``, ``V_1 = y`` and ``V_j = y V_(j-1) - V_(j-2)``.
+    Anti-palindromic polynomials (which vanish at 1) and palindromic ones of
+    odd degree (which vanish at -1) are not folded.
+    """
+    c = p.coeffs
+    if p.degree % 2 or not is_reciprocal(p) or c[0] != c[-1]:
+        return None
+    m = p.degree // 2
+    out = [c[m]] + [0] * m
+    prev, cur = [2], [0, 1]  # V_0 and V_1, constant first
+    for j in range(1, m + 1):
+        for i, v in enumerate(cur):
+            out[i] += c[m + j] * v
+        prev, cur = cur, [a - b for a, b in
+                          zip([0] + cur, prev + [0, 0])]
+    return Poly(out)
+
+
 # ---------------------------------------------------------------------------
 # Perron-Frobenius
 # ---------------------------------------------------------------------------
@@ -300,12 +328,26 @@ def _mpf_to_fraction(x: mp.mpf) -> Fraction:
     return Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
+def sign_at(p: Poly, x: Fraction) -> int:
+    """The sign (-1, 0 or 1) of ``p(x)``, over the integers: that of
+    ``L den^d p(num/den)`` for ``x = num/den`` with ``den > 0``, ``d`` the
+    degree and ``L`` the least common denominator of the coefficients."""
+    num, den = x.numerator, x.denominator
+    lcd = math.lcm(*(c.denominator for c in p.coeffs))
+    scaled, power = [], 1
+    for c in p.leading_first():
+        scaled.append(c.numerator * (lcd // c.denominator) * power)
+        power *= den
+    value = synthetic_division(scaled, num)[1]
+    return (value > 0) - (value < 0)
+
+
 def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
     """Whether the exact polynomial ``p`` has a root in
-    ``[value - error, value + error]``: its values at the two ends, computed
-    over ``Fraction``s, are of opposite sign or zero."""
+    ``[value - error, value + error]``: its values at the two ends, signed
+    exactly by :func:`sign_at`, are of opposite sign or zero."""
     v, e = _mpf_to_fraction(value), _mpf_to_fraction(error)
-    return p(v - e) * p(v + e) <= 0
+    return sign_at(p, v - e) * sign_at(p, v + e) <= 0
 
 
 def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
@@ -335,15 +377,33 @@ def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
         return PFEigenvalue(mp.mpf(x), mp.mpf(err))
 
 
+def _unfold(y) -> Tuple:
+    """The roots ``x, 1/x`` of ``x^2 - y x + 1``, the first of modulus at
+    least 1: the square root takes the direction of ``y``, so
+    ``x = (y + sqrt(y^2 - 4)) / 2`` adds and does not cancel."""
+    s = mp.sqrt(y * y - 4)
+    if mp.re(s * mp.conj(y)) < 0:
+        s = -s
+    x = (y + s) / 2
+    return x, 1 / x
+
+
 def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None) -> PFEigenvalue:
     """The leading (Perron-Frobenius) eigenvalue, to ``digits`` digits.
 
     ``source`` is either an exact matrix or its exact characteristic
     polynomial.  Eigenvalue 1 is stripped off exactly first (it may occur
     with high multiplicity), then the remaining roots are isolated
-    numerically and the dominant one Newton-refined on the exact polynomial.
-    The returned ``error`` is proven: the reduced polynomial changes sign on
-    ``[value - error, value + error]``, checked over ``Fraction``s.
+    numerically and the dominant one Newton-refined on the exact reduced
+    polynomial.  A palindromic reduced polynomial of even degree ``2m``
+    (every twist product over a bipartite ``omega`` has one) is located on
+    its :func:`trace_polynomial` of degree ``m`` instead: each of its roots
+    ``y`` gives the roots ``x`` and ``1/x`` of ``x^2 - y x + 1``.  The
+    dominance test, the refinement and the proof below all read the full
+    reduced polynomial and its roots either way, so the fold changes only
+    the cost.  The returned ``error`` is proven: the reduced polynomial
+    changes sign on ``[value - error, value + error]``, checked exactly
+    (see :func:`brackets_root`).
 
     Raises :class:`NotPerronFrobenius` if there is no simple dominant real
     eigenvalue strictly greater than 1, or if the sign-change check fails.
@@ -353,13 +413,16 @@ def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None
     _mult, reduced = strip_unit_root(chi)
     if reduced.degree == 0:
         raise NotPerronFrobenius("all eigenvalues equal 1")
+    trace = trace_polynomial(reduced)
     dps = digits + 15
     with mp.workdps(dps):
         try:
-            roots = mp.polyroots(reduced.mpf_coeffs(), maxsteps=300,
-                                 extraprec=4 * dps)
+            roots = mp.polyroots((reduced if trace is None else trace).mpf_coeffs(),
+                                 maxsteps=300, extraprec=4 * dps)
         except mp.libmp.libhyper.NoConvergence as e:
             raise NotPerronFrobenius(f"root finding failed: {e}")
+        if trace is not None:
+            roots = [x for y in roots for x in _unfold(y)]
         radius = max(abs(r) for r in roots)
         tol = mp.mpf(10) ** (-digits // 2)
         dominant = [r for r in roots if abs(r) >= radius * (1 - tol)]

@@ -16,7 +16,7 @@ import penner.recipe
 from penner.catalog import catalog_get
 from penner.cli import main
 from penner.graphs import graph_of, spanning_tree_tour
-from penner.spectral import default_digits
+from penner.spectral import brackets_root, default_digits
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -170,15 +170,38 @@ def assert_golden(capsys, monkeypatch, name, argv):
         assert (code, out, err) == (0, fh.read(), "")
 
 
-def test_degree_json_golden(tmp_path, capsys, monkeypatch):
-    # Mr-5 scaled by k = 2, word: the spanning-tree tour from curve 1
-    entry = catalog_get("Mr-5")
-    path = tmp_path / "mr5-k2.json"
+def catalog_degree_argv(tmp_path, entry_id, k):
+    """``degree --json`` on the catalog entry scaled by ``k``, word: the
+    spanning-tree tour from curve 1."""
+    entry = catalog_get(entry_id)
+    path = tmp_path / f"{entry_id}-k{k}.json"
     path.write_text(json.dumps({"n": entry.omega.n, "entries": [
-        [2 * x for x in row] for row in entry.omega.entries]}))
+        [k * x for x in row] for row in entry.omega.entries]}))
     gamma = spanning_tree_tour(graph_of(entry.omega), root=1)
-    assert_golden(capsys, monkeypatch, "degree_mr5_k2.json", [
-        "degree", "--omega", str(path), "--gamma", ",".join(map(str, gamma)), "--json"])
+    return ["degree", "--omega", str(path), "--gamma", ",".join(map(str, gamma)), "--json"]
+
+
+def test_degree_json_golden(tmp_path, capsys, monkeypatch):
+    assert_golden(capsys, monkeypatch, "degree_mr5_k2.json",
+                  catalog_degree_argv(tmp_path, "Mr-5", 2))
+
+
+def test_degree_json_golden_palindromic(tmp_path, capsys, monkeypatch):
+    # S43-max is bipartite: its reduced polynomial is palindromic and folds
+    assert_golden(capsys, monkeypatch, "degree_s43max_k3.json",
+                  catalog_degree_argv(tmp_path, "S43-max", 3))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: polyroots does not converge")
+def test_degree_s43max_k64_is_certified(tmp_path, capsys):
+    code, out, err = run(capsys, catalog_degree_argv(tmp_path, "S43-max", 64))
+    assert (code, err) == (0, "")
+    entry = catalog_get("S43-max")
+    gamma = spanning_tree_tour(graph_of(entry.omega), root=1)
+    report = penner.spectral_report(penner.scale(entry.omega, 64),
+                                    penner.TwistWord(gamma, (1,) * len(gamma)))
+    assert json.loads(out)["degree"] == 24
+    assert brackets_root(report.reduced, report.pf_value, report.pf_error)
 
 
 def test_limit_json_golden(omega_file, capsys, monkeypatch):

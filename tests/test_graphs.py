@@ -15,7 +15,8 @@ from penner import (
     reduce_backtracking,
     word_supported,
 )
-from penner.graphs import bipartition, covers_vertices, spanning_tree_tour
+from penner.catalog import catalog_get, catalog_ids
+from penner.graphs import OmegaGraph, bipartition, covers_vertices, spanning_tree_tour
 
 from conftest import random_omega, tour_path
 
@@ -117,3 +118,35 @@ def test_spanning_tree_tour_shape(omega3):
     tour = spanning_tree_tour(graph_of(omega3))
     assert tour[0] == 1
     assert len(tour) == 2 * (omega3.n - 1)
+
+
+def recursive_tour(g, root):
+    """The depth-first spanning-tree tour, written recursively: the
+    reference order for :func:`spanning_tree_tour`."""
+    adj, seen, tour = g.adjacency(), {root}, [root]
+
+    def visit(v):
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                tour.append(w)
+                visit(w)
+                tour.append(v)
+
+    visit(root)
+    return tuple(tour[:-1])
+
+
+@pytest.mark.parametrize("entry_id", catalog_ids())
+def test_spanning_tree_tour_matches_recursive_order(entry_id):
+    g = graph_of(catalog_get(entry_id).omega)
+    assert spanning_tree_tour(g, root=1) == recursive_tour(g, 1)
+
+
+def test_spanning_tree_tour_of_a_long_path():
+    # a path of 3,000 curves is a spanning tree 3,000 levels deep
+    n = 3000
+    g = OmegaGraph(n, frozenset((i, i + 1) for i in range(1, n)))
+    tour = spanning_tree_tour(g)
+    assert tour == tuple(range(1, n + 1)) + tuple(range(n - 1, 1, -1))
+    assert is_contractible(tour) and covers_vertices(tour, n)

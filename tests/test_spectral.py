@@ -34,10 +34,13 @@ from penner.catalog import catalog_get
 from penner.errors import DivisionFailed, NotBipartite, NotPerronFrobenius
 from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import (
+    brackets_root,
     determinant_from_char_poly,
     pf_lower_bound,
     poly_str,
+    sign_at,
     strip_unit_root,
+    trace_polynomial,
 )
 
 from conftest import count_pf_eigenvalue, general_word, random_omega
@@ -229,6 +232,15 @@ def test_s43_enclosure_is_proven_at_k27():
     assert isinstance(lo, Fraction) and lo * hi < 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exact_scalars, min_size=1, max_size=25),
+       st.integers(-2**80, 2**80), st.integers(0, 120))
+def test_sign_at_matches_fraction_evaluation(coeffs, num, shift):
+    p, x = Poly(coeffs), Fraction(num, 2 ** shift)
+    value = p(x)
+    assert sign_at(p, x) == (value > 0) - (value < 0)
+
+
 def test_pf_eigenvalue_rejects_an_enclosure_without_a_root(monkeypatch):
     real = penner.spectral.refine_real_root
 
@@ -320,6 +332,64 @@ def test_symplectic_and_reciprocal(seed):
     assert symplectic_check(om, m)
     exponent, reduced = structure_split(char_poly_exact(m), rank_exact(om))
     assert is_reciprocal(reduced)
+
+
+def _sympy_expr(p, var):
+    return sum(sympy.Rational(c.numerator, c.denominator) * var ** i
+               for i, c in enumerate(p.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exact_scalars, min_size=1, max_size=9).filter(lambda h: h[0] != 0))
+def test_trace_polynomial_unfolds_exactly(half):
+    # p = c_0 + ... + c_m x^m + ... + c_0 x^(2m), palindromic of degree 2m
+    m = len(half) - 1
+    p = Poly(half + half[-2::-1])
+    t = trace_polynomial(p)
+    assert t is not None and t.degree == m
+    x, y = sympy.symbols("x y")
+    unfolded = sympy.expand(x ** m * _sympy_expr(t, y).subs(y, x + 1 / x))
+    assert sympy.Poly(unfolded, x) == sympy.Poly(_sympy_expr(p, x), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exact_scalars, min_size=2, max_size=9).filter(lambda h: h[0] != 0))
+def test_trace_polynomial_folds_only_even_palindromes(half):
+    assert trace_polynomial(Poly(half + half[::-1])) is None  # odd degree
+    anti = Poly(half + [0] + [-c for c in half[::-1]])
+    assert is_reciprocal(anti) and trace_polynomial(anti) is None
+    skewed = Poly([half[0] + 1] + half[1:] + half[-2::-1])
+    assert not is_reciprocal(skewed) and trace_polynomial(skewed) is None
+
+
+def test_trace_polynomial_small_cases():
+    # x^4 - 7x^3 + 13x^2 - 7x + 1 = x^2 ((y^2 - 2) - 7y + 13) with y = x + 1/x
+    assert trace_polynomial(Poly([1, -7, 13, -7, 1])) == Poly([11, -7, 1])
+    assert trace_polynomial(Poly([5])) == Poly([5])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pf_eigenvalue_locates_palindromes_on_the_trace_polynomial(seed):
+    rng = random.Random(seed)
+    om = bipartite_omega(rng, rng.randint(2, 3), rng.randint(2, 3))
+    _exponent, reduced = structure_split(
+        char_poly_exact(twist_product(om, general_word(om, rng))), rank_exact(om))
+    sizes = []
+    real = mp.polyroots
+
+    def counted(coeffs, **kwargs):
+        sizes.append(len(coeffs))
+        return real(coeffs, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(mp, "polyroots", counted)
+        folded = pf_eigenvalue(reduced, 30)
+        mpatch.setattr(penner.spectral, "trace_polynomial", lambda p: None)
+        unfolded = pf_eigenvalue(reduced, 30)
+    assert sizes == [reduced.degree // 2 + 1, reduced.degree + 1]
+    assert brackets_root(reduced, folded.value, folded.error)
+    assert abs(folded.value - unfolded.value) <= folded.error + unfolded.error
 
 
 def test_symplectic_rejects_odd_cycle(omega3):
