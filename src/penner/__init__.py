@@ -57,7 +57,6 @@ from .factor import (
     factor_monic,
 )
 from .boundary import (
-    BoundaryPoint,
     LimitMap,
     eigenvector_asymptotics,
     f_gamma,
@@ -92,7 +91,7 @@ __all__ = [
     "spectral_report", "structure_split", "symplectic_check",
     "Factorization", "convergence_diagnostic", "degree_of_pf_root",
     "factor_monic",
-    "BoundaryPoint", "LimitMap", "eigenvector_asymptotics", "f_gamma",
+    "LimitMap", "eigenvector_asymptotics", "f_gamma",
     "homotopy_invariance_check", "p_gamma", "q_arrow",
     "ray_convergence_experiment",
     "CatalogEntry", "SurfaceSpec", "catalog_get", "catalog_ids",

@@ -35,7 +35,6 @@ from .core import (
     mat_mul,
     scale,
     twist_product,
-    validate_omega,
 )
 from .errors import (
     DegenerateRow,
@@ -46,55 +45,15 @@ from .errors import (
     ValidationError,
 )
 from .graphs import covers_vertices, graph_of, word_supported
-from .spectral import (
-    Poly,
-    _to_mpf,
-    char_poly_exact,
-    default_digits,
-    pf_eigenvalue,
-)
+from .spectral import DEFAULT_DIGITS, Poly, _to_mpf, char_poly_exact, pf_eigenvalue
 from .factor import deflated_distance
-
-
-# ---------------------------------------------------------------------------
-# points on the boundary of the ray space
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A ray of intersection matrices: ``omega`` up to positive scaling."""
-
-    representative: IntersectionMatrix
-
-    @classmethod
-    def of(cls, omega) -> "BoundaryPoint":
-        if isinstance(omega, BoundaryPoint):
-            return omega
-        omega = validate_omega(omega)
-        if all(x == 0 for row in omega.entries for x in row):
-            raise DegenerateRow("a boundary point must have a nonzero matrix")
-        return cls(omega)
-
-    def normalized(self) -> IntersectionMatrix:
-        """The representative scaled so its largest entry is 1."""
-        m = self.representative.max_entry()
-        return scale(self.representative, Fraction(1, 1) / Fraction(m))
-
-    def same_ray(self, other: "BoundaryPoint") -> bool:
-        return self.normalized().entries == other.normalized().entries
-
-
-def _as_matrix(omega) -> IntersectionMatrix:
-    if isinstance(omega, BoundaryPoint):
-        return omega.representative
-    return validate_omega(omega) if not isinstance(omega, IntersectionMatrix) else omega
 
 
 # ---------------------------------------------------------------------------
 # elementary projections and their compositions
 # ---------------------------------------------------------------------------
 
-def q_arrow(omega, i: int, j: int) -> ExactMatrix:
+def q_arrow(omega: IntersectionMatrix, i: int, j: int) -> ExactMatrix:
     """The limiting projection ``Q_{i <- j} = I - omega[i][j]^(-1) T_{ji} omega``.
 
     It differs from the identity only in row ``j``, has zero ``j``-th column,
@@ -104,7 +63,6 @@ def q_arrow(omega, i: int, j: int) -> ExactMatrix:
 
     Raises :class:`NotAnEdge` when ``omega[i][j] == 0``.
     """
-    omega = _as_matrix(omega)
     omega.check_index(i)
     omega.check_index(j)
     w = omega.entry(i, j)
@@ -118,7 +76,7 @@ def q_arrow(omega, i: int, j: int) -> ExactMatrix:
     return tuple(rows)
 
 
-def p_gamma(omega, gamma: Sequence[int]) -> ExactMatrix:
+def p_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> ExactMatrix:
     """Composition of limit projections along a closed path.
 
     For ``gamma = (i_1, ..., i_K)`` this is
@@ -128,7 +86,6 @@ def p_gamma(omega, gamma: Sequence[int]) -> ExactMatrix:
     Raises :class:`NotSupported` if some consecutive pair (including the
     wrap-around pair) is not an edge of the intersection graph.
     """
-    omega = _as_matrix(omega)
     gamma = tuple(gamma)
     if len(gamma) < 2:
         raise NotSupported("a closed path needs at least two vertices")
@@ -163,7 +120,7 @@ class LimitMap:
     full_matrix: ExactMatrix
 
 
-def f_gamma(omega, gamma: Sequence[int]) -> LimitMap:
+def f_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> LimitMap:
     """The limit map of a closed path, restricted to its invariant hyperplane.
 
     Structure: 0 is always an eigenvalue with one-dimensional eigenspace
@@ -173,7 +130,6 @@ def f_gamma(omega, gamma: Sequence[int]) -> LimitMap:
 
     Raises :class:`DegenerateRow` when curve ``i_1`` meets no other curve.
     """
-    omega = _as_matrix(omega)
     gamma = tuple(gamma)
     full = p_gamma(omega, gamma)
     n = omega.n
@@ -224,10 +180,10 @@ def insert_spur(gamma: Sequence[int], position: int, vertex: int) -> Tuple[int, 
     return gamma[:t + 1] + (vertex, gamma[t]) + gamma[t + 1:]
 
 
-def homotopy_invariance_check(omega, gamma: Sequence[int], position: int, vertex: int) -> bool:
+def homotopy_invariance_check(omega: IntersectionMatrix, gamma: Sequence[int],
+                              position: int, vertex: int) -> bool:
     """Whether inserting a backtracking spur leaves the restricted limit map
     unchanged (it always should, provided the spur edge exists)."""
-    omega = _as_matrix(omega)
     gamma = tuple(gamma)
     primed = insert_spur(gamma, position, vertex)
     base = f_gamma(omega, gamma)
@@ -251,7 +207,7 @@ def eigenvector_asymptotics(
     omega: IntersectionMatrix,
     word: TwistWord,
     k: Scalar = 1,
-    digits: Optional[int] = None,
+    digits: int = DEFAULT_DIGITS,
 ) -> AsymptoticsResult:
     """Check how close the leading left eigenvector is to its limit shape.
 
@@ -269,7 +225,6 @@ def eigenvector_asymptotics(
 
     Returns the measured left-hand side and the bound.
     """
-    digits = default_digits() if digits is None else digits
     g = graph_of(omega)
     if not word_supported(word, g):
         raise NotSupported("the word must trace a closed path in the graph")
@@ -373,7 +328,7 @@ def ray_convergence_experiment(
     omega: IntersectionMatrix,
     word: TwistWord,
     scales: Sequence[Scalar],
-    digits: Optional[int] = None,
+    digits: int = DEFAULT_DIGITS,
 ) -> RayTable:
     """Track characteristic polynomials of twist products along a ray.
 
@@ -386,11 +341,11 @@ def ray_convergence_experiment(
     powers of ``k`` instead: each eigenvalue magnitude is fitted to
     ``constant * k^exponent`` by log-log least squares.
 
-    Raises :class:`NotGeneral` if the word does not use every curve, and
+    Raises :class:`NotGeneral` if the word does not use every curve,
     :class:`ValidationError` if an unsupported path comes with fewer than
-    two scales.
+    two different scales, and :class:`PreconditionViolated` if the roots of
+    a divergent product cannot be found.
     """
-    digits = default_digits() if digits is None else digits
     if not covers_vertices(word.gamma, omega.n):
         raise NotGeneral("the word must use every curve")
     g = graph_of(omega)
@@ -406,14 +361,18 @@ def ray_convergence_experiment(
             rows.append(RayRow(k, u, lam, dist, defl, None))
         return RayTable(True, tuple(rows), limit_poly, None)
     # divergent branch: fit eigenvalue magnitudes against the scale
-    if len(scales) < 2:
-        raise ValidationError("need at least two scales to fit growth exponents")
+    if len(set(scales)) < 2:
+        raise ValidationError(
+            "need at least two scales of different size to fit growth exponents")
     mags_per_scale = []
     for k in scales:
         m = twist_product(scale(omega, k), word)
         u = char_poly_exact(m)
         with mp.workdps(digits + 10):
-            roots = mp.polyroots(u.mpf_coeffs(), maxsteps=300, extraprec=200)
+            try:
+                roots = mp.polyroots(u.mpf_coeffs(), maxsteps=300, extraprec=200)
+            except mp.libmp.libhyper.NoConvergence as e:
+                raise PreconditionViolated(f"root finding failed at k = {k}: {e}")
             mags = tuple(sorted((abs(r) for r in roots), reverse=True))
         mags_per_scale.append(mags)
         rows.append(RayRow(k, u, None, None, None, mags))

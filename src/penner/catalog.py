@@ -21,9 +21,10 @@ through the first homology of the closed surface instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from .core import ExactMatrix, IntersectionMatrix, exact, validate_omega
 from .errors import (
@@ -213,7 +214,7 @@ def crosscap_augment(
         "d2": list(col2),
     }
     names = {"E": ["e"], "ED1": ["e", "d1"], "ED1D2": ["e", "d1", "d2"]}[variant]
-    return _append_curves(omega, [new_cols[name] for name in names], pairwise=2)
+    return _append_curves(omega, [new_cols[name] for name in names])
 
 
 def puncture_augment(
@@ -234,31 +235,23 @@ def puncture_augment(
     n = omega.n
     col = [omega.entries[r][c - 1] for r in range(n)]
     if variant == "D":
-        return _append_curves(omega, [col], pairwise=0)
-    zero = [0] * n
-    return _append_curves(omega, [col, zero], pairwise=None,
-                          pair_entries={(0, 1): 2})
+        return _append_curves(omega, [col])
+    return _append_curves(omega, [col, [0] * n])
 
 
-def _append_curves(omega, new_cols, pairwise=0, pair_entries=None):
+#: How often any two of the curves added by one augmentation move meet.
+_NEW_PAIR_INTERSECTIONS = 2
+
+
+def _append_curves(omega, new_cols):
     """Extend ``omega`` by new curves with given old-curve intersection
-    columns; ``pairwise`` (or explicit ``pair_entries``) fixes intersections
-    among the new curves."""
-    n = omega.n
+    columns; any two new curves meet ``_NEW_PAIR_INTERSECTIONS`` times."""
     k = len(new_cols)
     rows = [list(row) + [new_cols[t][r] for t in range(k)]
             for r, row in enumerate(omega.entries)]
     for t in range(k):
-        extra = []
-        for u in range(k):
-            if t == u:
-                extra.append(0)
-            elif pair_entries is not None:
-                key = (min(t, u), max(t, u))
-                extra.append(pair_entries.get(key, 0))
-            else:
-                extra.append(pairwise)
-        rows.append(list(new_cols[t]) + extra)
+        rows.append(list(new_cols[t])
+                    + [0 if u == t else _NEW_PAIR_INTERSECTIONS for u in range(k)])
     return validate_omega(rows)
 
 
@@ -325,7 +318,7 @@ def mr_inverse(r: int) -> ExactMatrix:
 
 
 def _entry(id_, surface, raw, rank, notes=""):
-    omega = validate_omega(raw) if not isinstance(raw, IntersectionMatrix) else raw
+    omega = validate_omega(raw)
     return CatalogEntry(
         id=id_,
         surface=surface,
@@ -336,6 +329,7 @@ def _entry(id_, surface, raw, rank, notes=""):
     )
 
 
+@functools.cache
 def _build_catalog() -> Dict[str, CatalogEntry]:
     entries = []
     entries.append(_entry(
@@ -429,23 +423,13 @@ def _build_catalog() -> Dict[str, CatalogEntry]:
     return {e.id: e for e in entries}
 
 
-_CATALOG: Optional[Dict[str, CatalogEntry]] = None
-
-
-def _catalog() -> Dict[str, CatalogEntry]:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return _CATALOG
-
-
 def catalog_ids() -> Tuple[str, ...]:
-    return tuple(_catalog().keys())
+    return tuple(_build_catalog().keys())
 
 
 def catalog_get(entry_id: str) -> CatalogEntry:
     try:
-        return _catalog()[entry_id]
+        return _build_catalog()[entry_id]
     except KeyError:
         raise UnknownId(
             f"unknown catalog id {entry_id!r}; known ids: {', '.join(catalog_ids())}"

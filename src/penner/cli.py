@@ -46,7 +46,7 @@ from .core import (
 from .errors import BudgetError, PreconditionError, ValidationError
 from .factor import degree_of_pf_root
 from .recipe import run_recipe
-from .spectral import SINGLE_CURVE, check_digits, default_digits, poly_str, spectral_report
+from .spectral import DEFAULT_DIGITS, SINGLE_CURVE, poly_str, spectral_report
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +85,19 @@ def word_from_args(args) -> TwistWord:
     return TwistWord(gamma, powers)
 
 
+MIN_DIGITS = 5
+
+
 def digits_arg(raw: str) -> int:
-    """``--digits`` value; below the minimum it is a usage error (exit 2)."""
+    """``--digits`` value: an integer of at least ``MIN_DIGITS``; anything
+    else is a usage error (exit 2)."""
     try:
-        return check_digits(raw, "value")
-    except ValidationError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+        digits = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"value must be an integer, got {raw!r}") from None
+    if digits < MIN_DIGITS:
+        raise argparse.ArgumentTypeError(f"value must be at least {MIN_DIGITS}, got {digits}")
+    return digits
 
 
 def _nstr(x, digits: int) -> str:
@@ -140,11 +147,8 @@ def cmd_degree(args) -> int:
 def cmd_recipe(args) -> int:
     omega = load_omega(args.omega)
     word = word_from_args(args)
-    result = run_recipe(
-        omega, word,
-        k_max=args.k_max, window=args.window, digits=args.digits,
-        crosscheck=args.check_powering,
-    )
+    result = run_recipe(omega, word, k_max=args.k_max, window=args.window,
+                        digits=args.digits)
     word_str = " ".join(f"T{i}^{p}" for i, p in result.word)
     payload = {
         "k_star": result.k_star,
@@ -318,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated curve indices (1-based)")
         p.add_argument("--powers", default=None,
                        help="comma-separated positive exponents (default: all 1)")
-        p.add_argument("--digits", type=digits_arg, default=default_digits(),
+        p.add_argument("--digits", type=digits_arg, default=DEFAULT_DIGITS,
                        help="working precision in decimal digits")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if scales:
@@ -329,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="largest scale factor to try")
             p.add_argument("--window", type=int, default=3,
                            help="required number of consecutive successful scales")
-            p.add_argument("--check-powering", action="store_true",
-                           help="cross-check the fast product against naive "
-                                "repeated multiplication for k <= 3")
 
     p_degree = sub.add_parser("degree", help="degree of the stretch factor")
     common(p_degree)

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import mpmath as mp
 import sympy
 
 from .errors import AmbiguousRootAssignment, RootMismatch
-from .spectral import Poly, SpectralReport, brackets_root, default_digits, synthetic_division
+from .spectral import DEFAULT_DIGITS, Poly, SpectralReport, brackets_root, synthetic_division
 
 _X = sympy.Symbol("x")
 
@@ -122,25 +122,22 @@ class ConvergenceReport:
 
 
 def deflate(
-    p: Poly, lam: mp.mpf, digits: Optional[int] = None
+    p: Poly, lam: mp.mpf, digits: int = DEFAULT_DIGITS
 ) -> Tuple[mp.mpf, ...]:
     """Coefficients (constant first) of ``p(x) / (x - lam)`` by synthetic
-    division, dropping the remainder.  ``digits`` defaults to
-    :func:`~penner.spectral.default_digits`."""
-    digits = default_digits() if digits is None else digits
+    division, dropping the remainder."""
     with mp.workdps(digits + 10):
         quotient, _remainder = synthetic_division(p.mpf_coeffs(), lam)
         return tuple(reversed(quotient))
 
 
 def deflated_distance(
-    u: Poly, lam: mp.mpf, limit: Poly, digits: Optional[int] = None
+    u: Poly, lam: mp.mpf, limit: Poly, digits: int = DEFAULT_DIGITS
 ) -> Tuple[mp.mpf, Tuple[mp.mpf, ...]]:
     """``(distance, deflated)``: the coefficients of ``u(x) / (x - lam)``
     (see :func:`deflate`) as ``deflated``, and as ``distance`` their
     sup-distance to the coefficients of ``limit``, the shorter list padded
     with zeros."""
-    digits = default_digits() if digits is None else digits
     defl = deflate(u, lam, digits)
     with mp.workdps(digits + 10):
         target = limit.mpf_coeffs()[::-1]
@@ -153,7 +150,7 @@ def convergence_diagnostic(
     sequence: Sequence[Tuple[object, Poly, mp.mpf]],
     limit: Poly,
     tol: float = 1e-8,
-    digits: Optional[int] = None,
+    digits: int = DEFAULT_DIGITS,
 ) -> ConvergenceReport:
     """Diagnose convergence of deflated characteristic polynomials.
 
@@ -166,10 +163,8 @@ def convergence_diagnostic(
     records whether the irreducible factor of ``u_k`` owning the root of
     ``u_k`` nearest ``theta`` coincides with the factor owning ``lambda_k``.
     Raises :class:`RootMismatch` if some ``lambda_k`` fails to be a root of
-    ``u_k`` to tolerance ``tol``.  ``digits`` defaults to
-    :func:`~penner.spectral.default_digits`.
+    ``u_k`` to tolerance ``tol``.
     """
-    digits = default_digits() if digits is None else digits
     with mp.workdps(digits + 10):
         thetas = [
             t for t in mp.polyroots(limit.mpf_coeffs(), maxsteps=200)

@@ -108,7 +108,7 @@ def word_supported(word: TwistWord, g: OmegaGraph) -> bool:
     Every consecutive pair (including the wrap-around pair when the word has
     at least two letters) must be an edge of ``g``.
     """
-    gamma = word.gamma if isinstance(word, TwistWord) else tuple(word)
+    gamma = word.gamma
     for i in gamma:
         if not 1 <= i <= g.n:
             raise IndexOutOfRange(f"vertex {i} out of range 1..{g.n}")
@@ -137,22 +137,15 @@ def _rotations(seq: Sequence[int]):
         yield tuple(seq[s:]) + tuple(seq[:s])
 
 
-def reduce_backtracking(gamma: Sequence[int], rel_last_edge: bool = False) -> Tuple[int, ...]:
+def reduce_backtracking(gamma: Sequence[int]) -> Tuple[int, ...]:
     """Remove backtracking ``(..., a, b, a, ...) -> (..., a, ...)`` from a
-    closed path.
-
-    With ``rel_last_edge=True`` the path is reduced as an *open* path from
-    its first to its last vertex, so the closing edge ``(last, first)`` is
-    never touched.  Otherwise the path is reduced cyclically: rotations are
-    allowed, and the result is a cyclically reduced representative (possibly
-    a single vertex when the path is contractible).
+    closed path, cyclically: rotations are allowed, and the result is a
+    cyclically reduced representative (possibly a single vertex when the
+    path is contractible).
     """
     seq = list(gamma)
     if len(seq) <= 1:
         return tuple(seq)
-    if rel_last_edge:
-        reduced = _reduce_open(seq)
-        return tuple(reduced)
     # cyclic reduction: reduce, then rotate while the wrap-around pair
     # backtracks, i.e. while second-to-last == first (spur across the seam)
     cur = tuple(seq)
@@ -176,7 +169,7 @@ def reduce_backtracking(gamma: Sequence[int], rel_last_edge: bool = False) -> Tu
 def is_contractible(gamma: Sequence[int]) -> bool:
     """Whether the closed path reduces to a point under cyclic backtracking
     removal (i.e. is null-homotopic in the graph it traces)."""
-    return len(reduce_backtracking(gamma, rel_last_edge=False)) <= 1
+    return len(reduce_backtracking(gamma)) <= 1
 
 
 def covers_vertices(gamma: Sequence[int], n: int) -> bool:

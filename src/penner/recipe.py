@@ -5,20 +5,11 @@ stretch factor of a twist product has algebraic degree equal to the rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import mpmath as mp
 
-from .core import (
-    IntersectionMatrix,
-    TwistWord,
-    generator,
-    identity_matrix,
-    mat_eq,
-    mat_mul,
-    scale,
-    twist_product,
-)
+from .core import IntersectionMatrix, TwistWord, scale, twist_product
 from .errors import (
     KBudgetExhausted,
     NotContractible,
@@ -29,11 +20,11 @@ from .errors import (
 from .factor import degree_of_pf_root
 from .graphs import covers_vertices, graph_of, is_contractible, word_supported
 from .spectral import (
+    DEFAULT_DIGITS,
     SINGLE_CURVE,
     Poly,
     SpectralReport,
     char_poly_exact,
-    default_digits,
     pf_certify,
     rank_exact,
 )
@@ -58,8 +49,7 @@ def run_recipe(
     word: TwistWord,
     k_max: int = 256,
     window: int = 3,
-    digits: Optional[int] = None,
-    crosscheck: bool = False,
+    digits: int = DEFAULT_DIGITS,
 ) -> RecipeResult:
     """Find the smallest ``k*`` such that for ``window`` consecutive scales
     ``k = k*, k*+1, ...`` the twist product over ``k * omega`` has a stretch
@@ -68,9 +58,6 @@ def run_recipe(
     The word must trace a *contractible* closed path in the intersection
     graph visiting every vertex (then the limit map degenerates completely
     and the reduced characteristic polynomial is eventually irreducible).
-    With ``crosscheck=True``, for ``k <= 3`` the fast product (one row
-    update per letter) is compared against the naive product of elementary
-    twist matrices.
 
     The rank of ``omega`` and the Perron-Frobenius certificate
     (:func:`pf_certify`) do not change under ``omega -> k * omega`` for
@@ -91,7 +78,6 @@ def run_recipe(
     """
     if window < 1:
         raise ValidationError(f"window must be at least 1, got {window}")
-    digits = default_digits() if digits is None else digits
     g = graph_of(omega)
     if not word_supported(word, g):
         raise NotGeneralPath("the word must trace a closed path in the graph")
@@ -106,14 +92,6 @@ def run_recipe(
     for k in range(1, k_max + 1):
         omega_k = scale(omega, k)
         matrix = twist_product(omega_k, word)
-        if crosscheck and k <= 3:
-            naive = identity_matrix(omega.n)
-            for i, p in zip(word.gamma, word.powers):
-                q = generator(omega_k, i)
-                for _ in range(p):
-                    naive = mat_mul(q, naive)
-            if not mat_eq(naive, matrix):  # pragma: no cover
-                raise ArithmeticError(f"powering identity cross-check failed at k={k}")
         report = SpectralReport.from_charpoly(
             char_poly_exact(matrix), rank, is_pf=True, digits=digits)
         degree, minpoly, _fz = degree_of_pf_root(report)

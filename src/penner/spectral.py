@@ -14,11 +14,10 @@ the number of eigenvalues different from 1 (the *complexity*) equals ``r``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
 from sympy import QQ, ZZ
@@ -38,34 +37,11 @@ from .errors import (
     DivisionFailed,
     NotBipartite,
     NotPerronFrobenius,
-    ValidationError,
 )
 from .graphs import bipartition, covers_vertices, graph_of, is_connected
 
+#: Working precision in decimal digits of every ``digits`` argument left unset.
 DEFAULT_DIGITS = 50
-MIN_DIGITS = 5
-
-
-def check_digits(raw, source: str) -> int:
-    """``raw`` as a working precision of at least ``MIN_DIGITS`` digits.
-
-    Raises :class:`ValidationError` naming ``source`` otherwise.
-    """
-    try:
-        digits = int(raw)
-    except ValueError:
-        raise ValidationError(f"{source} must be an integer, got {raw!r}") from None
-    if digits < MIN_DIGITS:
-        raise ValidationError(f"{source} must be at least {MIN_DIGITS}, got {digits}")
-    return digits
-
-
-def default_digits() -> int:
-    """Working precision in decimal digits; PENNER_PRECISION overrides."""
-    raw = os.environ.get("PENNER_PRECISION")
-    if raw is None:
-        return DEFAULT_DIGITS
-    return check_digits(raw, "PENNER_PRECISION")
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +193,9 @@ def determinant_from_char_poly(chi: Poly) -> Scalar:
     return exact(chi.coeffs[0] * (-1) ** chi.degree)
 
 
-def rank_exact(matrix: Union[ExactMatrix, IntersectionMatrix]) -> int:
+def rank_exact(omega: IntersectionMatrix) -> int:
     """Rank over the rationals, via sympy's ``DomainMatrix``."""
-    if isinstance(matrix, IntersectionMatrix):
-        matrix = matrix.entries
-    return _domain_matrix(matrix).rank()
+    return _domain_matrix(omega.entries).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +362,16 @@ def _unfold(y) -> Tuple:
     return x, 1 / x
 
 
-def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None) -> PFEigenvalue:
-    """The leading (Perron-Frobenius) eigenvalue, to ``digits`` digits.
+def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
+    """The leading (Perron-Frobenius) root of the exact characteristic
+    polynomial ``chi``, to ``digits`` digits.
 
-    ``source`` is either an exact matrix or its exact characteristic
-    polynomial.  Eigenvalue 1 is stripped off exactly first (it may occur
-    with high multiplicity), then the remaining roots are isolated
-    numerically and the dominant one Newton-refined on the exact reduced
-    polynomial.  A palindromic reduced polynomial of even degree ``2m``
-    (every twist product over a bipartite ``omega`` has one) is located on
-    its :func:`trace_polynomial` of degree ``m`` instead: each of its roots
+    Eigenvalue 1 is stripped off exactly first (it may occur with high
+    multiplicity), then the remaining roots are isolated numerically and
+    the dominant one Newton-refined on the exact reduced polynomial.  A
+    palindromic reduced polynomial of even degree ``2m`` (every twist
+    product over a bipartite ``omega`` has one) is located on its
+    :func:`trace_polynomial` of degree ``m`` instead: each of its roots
     ``y`` gives the roots ``x`` and ``1/x`` of ``x^2 - y x + 1``.  The
     dominance test, the refinement and the proof below all read the full
     reduced polynomial and its roots either way, so the fold changes only
@@ -408,8 +382,6 @@ def pf_eigenvalue(source: Union[ExactMatrix, Poly], digits: Optional[int] = None
     Raises :class:`NotPerronFrobenius` if there is no simple dominant real
     eigenvalue strictly greater than 1, or if the sign-change check fails.
     """
-    digits = default_digits() if digits is None else digits
-    chi = source if isinstance(source, Poly) else char_poly_exact(source)
     _mult, reduced = strip_unit_root(chi)
     if reduced.degree == 0:
         raise NotPerronFrobenius("all eigenvalues equal 1")
@@ -532,13 +504,12 @@ class SpectralReport:
 
     @classmethod
     def from_charpoly(cls, charpoly: Poly, rank: int, is_pf: bool,
-                      digits: Optional[int] = None) -> "SpectralReport":
+                      digits: int = DEFAULT_DIGITS) -> "SpectralReport":
         """The report on a product with characteristic polynomial ``charpoly``
         over an ``omega`` of rank ``rank``; ``is_pf`` is :func:`pf_certify`'s
         verdict."""
         _exponent, reduced = structure_split(charpoly, rank)
-        return cls(charpoly, rank, reduced, is_pf,
-                   default_digits() if digits is None else digits)
+        return cls(charpoly, rank, reduced, is_pf, digits)
 
     @property
     def unit_exponent(self) -> int:
@@ -566,7 +537,7 @@ class SpectralReport:
 def spectral_report(
     omega: IntersectionMatrix,
     word: TwistWord,
-    digits: Optional[int] = None,
+    digits: int = DEFAULT_DIGITS,
 ) -> SpectralReport:
     """Build the exact spectral report for ``M = twist_product(omega, word)``.
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penner import (
-    BoundaryPoint,
     IntersectionMatrix,
     Poly,
     TwistWord,
@@ -24,7 +23,13 @@ from penner import (
 )
 from penner.boundary import insert_spur
 from penner.core import mat_eq, mat_mul
-from penner.errors import NotAnEdge, NotGeneral, NotSupported, PreconditionViolated
+from penner.errors import (
+    NotAnEdge,
+    NotGeneral,
+    NotSupported,
+    PreconditionViolated,
+    ValidationError,
+)
 
 from conftest import collapsed_charpoly, random_closed_walk, random_omega, tour_path
 
@@ -169,16 +174,6 @@ def test_contractible_collapse(seed):
 
 
 # ---------------------------------------------------------------------------
-# boundary points
-# ---------------------------------------------------------------------------
-
-def test_boundary_point_rays(omega3):
-    assert BoundaryPoint.of(omega3).same_ray(BoundaryPoint.of(scale(omega3, 7)))
-    other = IntersectionMatrix(((0, 2, 1), (2, 0, 1), (1, 1, 0)))
-    assert not BoundaryPoint.of(omega3).same_ray(BoundaryPoint.of(other))
-
-
-# ---------------------------------------------------------------------------
 # quantitative eigenvector estimate
 # ---------------------------------------------------------------------------
 
@@ -224,3 +219,18 @@ def test_ray_experiment_divergent(divergent4):
     assert not tab.supported
     for got, want in zip(tab.divergence.exponents, (3, 1, -1, -3)):
         assert abs(got - want) < 0.15
+
+
+def test_ray_experiment_divergent_needs_two_different_scales(divergent4):
+    word = TwistWord((1, 2, 3, 4), (1, 1, 1, 1))
+    for scales in ((4,), (4, 4), (4, Fraction(8, 2))):
+        with pytest.raises(ValidationError, match="two scales"):
+            ray_convergence_experiment(divergent4, word, scales, digits=30)
+
+
+def test_ray_experiment_divergent_root_finding_failure():
+    # two disjoint pairs of curves: repeated roots defeat polyroots
+    om = IntersectionMatrix(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+    word = TwistWord((1, 2, 3, 4), (1, 1, 1, 1))
+    with pytest.raises(PreconditionViolated, match="root finding failed at k = 4"):
+        ray_convergence_experiment(om, word, (4, 8), digits=50)

@@ -93,6 +93,16 @@ def test_crosscap_augment_rank_deltas():
     assert rank_exact(crosscap_augment(om, 1, 2, "E")) == r0
     assert rank_exact(crosscap_augment(om, 1, 2, "ED1")) == r0 + 2
     assert rank_exact(crosscap_augment(om, 1, 2, "ED1D2")) == r0 + 3
+    # e = column 1 + column 2, d1 = column 1, d2 = column 2; the new curves
+    # meet pairwise twice
+    assert crosscap_augment(om, 1, 2, "ED1D2").entries == (
+        (0, 0, 1, 0, 0, 0),
+        (0, 0, 2, 0, 0, 0),
+        (1, 2, 0, 3, 1, 2),
+        (0, 0, 3, 0, 2, 2),
+        (0, 0, 1, 2, 0, 2),
+        (0, 0, 2, 2, 2, 0),
+    )
     with pytest.raises(CurvesIntersect):
         crosscap_augment(base, 1, 2, "E")
     with pytest.raises(IndexOutOfRange):

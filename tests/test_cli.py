@@ -1,5 +1,5 @@
 """End-to-end tests for the command-line interface: subcommands, JSON
-output, precision environment variable, and exit codes."""
+output, the precision option, and exit codes."""
 
 import json
 import os
@@ -16,7 +16,7 @@ import penner.recipe
 from penner.catalog import catalog_get
 from penner.cli import main
 from penner.graphs import graph_of, spanning_tree_tour
-from penner.spectral import brackets_root, default_digits
+from penner.spectral import brackets_root
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -58,8 +58,7 @@ def test_degree_text_output(omega_file, capsys):
 
 def test_recipe(omega_file, capsys):
     code, out, _ = run(capsys, [
-        "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
-        "--check-powering", "--json",
+        "recipe", "--omega", omega_file, "--gamma", "1,2,1,3", "--json",
     ])
     assert code == 0
     payload = json.loads(out)
@@ -162,9 +161,8 @@ def test_degree_root_finding_failure_exits_3(omega_file, capsys, monkeypatch):
     assert err.count("\n") == 1 and "root finding failed" in err
 
 
-def assert_golden(capsys, monkeypatch, name, argv):
+def assert_golden(capsys, name, argv):
     """``penner`` prints exactly the bytes of ``tests/golden/<name>``."""
-    monkeypatch.delenv("PENNER_PRECISION", raising=False)
     code, out, err = run(capsys, argv)
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         assert (code, out, err) == (0, fh.read(), "")
@@ -181,14 +179,14 @@ def catalog_degree_argv(tmp_path, entry_id, k):
     return ["degree", "--omega", str(path), "--gamma", ",".join(map(str, gamma)), "--json"]
 
 
-def test_degree_json_golden(tmp_path, capsys, monkeypatch):
-    assert_golden(capsys, monkeypatch, "degree_mr5_k2.json",
+def test_degree_json_golden(tmp_path, capsys):
+    assert_golden(capsys, "degree_mr5_k2.json",
                   catalog_degree_argv(tmp_path, "Mr-5", 2))
 
 
-def test_degree_json_golden_palindromic(tmp_path, capsys, monkeypatch):
+def test_degree_json_golden_palindromic(tmp_path, capsys):
     # S43-max is bipartite: its reduced polynomial is palindromic and folds
-    assert_golden(capsys, monkeypatch, "degree_s43max_k3.json",
+    assert_golden(capsys, "degree_s43max_k3.json",
                   catalog_degree_argv(tmp_path, "S43-max", 3))
 
 
@@ -204,8 +202,8 @@ def test_degree_s43max_k64_is_certified(tmp_path, capsys):
     assert brackets_root(report.reduced, report.pf_value, report.pf_error)
 
 
-def test_limit_json_golden(omega_file, capsys, monkeypatch):
-    assert_golden(capsys, monkeypatch, "limit_triangle_4_8.json", [
+def test_limit_json_golden(omega_file, capsys):
+    assert_golden(capsys, "limit_triangle_4_8.json", [
         "limit", "--omega", omega_file, "--gamma", "1,2,3", "--scales", "4,8", "--json"])
 
 
@@ -253,6 +251,26 @@ def test_limit_divergent_one_scale_exits_2_before_root_finding(
     ])
     assert code == 2
     assert err.count("\n") == 1 and "two scales" in err
+
+
+def test_limit_divergent_repeated_scale_exits_2(div4_file, capsys):
+    # the log-log fit needs two different scales, not one scale twice
+    code, out, err = run(capsys, [
+        "limit", "--omega", div4_file, "--gamma", "1,2,3,4", "--scales", "4,4",
+    ])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "two scales" in err
+
+
+def test_limit_divergent_root_finding_failure_exits_3(tmp_path, capsys):
+    # two disjoint pairs of curves: the characteristic polynomial has
+    # repeated roots and polyroots does not converge on it
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"n": 4, "entries": [
+        [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}))
+    code, out, err = run(capsys, ["limit", "--omega", str(path), "--gamma", "1,2,3,4"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "root finding failed" in err
 
 
 def test_catalog_list(capsys):
@@ -337,13 +355,6 @@ def test_missing_omega_file(capsys):
     assert code == 2
 
 
-def test_precision_env_var(monkeypatch):
-    monkeypatch.setenv("PENNER_PRECISION", "80")
-    assert default_digits() == 80
-    monkeypatch.delenv("PENNER_PRECISION")
-    assert default_digits() == 50
-
-
 @pytest.mark.parametrize("entries, message", [
     ([[0, 1.0, 1], [1, 0, 1], [1, 1, 0]], "entry at (1,2) is 1.0"),
     ([[0, True, 1], [1, 0, 1], [1, 1, 0]], "entry at (1,2) is True"),
@@ -364,13 +375,6 @@ def test_digits_below_minimum_exits_2(omega_file, capsys):
         main(["degree", "--omega", omega_file, "--gamma", "1,2,3", "--digits", "0"])
     assert exc.value.code == 2
     assert "at least 5" in capsys.readouterr().err
-
-
-def test_malformed_precision_env_var_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("PENNER_PRECISION", "abc")
-    code, _, err = run(capsys, ["catalog", "list"])
-    assert code == 2
-    assert err.count("\n") == 1 and "PENNER_PRECISION" in err
 
 
 def test_python_dash_m_penner():

@@ -15,6 +15,7 @@ from penner import (
     twist_product,
     validate_omega,
 )
+from penner.catalog import catalog_get, catalog_ids
 from penner.core import exact, identity_matrix, mat_eq, mat_geq, mat_mul
 from penner.errors import (
     IndexOutOfRange,
@@ -26,7 +27,7 @@ from penner.errors import (
     NotSymmetric,
 )
 
-from conftest import general_word, random_omega
+from conftest import general_word, random_omega, tour_path
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +155,18 @@ def test_product_dominates_i_plus_omega(seed):
         for r in range(om.n)
     )
     assert mat_geq(m, lower)
+
+
+@pytest.mark.parametrize("entry_id", catalog_ids())
+def test_catalog_tour_products_match_naive(entry_id):
+    # the recipe's inputs: every catalog entry, spanning-tree tour from
+    # curve 1, at the scales k = 1, 2, 3
+    omega = catalog_get(entry_id).omega
+    gamma = tour_path(omega)
+    word = TwistWord(gamma, (1,) * len(gamma))
+    for k in (1, 2, 3):
+        om = scale(omega, k)
+        assert mat_eq(twist_product(om, word), naive_product(om, word)), k
 
 
 def test_word_order_convention(omega3):

@@ -23,7 +23,7 @@ from penner import (
 )
 import penner.spectral
 from penner.errors import RootMismatch
-from penner.factor import deflate, deflated_distance, is_irreducible
+from penner.factor import deflate, is_irreducible
 
 from conftest import count_calls, general_word, random_omega
 
@@ -147,19 +147,6 @@ def test_convergence_diagnostic_triangle(omega3):
     # the root near -1 always lies in the same irreducible factor as lambda
     for row in rep.rows:
         assert all(row.factor_agreement.values())
-
-
-def test_deflation_defaults_to_penner_precision(omega3, monkeypatch):
-    word = TwistWord((1, 2, 3), (1, 1, 1))
-    u = char_poly_exact(twist_product(scale(omega3, 4), word))
-    lam = pf_eigenvalue(u, digits=80).value
-    limit = Poly([0, 1, 1])
-    seq = [(4, u, lam)]
-    monkeypatch.setenv("PENNER_PRECISION", "80")
-    assert deflate(u, lam) == deflate(u, lam, 80)
-    assert deflated_distance(u, lam, limit) == deflated_distance(u, lam, limit, 80)
-    assert (convergence_diagnostic(seq, limit)
-            == convergence_diagnostic(seq, limit, digits=80))
 
 
 def test_convergence_diagnostic_rejects_non_root():

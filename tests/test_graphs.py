@@ -83,11 +83,6 @@ def test_triangle_not_contractible():
     assert not is_contractible((1, 2, 3))
 
 
-def test_reduce_rel_last_edge_keeps_endpoints():
-    # open reduction never cancels across the seam
-    assert reduce_backtracking((1, 2, 3, 2), rel_last_edge=True) == (1, 2)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_tour_is_contractible_and_covering(seed):

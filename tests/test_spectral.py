@@ -28,6 +28,7 @@ from penner import (
     structure_split,
     symplectic_check,
     twist_product,
+    validate_omega,
 )
 import penner.spectral
 from penner.catalog import catalog_get
@@ -157,8 +158,9 @@ def test_rank_matches_sympy(seed):
 
 
 def test_rank_handles_fractions():
-    m = ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 8)))
-    assert rank_exact(m) == 1
+    # curves 2 and 3 meet only curve 1, in proportional rational amounts
+    om = validate_omega([[0, "1/2", "1/4"], ["1/2", 0, 0], ["1/4", 0, 0]])
+    assert rank_exact(om) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +214,7 @@ def test_pf_eigenvalue_cubic_fixture():
 def test_pf_certify_and_lower_bound(omega3):
     word = TwistWord((1, 2, 3), (1, 1, 1))
     assert pf_certify(omega3, word)
-    m = twist_product(omega3, word)
-    lam = pf_eigenvalue(m)
+    lam = pf_eigenvalue(char_poly_exact(twist_product(omega3, word)))
     assert lam.value >= pf_lower_bound(omega3)
 
 
@@ -264,7 +265,7 @@ def test_pf_eigenvalue_root_finding_failure(monkeypatch):
 
 def test_pf_rejects_identity():
     with pytest.raises(NotPerronFrobenius):
-        pf_eigenvalue(((1, 0), (0, 1)))
+        pf_eigenvalue(char_poly_exact(((1, 0), (0, 1))))
 
 
 def test_disconnected_graph_not_certified():
