@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import covers_vertices, graph_of, word_supported
-from .spectral import DEFAULT_DIGITS, Poly, _to_mpf, char_poly_exact, pf_eigenvalue
+from .spectral import DEFAULT_DIGITS, Poly, _to_mpf, all_roots, char_poly_exact, pf_eigenvalue
 from .factor import deflated_distance
 
 
@@ -104,20 +104,15 @@ def p_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> ExactMatrix:
 class LimitMap:
     """``p_gamma`` restricted to the hyperplane ``W = (e_{i_1}^T omega)^perp``.
 
-    ``basis`` spans ``W``: with ``m`` the pivot position (first nonzero entry
-    of ``w = e_{i_1}^T omega``) the basis vectors are
-    ``b_t = e_t - (w_t / w_m) e_m`` for ``t != m``.  ``matrix`` is the
-    ``(n-1) x (n-1)`` matrix of the restricted map in that basis, and
-    ``charpoly`` its characteristic polynomial (the limit of deflated
+    ``matrix`` is the ``(n-1) x (n-1)`` matrix of the restricted map in the
+    basis ``b_t = e_t - (w_t / w_m) e_m`` (``t != m``) of ``W``, where ``m``
+    is the pivot position (first nonzero entry) of ``w = e_{i_1}^T omega``;
+    ``charpoly`` is its characteristic polynomial (the limit of deflated
     characteristic polynomials along the ray).
     """
 
-    i1: int
-    pivot: int
-    basis: Tuple[Tuple[Scalar, ...], ...]
     matrix: ExactMatrix
     charpoly: Poly
-    full_matrix: ExactMatrix
 
 
 def f_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> LimitMap:
@@ -139,33 +134,13 @@ def f_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> LimitMap:
         raise DegenerateRow(f"row {i1} of omega is zero")
     m = next(t for t in range(n) if w[t] != 0)  # 0-based pivot
     others = [t for t in range(n) if t != m]
-    # basis vectors b_t = e_t - (w_t / w_m) e_m, for t != m
-    basis = []
-    for t in others:
-        vec = [0] * n
-        vec[t] = 1
-        vec[m] = exact(-Fraction(w[t]) / Fraction(w[m]))
-        basis.append(tuple(vec))
-    # image of b_t under the full map, as a column; coordinates in the basis
-    # are just the entries at the positions in `others` (the pivot entry is
+    # column t: the image of b_t under the full map, whose coordinates in the
+    # basis are its entries at the positions in `others` (the pivot entry is
     # determined by membership in W)
-    cols = []
-    for t in others:
-        img = [
-            exact(full[r][t] - Fraction(w[t]) / Fraction(w[m]) * full[r][m])
-            for r in range(n)
-        ]
-        cols.append([img[r] for r in others])
-    matrix = tuple(tuple(cols[c][r] for c in range(len(others))) for r in range(len(others)))
-    chi = char_poly_exact(matrix)
-    return LimitMap(
-        i1=i1,
-        pivot=m + 1,
-        basis=tuple(basis),
-        matrix=matrix,
-        charpoly=chi,
-        full_matrix=full,
-    )
+    matrix = tuple(
+        tuple(exact(full[r][t] - Fraction(w[t]) / Fraction(w[m]) * full[r][m]) for t in others)
+        for r in others)
+    return LimitMap(matrix=matrix, charpoly=char_poly_exact(matrix))
 
 
 def insert_spur(gamma: Sequence[int], position: int, vertex: int) -> Tuple[int, ...]:
@@ -338,13 +313,17 @@ def ray_convergence_experiment(
     table reports the sup-distance at each scale.
 
     When the path is *not* supported, the spectrum splits along different
-    powers of ``k`` instead: each eigenvalue magnitude is fitted to
-    ``constant * k^exponent`` by log-log least squares.
+    powers of ``k`` instead: each eigenvalue magnitude, as located by
+    :func:`~penner.spectral.all_roots`, is fitted to
+    ``constant * k^exponent`` by log-log least squares.  The eigenvalues 1
+    of a rank-deficient ``omega`` are exact, so their slots fit exponent 0.
 
     Raises :class:`NotGeneral` if the word does not use every curve,
     :class:`ValidationError` if an unsupported path comes with fewer than
-    two different scales, and :class:`PreconditionViolated` if the roots of
-    a divergent product cannot be found.
+    two different scales, and :class:`PreconditionViolated` if the root
+    finder does not converge (naming the scale on an unsupported path).  A
+    supported path raises what :func:`~penner.spectral.pf_eigenvalue`
+    raises.
     """
     if not covers_vertices(word.gamma, omega.n):
         raise NotGeneral("the word must use every curve")
@@ -368,11 +347,11 @@ def ray_convergence_experiment(
     for k in scales:
         m = twist_product(scale(omega, k), word)
         u = char_poly_exact(m)
+        try:
+            roots = all_roots(u, digits)
+        except PreconditionViolated as e:
+            raise PreconditionViolated(f"at k = {k}: {e}") from None
         with mp.workdps(digits + 10):
-            try:
-                roots = mp.polyroots(u.mpf_coeffs(), maxsteps=300, extraprec=200)
-            except mp.libmp.libhyper.NoConvergence as e:
-                raise PreconditionViolated(f"root finding failed at k = {k}: {e}")
             mags = tuple(sorted((abs(r) for r in roots), reverse=True))
         mags_per_scale.append(mags)
         rows.append(RayRow(k, u, None, None, None, mags))

@@ -88,13 +88,6 @@ def vec_mat(v: ExactVector, a: ExactMatrix) -> ExactVector:
     return tuple(exact(sum(v[i] * a[i][j] for i in range(len(v)))) for j in range(len(a[0])))
 
 
-def mat_eq(a: ExactMatrix, b: ExactMatrix) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
 def mat_geq(a: ExactMatrix, b: ExactMatrix) -> bool:
     """Entrywise ``a >= b``."""
     return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

@@ -119,10 +119,6 @@ class NotContractible(PreconditionError):
     pass
 
 
-class NotGeneralPath(PreconditionError):
-    pass
-
-
 # --- budgets (CLI exit code 4) ----------------------------------------------
 
 class BudgetError(PennerError):

@@ -20,7 +20,14 @@ import mpmath as mp
 import sympy
 
 from .errors import AmbiguousRootAssignment, RootMismatch
-from .spectral import DEFAULT_DIGITS, Poly, SpectralReport, brackets_root, synthetic_division
+from .spectral import (
+    DEFAULT_DIGITS,
+    Poly,
+    SpectralReport,
+    all_roots,
+    brackets_root,
+    synthetic_division,
+)
 
 _X = sympy.Symbol("x")
 
@@ -162,14 +169,13 @@ def convergence_diagnostic(
     are computed; for each nonzero root ``theta`` of ``limit``, the row
     records whether the irreducible factor of ``u_k`` owning the root of
     ``u_k`` nearest ``theta`` coincides with the factor owning ``lambda_k``.
-    Raises :class:`RootMismatch` if some ``lambda_k`` fails to be a root of
-    ``u_k`` to tolerance ``tol``.
+    Roots are located by :func:`~penner.spectral.all_roots`.  Raises
+    :class:`RootMismatch` if some ``lambda_k`` fails to be a root of ``u_k``
+    to tolerance ``tol``, and :class:`~penner.errors.PreconditionViolated`
+    if the root finder does not converge.
     """
     with mp.workdps(digits + 10):
-        thetas = [
-            t for t in mp.polyroots(limit.mpf_coeffs(), maxsteps=200)
-            if abs(t) > 1e-9
-        ] if limit.degree > 0 else []
+        thetas = [t for t in all_roots(limit, digits) if abs(t) > 1e-9]
         rows = []
         lams = []
         for scale_value, u, lam in sequence:
@@ -186,8 +192,7 @@ def convergence_diagnostic(
             lam_factor = min(fz.factors, key=lambda fe: abs(fe[0](lam)))[0]
             agreement: Dict[complex, bool] = {}
             if thetas:
-                u_roots = mp.polyroots(u.mpf_coeffs(), maxsteps=300,
-                                       extraprec=100)
+                u_roots = all_roots(u, digits)
                 for theta in thetas:
                     nearest = min(u_roots, key=lambda r: abs(r - theta))
                     theta_factor = min(fz.factors,

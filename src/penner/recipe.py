@@ -13,8 +13,9 @@ from .core import IntersectionMatrix, TwistWord, scale, twist_product
 from .errors import (
     KBudgetExhausted,
     NotContractible,
-    NotGeneralPath,
+    NotGeneral,
     NotPerronFrobenius,
+    NotSupported,
     ValidationError,
 )
 from .factor import degree_of_pf_root
@@ -68,21 +69,24 @@ def run_recipe(
     polynomial is irreducible gets its degree from the exact factorization
     alone, so the eigenvalue is found only at ``k*`` and at scales whose
     reduced polynomial factors.  A scale whose eigenvalue is not needed
-    does not raise :class:`NotPerronFrobenius`, even where the root finder
-    would fail.
+    raises nothing, even where the root finder would fail.
 
     Raises :class:`ValidationError` for a ``window`` below 1,
-    :class:`NotContractible`, :class:`NotGeneralPath`,
-    :class:`NotPerronFrobenius` when the product is not certified
-    Perron-Frobenius (a single curve), or :class:`KBudgetExhausted`.
+    :class:`NotSupported` when the word does not trace a closed path in the
+    intersection graph, :class:`NotGeneral` when it misses a curve,
+    :class:`NotContractible`, :class:`NotPerronFrobenius` when the product
+    is not certified Perron-Frobenius (a single curve), or
+    :class:`KBudgetExhausted`.  Reading the eigenvalue may raise what
+    :func:`~penner.spectral.pf_eigenvalue` raises, a root-finder failure
+    as :class:`~penner.errors.PreconditionViolated`.
     """
     if window < 1:
         raise ValidationError(f"window must be at least 1, got {window}")
     g = graph_of(omega)
     if not word_supported(word, g):
-        raise NotGeneralPath("the word must trace a closed path in the graph")
+        raise NotSupported("the word must trace a closed path in the graph")
     if not covers_vertices(word.gamma, omega.n):
-        raise NotGeneralPath("the path must visit every curve")
+        raise NotGeneral("the path must visit every curve")
     if not is_contractible(word.gamma):
         raise NotContractible("the path must be contractible in the graph")
     if not pf_certify(omega, word):

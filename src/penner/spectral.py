@@ -37,6 +37,7 @@ from .errors import (
     DivisionFailed,
     NotBipartite,
     NotPerronFrobenius,
+    PreconditionViolated,
 )
 from .graphs import bipartition, covers_vertices, graph_of, is_connected
 
@@ -351,15 +352,43 @@ def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
         return PFEigenvalue(mp.mpf(x), mp.mpf(err))
 
 
-def _unfold(y) -> Tuple:
-    """The roots ``x, 1/x`` of ``x^2 - y x + 1``, the first of modulus at
-    least 1: the square root takes the direction of ``y``, so
-    ``x = (y + sqrt(y^2 - 4)) / 2`` adds and does not cancel."""
-    s = mp.sqrt(y * y - 4)
-    if mp.re(s * mp.conj(y)) < 0:
-        s = -s
-    x = (y + s) / 2
-    return x, 1 / x
+def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
+    """Every root of the exact polynomial ``p``, with multiplicity, at
+    ``digits + 15`` digits: the package's one numerical root finder.
+
+    The roots of the factor ``(x - 1)^e`` split off by
+    :func:`strip_unit_root` come first, as exact ``mpf(1)``.  The rest are
+    located on the reduced polynomial, or, if it is palindromic of even
+    degree ``2m`` (as for every twist product over a bipartite ``omega``),
+    on its degree-``m`` :func:`trace_polynomial`: each root ``y`` gives the
+    roots ``x = (y + sqrt(y^2 - 4)) / 2`` and ``1/x`` of ``x^2 - y x + 1``,
+    the square root taken in the direction of ``y`` so the sum does not
+    cancel.  Both are kept, so the fold changes only the cost: a caller
+    reads the same roots either way.
+
+    Raises :class:`PreconditionViolated` if the root finder does not converge.
+    """
+    mult, reduced = strip_unit_root(p)
+    roots = [mp.mpf(1)] * mult
+    if reduced.degree == 0:
+        return roots
+    trace = trace_polynomial(reduced)
+    dps = digits + 15
+    with mp.workdps(dps):
+        try:
+            found = mp.polyroots((reduced if trace is None else trace).mpf_coeffs(),
+                                 maxsteps=300, extraprec=4 * dps)
+        except mp.libmp.libhyper.NoConvergence as e:
+            raise PreconditionViolated(f"root finding failed: {e}") from None
+        if trace is None:
+            return roots + found
+        for y in found:
+            s = mp.sqrt(y * y - 4)
+            if mp.re(s * mp.conj(y)) < 0:
+                s = -s
+            x = (y + s) / 2
+            roots += [x, 1 / x]
+    return roots
 
 
 def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
@@ -367,34 +396,22 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
     polynomial ``chi``, to ``digits`` digits.
 
     Eigenvalue 1 is stripped off exactly first (it may occur with high
-    multiplicity), then the remaining roots are isolated numerically and
-    the dominant one Newton-refined on the exact reduced polynomial.  A
-    palindromic reduced polynomial of even degree ``2m`` (every twist
-    product over a bipartite ``omega`` has one) is located on its
-    :func:`trace_polynomial` of degree ``m`` instead: each of its roots
-    ``y`` gives the roots ``x`` and ``1/x`` of ``x^2 - y x + 1``.  The
-    dominance test, the refinement and the proof below all read the full
-    reduced polynomial and its roots either way, so the fold changes only
-    the cost.  The returned ``error`` is proven: the reduced polynomial
-    changes sign on ``[value - error, value + error]``, checked exactly
-    (see :func:`brackets_root`).
+    multiplicity), then the remaining roots are located by
+    :func:`all_roots` and the dominant one Newton-refined on the exact
+    reduced polynomial.  The returned ``error`` is proven: the reduced
+    polynomial changes sign on ``[value - error, value + error]``, checked
+    exactly (see :func:`brackets_root`).
 
     Raises :class:`NotPerronFrobenius` if there is no simple dominant real
-    eigenvalue strictly greater than 1, or if the sign-change check fails.
+    eigenvalue strictly greater than 1, or if the sign-change check fails,
+    and :class:`PreconditionViolated` if the root finder does not converge:
+    a failed root finder proves nothing about Perron-Frobenius.
     """
     _mult, reduced = strip_unit_root(chi)
     if reduced.degree == 0:
         raise NotPerronFrobenius("all eigenvalues equal 1")
-    trace = trace_polynomial(reduced)
-    dps = digits + 15
-    with mp.workdps(dps):
-        try:
-            roots = mp.polyroots((reduced if trace is None else trace).mpf_coeffs(),
-                                 maxsteps=300, extraprec=4 * dps)
-        except mp.libmp.libhyper.NoConvergence as e:
-            raise NotPerronFrobenius(f"root finding failed: {e}")
-        if trace is not None:
-            roots = [x for y in roots for x in _unfold(y)]
+    roots = all_roots(reduced, digits)
+    with mp.workdps(digits + 15):
         radius = max(abs(r) for r in roots)
         tol = mp.mpf(10) ** (-digits // 2)
         dominant = [r for r in roots if abs(r) >= radius * (1 - tol)]
@@ -464,18 +481,19 @@ def height(omega: IntersectionMatrix, v: Sequence[Scalar]) -> Scalar:
 
     For any elementary twist ``Q_i`` the exact identity
     ``h(Q_i v) - h(v) = ||Q_i v - v||^2`` holds (both sides equal ``s^2``
-    with ``s = (e_i^T omega) v``).
+    with ``s = (e_i^T omega) v``).  Each entry of ``v`` passes through
+    :func:`penner.core.exact`, so a float raises ``TypeError``.
     """
     if len(v) != omega.n:
         raise DimensionMismatch(f"vector length {len(v)} != n = {omega.n}")
-    v = tuple(exact(x) if isinstance(x, (int, Fraction)) else exact(Fraction(x)) for x in v)
+    v = tuple(map(exact, v))
     total = sum(
         omega.entries[i][j] * v[i] * v[j]
         for i in range(omega.n)
         for j in range(omega.n)
         if omega.entries[i][j] != 0
     )
-    return exact(Fraction(total) / 2 if isinstance(total, int) else total / 2)
+    return exact(Fraction(total, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +510,9 @@ class SpectralReport:
     :func:`pf_eigenvalue`, and cached; both are ``None`` when the product is
     not certified Perron-Frobenius.  ``reduced`` changes sign on
     ``[pf_value - pf_error, pf_value + pf_error]`` (see :func:`brackets_root`).
-    Reading them may raise :class:`NotPerronFrobenius` when the numerical
-    root finding fails.
+    Reading them may raise :class:`NotPerronFrobenius` when the dominance
+    test or the sign-change check fails, and :class:`PreconditionViolated`
+    when the root finder does not converge.
     """
 
     charpoly: Poly

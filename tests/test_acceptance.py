@@ -38,7 +38,7 @@ from penner import (
     twist_product,
 )
 from penner.catalog import SurfaceSpec, catalog_get, mr_inverse, mr_matrix
-from penner.core import identity_matrix, mat_eq, mat_mul, mat_vec
+from penner.core import identity_matrix, mat_mul, mat_vec
 from penner.errors import NoPseudoAnosov
 from penner.factor import is_irreducible
 from penner.graphs import spanning_tree_tour
@@ -84,7 +84,7 @@ def test_criterion_02_catalog_rank_table():
     }
     ok = all(rank_exact(catalog_get(i).omega) == r for i, r in expected.items())
     inverses = all(
-        mat_eq(mat_mul(mr_matrix(r).entries, mr_inverse(r)), identity_matrix(r))
+        mat_mul(mr_matrix(r).entries, mr_inverse(r)) == identity_matrix(r)
         for r in range(3, 13)
     )
     ok = ok and inverses
@@ -174,7 +174,7 @@ def test_criterion_06_projection_limit_invariants():
         i1, i, i3 = (rng.choice(nbs) for _ in range(3))
         a, b = q_arrow(om, i3, i2), q_arrow(om, i2, i)
         c, d = q_arrow(om, i, i2), q_arrow(om, i2, i1)
-        if mat_eq(mat_mul(mat_mul(a, b), mat_mul(c, d)), mat_mul(a, d)):
+        if mat_mul(mat_mul(a, b), mat_mul(c, d)) == mat_mul(a, d):
             ident_ok += 1
         trials += 1
     ok = zero_ok == compl_ok == ident_ok == 500

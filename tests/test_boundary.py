@@ -4,6 +4,7 @@ their invariances, and the quantitative eigenvector estimate."""
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,13 +17,14 @@ from penner import (
     f_gamma,
     homotopy_invariance_check,
     p_gamma,
+    puncture_augment,
     q_arrow,
     rank_exact,
     ray_convergence_experiment,
     scale,
 )
 from penner.boundary import insert_spur
-from penner.core import mat_eq, mat_mul
+from penner.core import mat_mul
 from penner.errors import (
     NotAnEdge,
     NotGeneral,
@@ -116,7 +118,7 @@ def test_projection_identity(seed):
     b = q_arrow(om, i2, i)
     c = q_arrow(om, i, i2)
     d = q_arrow(om, i2, i1)
-    assert mat_eq(mat_mul(mat_mul(a, b), mat_mul(c, d)), mat_mul(a, d))
+    assert mat_mul(mat_mul(a, b), mat_mul(c, d)) == mat_mul(a, d)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +230,33 @@ def test_ray_experiment_divergent_needs_two_different_scales(divergent4):
             ray_convergence_experiment(divergent4, word, scales, digits=30)
 
 
-def test_ray_experiment_divergent_root_finding_failure():
-    # two disjoint pairs of curves: repeated roots defeat polyroots
+def test_ray_experiment_divergent_root_finding_failure(divergent4, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
+
+    monkeypatch.setattr(mp, "polyroots", fail)
+    word = TwistWord((1, 2, 3, 4), (1, 1, 1, 1))
+    with pytest.raises(PreconditionViolated, match="at k = 4: root finding failed"):
+        ray_convergence_experiment(divergent4, word, (4, 8), digits=50)
+
+
+def test_ray_experiment_divergent_disjoint_pairs():
+    # two disjoint pairs of curves: the reduced polynomial is the square of
+    # a palindromic quadratic, located on its trace polynomial
     om = IntersectionMatrix(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
     word = TwistWord((1, 2, 3, 4), (1, 1, 1, 1))
-    with pytest.raises(PreconditionViolated, match="root finding failed at k = 4"):
-        ray_convergence_experiment(om, word, (4, 8), digits=50)
+    tab = ray_convergence_experiment(om, word, (4, 8, 16, 32), digits=50)
+    for got, want in zip(tab.divergence.exponents, (2, 2, -2, -2)):
+        assert abs(got - want) < 0.1
+
+
+def test_ray_experiment_divergent_rank_deficient(divergent4):
+    # curve 4 doubled twice: n = 6, rank 4, so two eigenvalues are exactly 1
+    om = puncture_augment(puncture_augment(divergent4, 4, "D"), 4, "D")
+    assert (om.n, rank_exact(om)) == (6, 4)
+    word = TwistWord((1, 2, 3, 4, 3, 5, 3, 6), (1,) * 8)
+    tab = ray_convergence_experiment(om, word, (16, 32, 64, 128), digits=50)
+    fit = tab.divergence
+    assert [e for e in fit.exponents if e == 0] == [0.0, 0.0]
+    assert [c for e, c in zip(fit.exponents, fit.constants) if e == 0] == [1.0, 1.0]
+    assert all(row.magnitudes.count(1) == 2 for row in tab.rows)

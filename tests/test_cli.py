@@ -74,6 +74,19 @@ def test_recipe_rejects_noncontractible(omega_file, capsys):
     assert "contractible" in err
 
 
+@pytest.mark.parametrize("entries, gamma, message", [
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], "1,3", "trace a closed path"),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "1,2", "visit every curve"),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "1,2,3", "contractible"),
+])
+def test_recipe_rejected_word_exits_3(entries, gamma, message, tmp_path, capsys):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code, out, err = run(capsys, ["recipe", "--omega", str(path), "--gamma", gamma])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and message in err
+
+
 def test_recipe_budget_exhausted(omega_file, capsys):
     code, _, err = run(capsys, [
         "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
@@ -262,15 +275,36 @@ def test_limit_divergent_repeated_scale_exits_2(div4_file, capsys):
     assert err.count("\n") == 1 and "two scales" in err
 
 
-def test_limit_divergent_root_finding_failure_exits_3(tmp_path, capsys):
-    # two disjoint pairs of curves: the characteristic polynomial has
-    # repeated roots and polyroots does not converge on it
-    path = tmp_path / "pairs.json"
-    path.write_text(json.dumps({"n": 4, "entries": [
-        [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}))
-    code, out, err = run(capsys, ["limit", "--omega", str(path), "--gamma", "1,2,3,4"])
+def test_limit_divergent_json_golden(div4_file, capsys):
+    assert_golden(capsys, "limit_div4_16_128.json", [
+        "limit", "--omega", div4_file, "--gamma", "1,2,3,4",
+        "--scales", "16,32,64,128", "--json"])
+
+
+def test_limit_divergent_root_finding_failure_exits_3(div4_file, capsys, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
+
+    monkeypatch.setattr(mp, "polyroots", fail)
+    code, out, err = run(capsys, ["limit", "--omega", div4_file, "--gamma", "1,2,3,4"])
     assert (code, out) == (3, "")
-    assert err.count("\n") == 1 and "root finding failed" in err
+    assert err.count("\n") == 1 and "k = 4: root finding failed" in err
+
+
+@pytest.mark.parametrize("entries, gamma", [
+    # two disjoint pairs of curves: repeated eigenvalues
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], "1,2,3,4"),
+    # the missing-edge 4x4 with curve 4 doubled twice: rank 4 of 6
+    ([[0, 0, 1, 2, 2, 2], [0, 0, 1, 1, 1, 1], [1, 1, 0, 1, 1, 1],
+      [2, 1, 1, 0, 0, 0], [2, 1, 1, 0, 0, 0], [2, 1, 1, 0, 0, 0]], "1,2,3,4,3,5,3,6"),
+])
+def test_limit_divergent_with_repeated_eigenvalues(entries, gamma, tmp_path, capsys):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code, out, err = run(capsys, ["limit", "--omega", str(path), "--gamma", gamma,
+                                  "--scales", "16,32,64,128", "--json"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["exponents"]) == len(entries)
 
 
 def test_catalog_list(capsys):

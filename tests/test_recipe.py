@@ -13,8 +13,9 @@ import penner
 import penner.cli
 import penner.recipe
 import penner.spectral
-from penner import TwistWord, graph_of, pf_eigenvalue, run_recipe
+from penner import IntersectionMatrix, TwistWord, graph_of, pf_eigenvalue, run_recipe
 from penner.catalog import catalog_get
+from penner.errors import NotContractible, NotGeneral, NotSupported
 from penner.graphs import spanning_tree_tour
 
 from conftest import count_calls
@@ -69,3 +70,28 @@ def test_recipe_minpoly_changes_sign_across_lambda(s43_recipe):
     lam = Fraction(man) * Fraction(2) ** exp
     eps = lam * Fraction(1, 10**45)
     assert result.minpoly(lam - eps) * result.minpoly(lam + eps) < 0
+
+
+#: ``(entries, gamma, error, message)``: a word ``run_recipe`` rejects before
+#: scanning any scale.  On the path 1 - 2 - 3 the word 1, 3 is not a closed
+#: path; on the triangle 1, 2 misses curve 3 and 1, 2, 3 is not contractible.
+REJECTED_WORDS = [
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], (1, 3), NotSupported,
+     "the word must trace a closed path in the graph"),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2), NotGeneral,
+     "the path must visit every curve"),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 3), NotContractible,
+     "the path must be contractible in the graph"),
+]
+
+
+@pytest.mark.parametrize("entries, gamma, error, message", REJECTED_WORDS)
+def test_recipe_rejects_word_before_scanning(entries, gamma, error, message, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a scale was scanned")
+
+    monkeypatch.setattr(penner.recipe, "twist_product", refuse)
+    with pytest.raises(error, match=message):
+        run_recipe(IntersectionMatrix(tuple(map(tuple, entries))),
+                   TwistWord(gamma, (1,) * len(gamma)))
+

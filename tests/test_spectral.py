@@ -3,6 +3,7 @@ characteristic polynomial of twist products, leading eigenvalues, the
 invariant alternating form, and the height function."""
 
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,11 +19,13 @@ from penner import (
     TwistWord,
     char_poly_exact,
     complexity,
+    convergence_diagnostic,
     height,
     is_reciprocal,
     pf_certify,
     pf_eigenvalue,
     rank_exact,
+    ray_convergence_experiment,
     scale,
     spectral_report,
     structure_split,
@@ -32,9 +35,15 @@ from penner import (
 )
 import penner.spectral
 from penner.catalog import catalog_get
-from penner.errors import DivisionFailed, NotBipartite, NotPerronFrobenius
+from penner.errors import (
+    DivisionFailed,
+    NotBipartite,
+    NotPerronFrobenius,
+    PreconditionViolated,
+)
 from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import (
+    all_roots,
     brackets_root,
     determinant_from_char_poly,
     pf_lower_bound,
@@ -259,7 +268,8 @@ def test_pf_eigenvalue_root_finding_failure(monkeypatch):
         raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
 
     monkeypatch.setattr(mp, "polyroots", fail)
-    with pytest.raises(NotPerronFrobenius, match="root finding failed"):
+    # a failed root finder proves nothing about Perron-Frobenius
+    with pytest.raises(PreconditionViolated, match="root finding failed"):
         pf_eigenvalue(Poly([-1, 5, -7, 1]), 30)
 
 
@@ -393,6 +403,49 @@ def test_pf_eigenvalue_locates_palindromes_on_the_trace_polynomial(seed):
     assert abs(folded.value - unfolded.value) <= folded.error + unfolded.error
 
 
+def test_all_roots_splits_unit_roots_exactly_and_folds_palindromes(monkeypatch):
+    # (x - 1)^3 (x^2 - 3x + 1): three exact ones, then a pair x, 1/x found
+    # on the trace polynomial y - 3
+    unit = Poly([-1, 1])
+    p = unit * unit * unit * Poly([1, -3, 1])
+    sizes = []
+    real = mp.polyroots
+
+    def counted(coeffs, **kwargs):
+        sizes.append(len(coeffs))
+        return real(coeffs, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", counted)
+    roots = all_roots(p, 30)
+    assert sizes == [2]
+    assert roots[:3] == [1, 1, 1] and all(isinstance(r, mp.mpf) for r in roots[:3])
+    x, inv = roots[3:]
+    with mp.workdps(45):
+        assert abs(x - (3 + mp.sqrt(5)) / 2) < 1e-30 and abs(x * inv - 1) < 1e-30
+    assert all_roots(unit * unit, 30) == [1, 1] and sizes == [2]
+    assert all_roots(Poly([7]), 30) == []
+
+
+def test_every_root_finding_goes_through_all_roots(monkeypatch, omega3, divergent4):
+    callers = []
+    real = mp.polyroots
+
+    def recorded(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", recorded)
+    word = TwistWord((1, 2, 3), (1, 1, 1))
+    u = char_poly_exact(twist_product(scale(omega3, 4), word))
+    lam = pf_eigenvalue(u, 30).value
+    convergence_diagnostic([(4, u, lam)], Poly([0, 1, 1]), digits=30)
+    ray_convergence_experiment(divergent4, TwistWord((1, 2, 3, 4), (1, 1, 1, 1)),
+                               (16, 32), digits=30)
+    # one call for the eigenvalue, two for the diagnostic, one per scale
+    assert callers == ["penner.spectral.all_roots"] * 5
+
+
 def test_symplectic_rejects_odd_cycle(omega3):
     m = twist_product(omega3, TwistWord((1, 2, 3), (1, 1, 1)))
     with pytest.raises(NotBipartite):
@@ -418,3 +471,9 @@ def test_height_increment_identity(seed):
     lhs = height(om, qv) - height(om, v)
     rhs = sum((a - b) ** 2 for a, b in zip(qv, v))
     assert lhs == rhs
+
+
+def test_height_is_exact_and_rejects_floats(omega3):
+    assert height(omega3, [Fraction(1, 2), 1, 0]) == Fraction(1, 2)
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        height(omega3, [0.1, 1, 0])
