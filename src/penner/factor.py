@@ -17,7 +17,6 @@ from itertools import zip_longest
 from typing import Dict, Sequence, Tuple
 
 import mpmath as mp
-import sympy
 
 from .errors import AmbiguousRootAssignment, RootMismatch
 from .spectral import (
@@ -28,8 +27,6 @@ from .spectral import (
     brackets_root,
     synthetic_division,
 )
-
-_X = sympy.Symbol("x")
 
 
 @dataclass(frozen=True)
@@ -57,8 +54,11 @@ def factor_monic(p: Poly) -> Factorization:
         raise ValueError("factor_monic requires a monic polynomial")
     if p.degree < 1:
         raise ValueError("factor_monic requires degree >= 1")
+    import sympy  # on first use, like spectral._domain_matrix
+
     integral = all(isinstance(c, int) for c in p.coeffs)
-    spoly = sympy.Poly(list(p.leading_first()), _X, domain="ZZ" if integral else "QQ")
+    spoly = sympy.Poly(list(p.leading_first()), sympy.Symbol("x"),
+                       domain="ZZ" if integral else "QQ")
     factors = []
     for f, e in spoly.factor_list()[1]:
         coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]

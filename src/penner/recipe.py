@@ -71,7 +71,7 @@ def run_recipe(
     reduced polynomial factors.  A scale whose eigenvalue is not needed
     raises nothing, even where the root finder would fail.
 
-    Raises :class:`ValidationError` for a ``window`` below 1,
+    Raises :class:`ValidationError` for a ``k_max`` or ``window`` below 1,
     :class:`NotSupported` when the word does not trace a closed path in the
     intersection graph, :class:`NotGeneral` when it misses a curve,
     :class:`NotContractible`, :class:`NotPerronFrobenius` when the product
@@ -80,6 +80,8 @@ def run_recipe(
     :func:`~penner.spectral.pf_eigenvalue` raises, a root-finder failure
     as :class:`~penner.errors.PreconditionViolated`.
     """
+    if k_max < 1:
+        raise ValidationError(f"k_max must be at least 1, got {k_max}")
     if window < 1:
         raise ValidationError(f"window must be at least 1, got {window}")
     g = graph_of(omega)

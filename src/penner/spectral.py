@@ -20,8 +20,6 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
-from sympy import QQ, ZZ
-from sympy.polys.matrices import DomainMatrix
 
 from .core import (
     ExactMatrix,
@@ -171,8 +169,15 @@ def poly_str(p: Poly, var: str = "x") -> str:
 # characteristic polynomial and rank
 # ---------------------------------------------------------------------------
 
-def _domain_matrix(m: ExactMatrix) -> DomainMatrix:
-    """``m`` as a sympy ``DomainMatrix`` over ZZ if integral, else over QQ."""
+def _domain_matrix(m: ExactMatrix):
+    """``m`` as a sympy ``DomainMatrix`` over ZZ if integral, else over QQ.
+
+    sympy is imported here, on first use, not with the package: it is most
+    of ``import penner``, and commands that do no exact algebra never load it.
+    """
+    from sympy import QQ, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
     integral = all(isinstance(x, int) for row in m for x in row)
     return DomainMatrix.from_list([list(row) for row in m], ZZ if integral else QQ)
 

@@ -88,26 +88,29 @@ def test_recipe_rejected_word_exits_3(entries, gamma, message, tmp_path, capsys)
 
 
 def test_recipe_budget_exhausted(omega_file, capsys):
+    # k* = 1 here, so a window of 3 scales does not fit in k <= 2
     code, _, err = run(capsys, [
         "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
-        "--k-max", "0",
+        "--k-max", "2",
     ])
     assert code == 4
+    assert err.count("\n") == 1 and "within k <= 2" in err
 
 
-@pytest.mark.parametrize("window", ["0", "-3"])
-def test_recipe_window_below_one_exits_2_before_scanning(
-        window, omega_file, capsys, monkeypatch):
+@pytest.mark.parametrize("option", ["window", "k_max"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_recipe_budget_below_one_exits_2_before_scanning(
+        option, value, omega_file, capsys, monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("a scale was scanned")
 
     monkeypatch.setattr(penner.recipe, "twist_product", refuse)
     code, _, err = run(capsys, [
         "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
-        "--window", window,
+        f"--{option.replace('_', '-')}={value}",
     ])
     assert code == 2
-    assert err.count("\n") == 1 and "window" in err
+    assert err.count("\n") == 1 and f"{option} must be at least 1" in err
 
 
 @pytest.fixture

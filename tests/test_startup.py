@@ -1,0 +1,76 @@
+"""Start-up: sympy is imported on first use, not with the package.
+
+pytest itself imports sympy, so every check here runs in a fresh
+interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import penner
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(penner.__file__)))
+
+# runs ``penner.cli.main`` on argv and prints, as its last line of output,
+# the exit code and whether sympy was loaded
+CLI = """
+import json, sys
+from penner.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "sympy": "sympy" in sys.modules}))
+"""
+
+# evaluates one expression as the first user of sympy and prints its repr
+FIRST_USE = """
+import sys
+from fractions import Fraction
+import penner
+assert "sympy" not in sys.modules
+result = eval(sys.argv[1])
+assert "sympy" in sys.modules
+print(repr(result))
+"""
+
+
+def fresh_python(script, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_penner_leaves_sympy_unloaded():
+    out = fresh_python("import sys, penner; print('sympy' in sys.modules)")
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["catalog", "list"], 0),
+    (["catalog", "degrees", "--genus", "4", "--punctures", "3"], 0),
+    (["--help"], 0),
+    (["degree", "--omega", "/nonexistent.json", "--gamma", "1,2"], 2),
+], ids=["catalog-list", "catalog-degrees", "help", "missing-omega"])
+def test_commands_without_exact_algebra_leave_sympy_unloaded(argv, code):
+    verdict = json.loads(fresh_python(CLI, *argv).splitlines()[-1])
+    assert verdict == {"code": code, "sympy": False}
+
+
+@pytest.mark.parametrize("call", [
+    "penner.rank_exact(penner.catalog_get('S43-max').omega)",
+    "penner.char_poly_exact(((2, 1, 0), (1, 3, 1), (0, 1, 4)))",
+    "penner.char_poly_exact(((Fraction(1, 2), 1), (3, Fraction(-2, 3))))",
+    "penner.factor_monic(penner.Poly([-1, 0, 0, 0, 1]))",
+    "penner.factor_monic(penner.Poly([1, Fraction(-5, 2), 1]))",
+], ids=["rank", "charpoly-ZZ", "charpoly-QQ", "factor-ZZ", "factor-QQ"])
+def test_first_exact_algebra_call_loads_sympy_and_agrees(call):
+    expected = eval(call, {"penner": penner, "Fraction": Fraction})
+    assert fresh_python(FIRST_USE, call) == repr(expected) + "\n"
