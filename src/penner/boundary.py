@@ -241,21 +241,14 @@ def eigenvector_asymptotics(
             for j in range(n)
         )
         # the eigenvector is a ray; choose the representative closest to the
-        # target in the sup norm (1-D convex minimization over the scale)
-        ratios = [target[j] / y[j] for j in range(n) if y[j] != 0]
-        lo, hi = min(ratios) * mp.mpf("0.5"), max(ratios) * 2
-
+        # target in the sup norm.  dist is convex and piecewise linear in the
+        # scale t, and y > 0, so its minimum lies where some rising
+        # t y_a - target_a meets some falling target_c - t y_c
         def dist(t):
             return max(abs(t * y[j] - target[j]) for j in range(n))
 
-        for _ in range(300):
-            t1 = lo + (hi - lo) / 3
-            t2 = hi - (hi - lo) / 3
-            if dist(t1) <= dist(t2):
-                hi = t2
-            else:
-                lo = t1
-        t_best = (lo + hi) / 2
+        t_best = min(((target[a] + target[c]) / (y[a] + y[c])
+                      for a in range(n) for c in range(a, n)), key=dist)
         v = tuple(t_best * y[j] for j in range(n))
         lhs = dist(t_best)
         p_max, p_min = max(powers), min(powers)

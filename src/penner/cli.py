@@ -46,7 +46,7 @@ from .core import (
 from .errors import BudgetError, PreconditionError, ValidationError
 from .factor import degree_of_pf_root
 from .recipe import run_recipe
-from .spectral import DEFAULT_DIGITS, SINGLE_CURVE, poly_str, spectral_report
+from .spectral import DEFAULT_DIGITS, poly_str, spectral_report
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +113,6 @@ def cmd_degree(args) -> int:
     word = word_from_args(args)
     digits = args.digits
     report = spectral_report(omega, word, digits=digits)
-    if not report.is_pf:
-        raise PreconditionError(SINGLE_CURVE if omega.n < 2 else (
-            "twist product is not Perron-Frobenius: the intersection graph "
-            "must be connected and the word must use every curve"
-        ))
     degree, minpoly, fz = degree_of_pf_root(report)
     payload = {
         "charpoly": poly_str(report.charpoly),

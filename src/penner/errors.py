@@ -99,10 +99,6 @@ class AmbiguousRootAssignment(PreconditionError):
     pass
 
 
-class RootMismatch(PreconditionError):
-    pass
-
-
 class CurvesIntersect(PreconditionError):
     pass
 

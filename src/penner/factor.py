@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import mpmath as mp
 
-from .errors import AmbiguousRootAssignment, RootMismatch
+from .errors import AmbiguousRootAssignment, NotSupported
 from .spectral import (
     DEFAULT_DIGITS,
     Poly,
@@ -27,6 +27,9 @@ from .spectral import (
     brackets_root,
     synthetic_division,
 )
+
+if TYPE_CHECKING:
+    from .boundary import RayTable
 
 
 @dataclass(frozen=True)
@@ -83,25 +86,22 @@ def degree_of_pf_root(report: SpectralReport) -> Tuple[int, Poly, Factorization]
     """Identify the irreducible factor of the reduced characteristic
     polynomial that has the leading eigenvalue as a root.
 
-    Returns ``(degree, minimal_polynomial, factorization)``.  When the report
-    is certified Perron-Frobenius and the reduced polynomial is irreducible,
-    the exact factorization is the whole certificate: the leading eigenvalue
-    is a root of the reduced polynomial, which is then its minimal
-    polynomial, so no numerics are needed and ``report.pf_value`` is not
-    read.  Otherwise the factor is the one that changes sign, exactly (see
+    Returns ``(degree, minimal_polynomial, factorization)``.  When the
+    reduced polynomial is irreducible, the exact factorization is the whole
+    certificate: the leading eigenvalue of the certified product is a root
+    of the reduced polynomial, which is then its minimal polynomial, so no
+    numerics are needed and ``report.pf_value`` is not read.  Otherwise the
+    factor is the one that changes sign, exactly (see
     :func:`~penner.spectral.brackets_root`), on the report's enclosure
     ``[pf_value - pf_error, pf_value + pf_error]``; if not exactly one factor does,
-    :class:`AmbiguousRootAssignment` is raised.  A report that is not
-    Perron-Frobenius raises :class:`RootMismatch`.
+    :class:`AmbiguousRootAssignment` is raised.
     """
     reduced = report.reduced
     fz = factor_monic(reduced)
-    if fz.factors == ((reduced, 1),) and report.is_pf:
+    if fz.factors == ((reduced, 1),):
         return reduced.degree, reduced, fz
-    lam = report.pf_value
-    if lam is None:
-        raise RootMismatch("report carries no leading eigenvalue")
-    owners = [f for f, _e in fz.factors if brackets_root(f, lam, report.pf_error)]
+    owners = [f for f, _e in fz.factors
+              if brackets_root(f, report.pf_value, report.pf_error)]
     if len(owners) != 1:
         raise AmbiguousRootAssignment(
             "could not isolate the leading eigenvalue inside a unique factor"
@@ -114,17 +114,10 @@ def degree_of_pf_root(report: SpectralReport) -> Tuple[int, Poly, Factorization]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConvergenceRow:
-    scale: object
-    lam: mp.mpf
-    distance: mp.mpf
-    deflated: Tuple[mp.mpf, ...]
-    factor_agreement: Dict[complex, bool]
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
-    rows: Tuple[ConvergenceRow, ...]
+    """One ``factor_agreement`` per row of the diagnosed table, in order."""
+
+    factor_agreement: Tuple[Dict[complex, bool], ...]
     lambdas_increasing: bool
 
 
@@ -154,51 +147,39 @@ def deflated_distance(
 
 
 def convergence_diagnostic(
-    sequence: Sequence[Tuple[object, Poly, mp.mpf]],
-    limit: Poly,
-    tol: float = 1e-8,
-    digits: int = DEFAULT_DIGITS,
+    table: RayTable, digits: int = DEFAULT_DIGITS
 ) -> ConvergenceReport:
-    """Diagnose convergence of deflated characteristic polynomials.
+    """Diagnose the factor structure along a supported ray.
 
-    ``sequence`` is a list of ``(scale, u_k, lambda_k)`` with ``u_k`` a monic
-    integer polynomial and ``lambda_k`` its leading root; ``limit`` is the
-    expected limit of ``u_k(x) / (x - lambda_k)``.
+    ``table`` comes from :func:`~penner.boundary.ray_convergence_experiment`
+    on a supported path: each row's ``lam`` is the proven leading root of
+    its ``charpoly``, and ``table.limit`` is the limit of the deflated
+    polynomials.  For each nonzero root ``theta`` of the limit, a row
+    records whether the irreducible factor of ``charpoly`` owning the root
+    nearest ``theta`` coincides with the factor owning ``lam``.  Roots are
+    located by :func:`~penner.spectral.all_roots`.
 
-    For each entry the deflated polynomial and its sup-distance to ``limit``
-    are computed; for each nonzero root ``theta`` of ``limit``, the row
-    records whether the irreducible factor of ``u_k`` owning the root of
-    ``u_k`` nearest ``theta`` coincides with the factor owning ``lambda_k``.
-    Roots are located by :func:`~penner.spectral.all_roots`.  Raises
-    :class:`RootMismatch` if some ``lambda_k`` fails to be a root of ``u_k``
-    to tolerance ``tol``, and :class:`~penner.errors.PreconditionViolated`
-    if the root finder does not converge.
+    Raises :class:`NotSupported` for a table of an unsupported path, and
+    :class:`~penner.errors.PreconditionViolated` if the root finder does
+    not converge.
     """
+    if not table.supported:
+        raise NotSupported("the convergence diagnostic needs a supported path")
     with mp.workdps(digits + 10):
-        thetas = [t for t in all_roots(limit, digits) if abs(t) > 1e-9]
-        rows = []
-        lams = []
-        for scale_value, u, lam in sequence:
-            lam = mp.mpf(lam) if not isinstance(lam, mp.mpf) else lam
-            du = u.derivative()
-            residual = abs(u(lam)) / max(abs(du(lam)), mp.mpf(1))
-            if residual > tol * (1 + abs(lam)):
-                raise RootMismatch(
-                    f"lambda = {lam} is not a root of the polynomial at scale "
-                    f"{scale_value} (residual {residual})"
-                )
-            dist, defl = deflated_distance(u, lam, limit, digits)
-            fz = factor_monic(u)
-            lam_factor = min(fz.factors, key=lambda fe: abs(fe[0](lam)))[0]
+        thetas = [t for t in all_roots(table.limit, digits) if abs(t) > 1e-9]
+        agreements = []
+        for row in table.rows:
+            fz = factor_monic(row.charpoly)
+            lam_factor = min(fz.factors, key=lambda fe: abs(fe[0](row.lam)))[0]
             agreement: Dict[complex, bool] = {}
             if thetas:
-                u_roots = all_roots(u, digits)
+                u_roots = all_roots(row.charpoly, digits)
                 for theta in thetas:
                     nearest = min(u_roots, key=lambda r: abs(r - theta))
                     theta_factor = min(fz.factors,
                                        key=lambda fe: abs(fe[0](nearest)))[0]
                     agreement[complex(theta)] = theta_factor == lam_factor
-            rows.append(ConvergenceRow(scale_value, lam, dist, defl, agreement))
-            lams.append(lam)
+            agreements.append(agreement)
+        lams = [row.lam for row in table.rows]
         increasing = all(a < b for a, b in zip(lams, lams[1:]))
-        return ConvergenceReport(tuple(rows), increasing)
+    return ConvergenceReport(tuple(agreements), increasing)

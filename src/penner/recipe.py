@@ -98,8 +98,7 @@ def run_recipe(
     for k in range(1, k_max + 1):
         omega_k = scale(omega, k)
         matrix = twist_product(omega_k, word)
-        report = SpectralReport.from_charpoly(
-            char_poly_exact(matrix), rank, is_pf=True, digits=digits)
+        report = SpectralReport.from_charpoly(char_poly_exact(matrix), rank, digits)
         degree, minpoly, _fz = degree_of_pf_root(report)
         if degree == rank:
             streak.append((k, report, minpoly))

@@ -283,8 +283,11 @@ def trace_polynomial(p: Poly) -> Optional[Poly]:
 # Perron-Frobenius
 # ---------------------------------------------------------------------------
 
-#: Why a one-curve twist product is not Perron-Frobenius (see :func:`pf_certify`).
+#: Why a twist product is not Perron-Frobenius (see :func:`pf_certify`): one
+#: curve, or else a disconnected graph or a word that misses a curve.
 SINGLE_CURVE = "the twist product is not Perron-Frobenius: a single curve meets nothing"
+NOT_CERTIFIED = ("twist product is not Perron-Frobenius: the intersection graph "
+                 "must be connected and the word must use every curve")
 
 
 def pf_certify(omega: IntersectionMatrix, word: TwistWord) -> bool:
@@ -507,33 +510,32 @@ def height(omega: IntersectionMatrix, v: Sequence[Scalar]) -> Scalar:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Everything the degree pipeline needs about one twist product.
+    """Everything the degree pipeline needs about one twist product that
+    :func:`pf_certify` certifies Perron-Frobenius.
 
-    Build it with :meth:`from_charpoly`.  The leading eigenvalue
-    ``pf_value`` and its error bound ``pf_error`` are computed from
-    ``reduced`` at ``digits`` digits on first access, by
-    :func:`pf_eigenvalue`, and cached; both are ``None`` when the product is
-    not certified Perron-Frobenius.  ``reduced`` changes sign on
-    ``[pf_value - pf_error, pf_value + pf_error]`` (see :func:`brackets_root`).
-    Reading them may raise :class:`NotPerronFrobenius` when the dominance
-    test or the sign-change check fails, and :class:`PreconditionViolated`
-    when the root finder does not converge.
+    Build it with :func:`spectral_report`, or with :meth:`from_charpoly` once
+    the product is certified.  The leading eigenvalue ``pf_value`` and its
+    error bound ``pf_error`` are computed from ``reduced`` at ``digits``
+    digits on first access, by :func:`pf_eigenvalue`, and cached.
+    ``reduced`` changes sign on ``[pf_value - pf_error, pf_value + pf_error]``
+    (see :func:`brackets_root`).  Reading them may raise
+    :class:`NotPerronFrobenius` when the dominance test or the sign-change
+    check fails, and :class:`PreconditionViolated` when the root finder does
+    not converge.
     """
 
     charpoly: Poly
     rank: int
     reduced: Poly
-    is_pf: bool
     digits: int
 
     @classmethod
-    def from_charpoly(cls, charpoly: Poly, rank: int, is_pf: bool,
+    def from_charpoly(cls, charpoly: Poly, rank: int,
                       digits: int = DEFAULT_DIGITS) -> "SpectralReport":
-        """The report on a product with characteristic polynomial ``charpoly``
-        over an ``omega`` of rank ``rank``; ``is_pf`` is :func:`pf_certify`'s
-        verdict."""
+        """The report on a certified product with characteristic polynomial
+        ``charpoly`` over an ``omega`` of rank ``rank``."""
         _exponent, reduced = structure_split(charpoly, rank)
-        return cls(charpoly, rank, reduced, is_pf, digits)
+        return cls(charpoly, rank, reduced, digits)
 
     @property
     def unit_exponent(self) -> int:
@@ -546,16 +548,16 @@ class SpectralReport:
         return self.reduced.degree
 
     @cached_property
-    def _pf(self) -> Optional[PFEigenvalue]:
-        return pf_eigenvalue(self.reduced, self.digits) if self.is_pf else None
+    def _pf(self) -> PFEigenvalue:
+        return pf_eigenvalue(self.reduced, self.digits)
 
     @property
-    def pf_value(self) -> Optional[mp.mpf]:
-        return None if self._pf is None else self._pf.value
+    def pf_value(self) -> mp.mpf:
+        return self._pf.value
 
     @property
-    def pf_error(self) -> Optional[mp.mpf]:
-        return None if self._pf is None else self._pf.error
+    def pf_error(self) -> mp.mpf:
+        return self._pf.error
 
 
 def spectral_report(
@@ -565,9 +567,12 @@ def spectral_report(
 ) -> SpectralReport:
     """Build the exact spectral report for ``M = twist_product(omega, word)``.
 
-    Only exact work happens here; the leading eigenvalue is left to the
-    report, which computes it when it is first read.
+    Raises :class:`NotPerronFrobenius` before any algebra when
+    :func:`pf_certify` does not certify the product.  Only exact work
+    happens here; the leading eigenvalue is left to the report, which
+    computes it when it is first read.
     """
+    if not pf_certify(omega, word):
+        raise NotPerronFrobenius(SINGLE_CURVE if omega.n < 2 else NOT_CERTIFIED)
     chi = char_poly_exact(twist_product(omega, word))
-    return SpectralReport.from_charpoly(
-        chi, rank_exact(omega), pf_certify(omega, word), digits)
+    return SpectralReport.from_charpoly(chi, rank_exact(omega), digits)

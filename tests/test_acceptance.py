@@ -18,7 +18,6 @@ from penner import (
     TwistWord,
     char_poly_exact,
     complexity,
-    convergence_diagnostic,
     degree_set,
     eigenvector_asymptotics,
     f_gamma,
@@ -96,14 +95,10 @@ def test_criterion_03_deflated_charpoly_convergence():
     # (measured distance 0.1716; the subdominant eigenvalue approaches -1
     # at rate ~ 5.5/k, independently confirmed by direct eigenvalue
     # computation).
-    seq = []
-    for k in (4, 8, 16, 32):
-        u = char_poly_exact(twist_product(scale(OMEGA3, k), WORD3))
-        seq.append((k, u, pf_eigenvalue(u, digits=50).value))
-    rep = convergence_diagnostic(seq, Poly([0, 1, 1]), digits=50)
-    dists = [row.distance for row in rep.rows]
+    table = ray_convergence_experiment(OMEGA3, WORD3, (4, 8, 16, 32), digits=50)
+    dists = [row.distance for row in table.rows]
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
-    ok = decreasing and dists[-1] < 0.2
+    ok = table.limit == Poly([0, 1, 1]) and decreasing and dists[-1] < 0.2
     report(3, ok,
            "distances to x^2 + x at k = 4,8,16,32: "
            + ", ".join(mp.nstr(d, 4) for d in dists)

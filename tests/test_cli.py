@@ -156,6 +156,15 @@ def test_degree_with_one_curve_exits_3(one_curve_file, capsys):
     assert "a single curve meets nothing" in err and "connected" not in err
 
 
+def test_degree_with_disconnected_omega_exits_3(tmp_path, capsys):
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps({"n": 3, "entries": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}))
+    code, out, err = run(capsys, ["degree", "--omega", str(path), "--gamma", "1,2,3"])
+    assert (code, out) == (3, "")
+    assert err == ("error: twist product is not Perron-Frobenius: the intersection "
+                   "graph must be connected and the word must use every curve\n")
+
+
 def test_recipe_with_one_curve_exits_3_before_scanning(
         one_curve_file, capsys, monkeypatch):
     def refuse(*_args, **_kwargs):

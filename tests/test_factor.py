@@ -9,20 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penner import (
-    IntersectionMatrix,
     Poly,
     TwistWord,
-    char_poly_exact,
     convergence_diagnostic,
     degree_of_pf_root,
     factor_monic,
     pf_eigenvalue,
-    scale,
+    ray_convergence_experiment,
     spectral_report,
-    twist_product,
 )
 import penner.spectral
-from penner.errors import RootMismatch
+from penner.errors import NotSupported
 from penner.factor import deflate, is_irreducible
 
 from conftest import count_calls, general_word, random_omega
@@ -107,7 +104,6 @@ class IrreducibleReport:
     """A certified report whose eigenvalue must not be read."""
 
     reduced = Poly([-1, 5, -7, 1])  # x^3 - 7x^2 + 5x - 1, irreducible
-    is_pf = True
     digits = 50
 
     @property
@@ -121,13 +117,6 @@ def test_degree_of_irreducible_reduced_needs_no_eigenvalue():
     assert fz.factors == ((IrreducibleReport.reduced, 1),)
 
 
-def test_degree_of_pf_root_rejects_uncertified_report():
-    om = IntersectionMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
-    rep = spectral_report(om, TwistWord((1, 2, 3), (1, 1, 1)))
-    with pytest.raises(RootMismatch):
-        degree_of_pf_root(rep)
-
-
 def test_deflate_quadratic():
     # (x - 2)(x - 1) deflated at 2 leaves x - 1
     q = deflate(Poly([2, -3, 1]), mp.mpf(2), digits=30)
@@ -136,19 +125,21 @@ def test_deflate_quadratic():
 
 def test_convergence_diagnostic_triangle(omega3):
     word = TwistWord((1, 2, 3), (1, 1, 1))
-    seq = []
-    for k in (1, 2, 4, 8, 16, 32):
-        u = char_poly_exact(twist_product(scale(omega3, k), word))
-        seq.append((k, u, pf_eigenvalue(u, digits=50).value))
-    rep = convergence_diagnostic(seq, Poly([0, 1, 1]), digits=50)
-    dists = [row.distance for row in rep.rows]
+    table = ray_convergence_experiment(omega3, word, (1, 2, 4, 8, 16, 32), digits=50)
+    assert table.limit == Poly([0, 1, 1])
+    rep = convergence_diagnostic(table, digits=50)
+    dists = [row.distance for row in table.rows]
     assert all(a > b for a, b in zip(dists, dists[1:]))
     assert rep.lambdas_increasing
     # the root near -1 always lies in the same irreducible factor as lambda
-    for row in rep.rows:
-        assert all(row.factor_agreement.values())
+    assert len(rep.factor_agreement) == 6
+    for agreement in rep.factor_agreement:
+        assert len(agreement) == 1 and all(agreement.values())
 
 
-def test_convergence_diagnostic_rejects_non_root():
-    with pytest.raises(RootMismatch):
-        convergence_diagnostic([(1, Poly([-1, 0, 1]), mp.mpf(3))], Poly([1, 1]))
+def test_convergence_diagnostic_rejects_unsupported_table(divergent4):
+    table = ray_convergence_experiment(divergent4, TwistWord((1, 2, 3, 4), (1, 1, 1, 1)),
+                                       (16, 32), digits=30)
+    assert not table.supported
+    with pytest.raises(NotSupported, match="supported path"):
+        convergence_diagnostic(table)

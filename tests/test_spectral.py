@@ -286,7 +286,7 @@ def test_disconnected_graph_not_certified():
 def test_spectral_report(omega3):
     rep = spectral_report(omega3, TwistWord((1, 2, 3), (1, 1, 1)))
     assert rep.rank == 3 and rep.unit_exponent == 0
-    assert rep.is_pf and rep.pf_value is not None
+    assert rep.pf_value > 1 and rep.pf_error > 0
     assert rep.complexity == 3
 
 
@@ -300,15 +300,27 @@ def test_spectral_report_computes_lambda_once_on_demand(omega3, monkeypatch):
     assert lam == pf_eigenvalue(rep.reduced, 40).value
 
 
-def test_uncertified_report_never_computes_lambda(monkeypatch):
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("pf_eigenvalue called for an uncertified report")
+NOT_CERTIFIED = ("twist product is not Perron-Frobenius: the intersection graph "
+                 "must be connected and the word must use every curve")
 
-    monkeypatch.setattr(penner.spectral, "pf_eigenvalue", refuse)
-    om = IntersectionMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
-    rep = spectral_report(om, TwistWord((1, 2, 3), (1, 1, 1)))
-    assert not rep.is_pf
-    assert rep.pf_value is None and rep.pf_error is None
+
+@pytest.mark.parametrize("entries, gamma, message", [
+    ([[0]], (1,), "the twist product is not Perron-Frobenius: "
+                  "a single curve meets nothing"),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (1, 2, 3), NOT_CERTIFIED),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2), NOT_CERTIFIED),
+], ids=["one-curve", "disconnected", "word-misses-a-curve"])
+def test_spectral_report_rejects_uncertified_product(entries, gamma, message,
+                                                     monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("algebra done for an uncertified product")
+
+    for name in ("char_poly_exact", "rank_exact", "pf_eigenvalue"):
+        monkeypatch.setattr(penner.spectral, name, refuse)
+    word = TwistWord(gamma, (1,) * len(gamma))
+    with pytest.raises(NotPerronFrobenius) as info:
+        spectral_report(validate_omega(entries), word)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +449,8 @@ def test_every_root_finding_goes_through_all_roots(monkeypatch, omega3, divergen
 
     monkeypatch.setattr(mp, "polyroots", recorded)
     word = TwistWord((1, 2, 3), (1, 1, 1))
-    u = char_poly_exact(twist_product(scale(omega3, 4), word))
-    lam = pf_eigenvalue(u, 30).value
-    convergence_diagnostic([(4, u, lam)], Poly([0, 1, 1]), digits=30)
+    convergence_diagnostic(ray_convergence_experiment(omega3, word, (4,), digits=30),
+                           digits=30)
     ray_convergence_experiment(divergent4, TwistWord((1, 2, 3, 4), (1, 1, 1, 1)),
                                (16, 32), digits=30)
     # one call for the eigenvalue, two for the diagnostic, one per scale
