@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penner import (
+    IntersectionMatrix,
     Poly,
     TwistWord,
     convergence_diagnostic,
@@ -18,8 +19,9 @@ from penner import (
     ray_convergence_experiment,
     spectral_report,
 )
+import penner.factor
 import penner.spectral
-from penner.errors import NotSupported
+from penner.errors import NotPerronFrobenius, NotSupported
 from penner.factor import deflate, is_irreducible
 
 from conftest import count_calls, general_word, random_omega
@@ -115,6 +117,16 @@ def test_degree_of_irreducible_reduced_needs_no_eigenvalue():
     degree, minpoly, fz = degree_of_pf_root(IrreducibleReport())
     assert degree == 3 and minpoly == IrreducibleReport.reduced
     assert fz.factors == ((IrreducibleReport.reduced, 1),)
+
+
+def test_degree_of_pf_root_rejects_uncertified_report(monkeypatch):
+    # no report exists for a disconnected omega, so the degree pipeline
+    # stops at spectral_report and never factors anything
+    calls = count_calls(monkeypatch, penner.factor, "factor_monic")
+    om = IntersectionMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    with pytest.raises(NotPerronFrobenius):
+        degree_of_pf_root(spectral_report(om, TwistWord((1, 2, 3), (1, 1, 1))))
+    assert calls == []
 
 
 def test_deflate_quadratic():

@@ -300,6 +300,16 @@ def test_spectral_report_computes_lambda_once_on_demand(omega3, monkeypatch):
     assert lam == pf_eigenvalue(rep.reduced, 40).value
 
 
+def test_uncertified_report_never_computes_lambda(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("pf_eigenvalue called for an uncertified report")
+
+    monkeypatch.setattr(penner.spectral, "pf_eigenvalue", refuse)
+    om = IntersectionMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    with pytest.raises(NotPerronFrobenius):
+        spectral_report(om, TwistWord((1, 2, 3), (1, 1, 1)))
+
+
 NOT_CERTIFIED = ("twist product is not Perron-Frobenius: the intersection graph "
                  "must be connected and the word must use every curve")
 
