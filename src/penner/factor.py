@@ -3,7 +3,9 @@ of the leading eigenvalue.
 
 ``factor_monic`` factors a monic polynomial with integer or rational
 coefficients into monic irreducible factors (delegated to sympy's
-Zassenhaus/LLL machinery) and certifies the result by exact
+Zassenhaus/LLL machinery; a palindromic polynomial of even degree is
+factored on its half-degree trace polynomial, whose factors unfold back by
+an exact irreducibility test) and certifies the result by exact
 re-multiplication.  ``degree_of_pf_root`` then identifies the unique
 irreducible factor vanishing at the leading eigenvalue: the algebraic degree
 of the stretch factor is the degree of that factor.
@@ -11,13 +13,15 @@ of the stretch factor is the degree of that factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import mpmath as mp
 
+from .core import Scalar
 from .errors import AmbiguousRootAssignment, NotSupported
 from .spectral import (
     DEFAULT_DIGITS,
@@ -26,6 +30,8 @@ from .spectral import (
     all_roots,
     brackets_root,
     synthetic_division,
+    trace_polynomial,
+    unfold,
 )
 
 if TYPE_CHECKING:
@@ -46,17 +52,10 @@ class Factorization:
         return out
 
 
-def factor_monic(p: Poly) -> Factorization:
-    """Factor a monic polynomial into monic factors irreducible over the
-    rationals: by sympy over ZZ if every coefficient is an integer, else over
-    QQ (the rule of :func:`~penner.spectral.char_poly_exact`).  The factor
-    list is certified by exact re-multiplication; factors are sorted by
-    (degree, coefficients) for determinism.
-    """
-    if not p.is_monic:
-        raise ValueError("factor_monic requires a monic polynomial")
-    if p.degree < 1:
-        raise ValueError("factor_monic requires degree >= 1")
+def _sympy_factors(p: Poly) -> List[Tuple[Poly, int]]:
+    """sympy's irreducible factors of ``p``, made monic: over ZZ if every
+    coefficient is an integer, else over QQ (the rule of
+    :func:`~penner.spectral.char_poly_exact`)."""
     import sympy  # on first use, like spectral._domain_matrix
 
     integral = all(isinstance(c, int) for c in p.coeffs)
@@ -66,6 +65,49 @@ def factor_monic(p: Poly) -> Factorization:
     for f, e in spoly.factor_list()[1]:
         coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
         factors.append((Poly([c / coeffs[-1] for c in coeffs]), int(e)))
+    return factors
+
+
+def _is_rational_square(q: Scalar) -> bool:
+    q = Fraction(q)
+    return q >= 0 and all(math.isqrt(v) ** 2 == v
+                          for v in (q.numerator, q.denominator))
+
+
+def factor_monic(p: Poly) -> Factorization:
+    """Factor a monic polynomial into monic factors irreducible over the
+    rationals, by sympy (see :func:`_sympy_factors`).  The factor list is
+    certified by exact re-multiplication; factors are sorted by (degree,
+    coefficients) for determinism.
+
+    A palindromic ``p = x^m T(x + 1/x)`` of even degree ``2m`` is factored
+    on its degree-``m`` :func:`~penner.spectral.trace_polynomial` ``T``.
+    Each irreducible factor ``g`` of ``T``, of degree ``d`` and multiplicity
+    ``e``, gives the factor ``G(x) = x^d g(x + 1/x)`` of ``p`` (see
+    :func:`~penner.spectral.unfold`) with multiplicity ``e``, and ``G`` is
+    irreducible unless ``g(2) g(-2)`` is the square of a rational; only
+    then is ``G`` itself factored.  The test is sound: for a root ``a`` of
+    ``G`` and ``b = a + 1/a``, ``[Q(a):Q(b)] <= 2`` and ``b`` has degree
+    ``d``, so ``G`` is either irreducible or ``h h* / h(0)`` with ``h`` the
+    minimal polynomial of ``a`` and ``h*(x) = x^d h(1/x)``.  In the second
+    case ``G(1) G(-1) (-1)^d = (h(1) h(-1) / h(0))^2``, while ``G(1) = g(2)``
+    and ``G(-1) = (-1)^d g(-2)``.
+    """
+    if not p.is_monic:
+        raise ValueError("factor_monic requires a monic polynomial")
+    if p.degree < 1:
+        raise ValueError("factor_monic requires degree >= 1")
+    trace = trace_polynomial(p)
+    if trace is None:
+        factors = _sympy_factors(p)
+    else:
+        factors = []
+        for g, e in _sympy_factors(trace):
+            unfolded = unfold(g)
+            if _is_rational_square(g(2) * g(-2)):
+                factors += [(h, e * eh) for h, eh in _sympy_factors(unfolded)]
+            else:
+                factors.append((unfolded, e))
     factors.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
     result = Factorization(tuple(factors))
     if result.product() != p:  # pragma: no cover - sympy returned bad factors

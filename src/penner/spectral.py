@@ -279,6 +279,18 @@ def trace_polynomial(p: Poly) -> Optional[Poly]:
     return Poly(out)
 
 
+def unfold(t: Poly) -> Poly:
+    """``x^m t(x + 1/x)`` for ``t`` of degree ``m``: the palindromic
+    polynomial whose :func:`trace_polynomial` is ``t``.  Exact: each term
+    ``a_i y^i`` gives ``a_i x^(m-i) (x^2 + 1)^i``, binomially expanded."""
+    m = t.degree
+    out = [0] * (2 * m + 1)
+    for i, a in enumerate(t.coeffs):
+        for j in range(i + 1):
+            out[m - i + 2 * j] += a * math.comb(i, j)
+    return Poly(out)
+
+
 # ---------------------------------------------------------------------------
 # Perron-Frobenius
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from penner import (
     IntersectionMatrix,
@@ -17,12 +18,16 @@ from penner import (
     factor_monic,
     pf_eigenvalue,
     ray_convergence_experiment,
+    scale,
     spectral_report,
 )
 import penner.factor
 import penner.spectral
+from penner.catalog import catalog_get
 from penner.errors import NotPerronFrobenius, NotSupported
 from penner.factor import deflate, is_irreducible
+from penner.graphs import graph_of, spanning_tree_tour
+from penner.spectral import trace_polynomial, unfold
 
 from conftest import count_calls, general_word, random_omega
 
@@ -61,6 +66,128 @@ def test_factorization_certified_roundtrip(seed):
         p = p * q
     fz = factor_monic(p)
     assert fz.product() == p
+
+
+# ---------------------------------------------------------------------------
+# palindromic input: factored on the trace polynomial, against sympy on the
+# whole polynomial
+# ---------------------------------------------------------------------------
+
+def sympy_factors(p):
+    """sympy's ``factor_list`` of the whole ``p`` over the rationals, each
+    factor made monic, sorted by (degree, coefficients)."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+               for i, c in enumerate(p.coeffs))
+    out = []
+    for f, e in sympy.factor_list(expr, x)[1]:
+        monic = sympy.Poly(f, x).monic()
+        out.append((Poly([Fraction(int(c.p), int(c.q))
+                          for c in reversed(monic.all_coeffs())]), e))
+    return tuple(sorted(out, key=lambda fe: (fe[0].degree, fe[0].coeffs)))
+
+
+def factor_palindrome(p):
+    """``factor_monic(p)`` checked against :func:`sympy_factors`; returns
+    the degrees of the inputs the package handed to sympy."""
+    assert trace_polynomial(p) is not None
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, penner.factor, "_sympy_factors")
+        fz = factor_monic(p)
+    assert fz.factors == sympy_factors(p)
+    return [q.degree for (q,) in calls]
+
+
+_small_ints = st.integers(-6, 6)
+_small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def monic(coeffs):
+    return Poly(list(coeffs) + [1])
+
+
+def power(p, e):
+    out = Poly([1])
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_small_ints, min_size=1, max_size=7))
+def test_factor_monic_unfolding_over_zz(coeffs):
+    g = monic(coeffs)
+    assert factor_palindrome(unfold(g))[0] == g.degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_small_fractions, min_size=1, max_size=5)
+       .filter(lambda cs: any(c.denominator > 1 for c in cs)))
+def test_factor_monic_unfolding_over_qq(coeffs):
+    g = monic(coeffs)
+    assert factor_palindrome(unfold(g))[0] == g.degree
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_small_ints, min_size=1, max_size=4), st.sampled_from([1, -1]))
+def test_factor_monic_split_unfolding_takes_the_fallback(middle, h0):
+    # G = h h* / h(0), h irreducible and not reciprocal: the trace factor g
+    # has g(2) g(-2) a square, and G itself goes to sympy
+    h = monic([h0] + middle)
+    mirror = Poly([c * h0 for c in reversed(h.coeffs)])
+    assume(mirror != h and is_irreducible(h))
+    assert factor_palindrome(h * mirror) == [h.degree, 2 * h.degree]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.lists(_small_ints, min_size=1, max_size=3),
+                          st.integers(1, 3)), min_size=1, max_size=3))
+def test_factor_monic_palindrome_with_repeated_factors(parts):
+    p = Poly([1])
+    for coeffs, e in parts:
+        p = p * power(unfold(monic(coeffs)), e)
+    factor_palindrome(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_small_ints, min_size=0, max_size=4), st.integers(0, 2),
+       st.integers(0, 2))
+def test_factor_monic_palindrome_with_small_cyclotomic_factors(coeffs, a, b):
+    # (x + 1)^2 = unfold(y + 2) and x^2 - x + 1 = unfold(y - 1)
+    p = (power(Poly([1, 2, 1]), a) * power(Poly([1, -1, 1]), b)
+         * (unfold(monic(coeffs)) if coeffs else Poly([1])))
+    assume(p.degree > 0)
+    factor_palindrome(p)
+
+
+def test_factor_monic_unit_root_pairs():
+    assert factor_palindrome(Poly([1, 2, 1])) == [1, 2]  # (x + 1)^2
+    assert factor_monic(Poly([1, 2, 1])).factors == ((Poly([1, 1]), 2),)
+    assert factor_palindrome(Poly([1, -1, 1])) == [1]  # irreducible
+
+
+def test_factor_monic_rational_palindrome_takes_the_fallback():
+    # x^2 - 5/2 x + 1 = (x - 2)(x - 1/2): g = y - 5/2, g(2) g(-2) = 9/4
+    assert factor_palindrome(Poly([1, Fraction(-5, 2), 1])) == [1, 2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_s43max_is_factored_on_its_trace_polynomial(k, monkeypatch):
+    entry = catalog_get("S43-max")
+    tour = spanning_tree_tour(graph_of(entry.omega), root=1)
+    report = spectral_report(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour)))
+    degrees = []
+    real = sympy.Poly.factor_list
+
+    def spied(self, *args, **kwargs):
+        degrees.append(self.degree())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", spied)
+    degree, minpoly, fz = degree_of_pf_root(report)
+    assert degrees == [12]
+    assert (degree, minpoly) == (24, report.reduced)
+    assert fz.factors == ((report.reduced, 1),)
 
 
 def test_fixture_sextic_irreducible():

@@ -51,6 +51,7 @@ from penner.spectral import (
     sign_at,
     strip_unit_root,
     trace_polynomial,
+    unfold,
 )
 
 from conftest import count_pf_eigenvalue, general_word, random_omega
@@ -395,10 +396,21 @@ def test_trace_polynomial_folds_only_even_palindromes(half):
     assert not is_reciprocal(skewed) and trace_polynomial(skewed) is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exact_scalars, min_size=1, max_size=9).filter(lambda t: t[-1] != 0))
+def test_unfold_inverts_trace_polynomial(coeffs):
+    t = Poly(coeffs)
+    p = unfold(t)
+    assert p.degree == 2 * t.degree and is_reciprocal(p)
+    assert trace_polynomial(p) == t
+    assert unfold(trace_polynomial(p)) == p
+
+
 def test_trace_polynomial_small_cases():
     # x^4 - 7x^3 + 13x^2 - 7x + 1 = x^2 ((y^2 - 2) - 7y + 13) with y = x + 1/x
     assert trace_polynomial(Poly([1, -7, 13, -7, 1])) == Poly([11, -7, 1])
     assert trace_polynomial(Poly([5])) == Poly([5])
+    assert unfold(Poly([11, -7, 1])) == Poly([1, -7, 13, -7, 1])
 
 
 @settings(max_examples=15, deadline=None)
