@@ -215,7 +215,6 @@ def test_degree_json_golden_palindromic(tmp_path, capsys):
                   catalog_degree_argv(tmp_path, "S43-max", 3))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: polyroots does not converge")
 def test_degree_s43max_k64_is_certified(tmp_path, capsys):
     code, out, err = run(capsys, catalog_degree_argv(tmp_path, "S43-max", 64))
     assert (code, err) == (0, "")

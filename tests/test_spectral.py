@@ -20,6 +20,7 @@ from penner import (
     char_poly_exact,
     complexity,
     convergence_diagnostic,
+    degree_of_pf_root,
     height,
     is_reciprocal,
     pf_certify,
@@ -48,6 +49,7 @@ from penner.spectral import (
     determinant_from_char_poly,
     pf_lower_bound,
     poly_str,
+    root_bound_bits,
     sign_at,
     strip_unit_root,
     trace_polynomial,
@@ -241,6 +243,54 @@ def test_s43_enclosure_is_proven_at_k27():
     lam, err = mpf_fraction(rep.pf_value), mpf_fraction(rep.pf_error)
     lo, hi = rep.reduced(lam - err), rep.reduced(lam + err)
     assert isinstance(lo, Fraction) and lo * hi < 0
+
+
+@pytest.mark.parametrize("k", [38, 81, 256])
+def test_s43_lambda_past_the_fixed_extra_precision(k):
+    # log2(lambda) is 263, 314 and 390, past the 4 * (50 + 15) = 260 bits
+    # of extra precision the root finder gets from the digits alone
+    entry = catalog_get("S43-max")
+    tour = spanning_tree_tour(graph_of(entry.omega), root=1)
+    rep = spectral_report(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour)))
+    pf = pf_eigenvalue(rep.reduced)
+    assert brackets_root(rep.reduced, pf.value, pf.error)
+    assert degree_of_pf_root(rep)[0] == 24
+
+
+@pytest.mark.parametrize("roots", [
+    (2**600, 3, 5),
+    (Fraction(2**600, 3), Fraction(1, 2), 7),
+])
+def test_all_roots_finds_roots_past_the_fixed_extra_precision(roots):
+    p = Poly([1])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    found = sorted(all_roots(p), key=abs)
+    for x, r in zip(found, sorted(roots)):
+        assert abs(mp.im(x)) <= r * 2**-150
+        assert abs(mpf_fraction(mp.re(x)) - r) <= r * 2**-150
+    pf = pf_eigenvalue(p)
+    assert brackets_root(p, pf.value, pf.error)
+    assert abs(mpf_fraction(pf.value) - max(roots)) <= mpf_fraction(pf.error)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.one_of(st.just(0), _exact_scalars), max_size=9),
+       st.one_of(_exact_scalars, st.integers(-2**300, 2**300)).filter(bool))
+@example([], 3)
+@example([0, 0, 1], 1)
+@example([-(2**600)], 1)
+@example([Fraction(1, 10**6), 0, 0, 10**12], Fraction(-1, 10**6))
+def test_root_bound_bits_bounds_every_root(lower, lead):
+    # lower holds the coefficients below the leading one, constant first.
+    # Every root of p has modulus <= R = 2^b iff every root of p(R y) lies
+    # in the unit disk, where sympy's nroots converges
+    p = Poly(lower + [lead])
+    radius = Fraction(2) ** root_bound_bits(p)
+    scaled = [Fraction(c) * radius ** i for i, c in enumerate(p.coeffs)]
+    q = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(scaled)],
+                   sympy.Symbol("x"), domain=QQ).sqf_part()
+    assert all(abs(complex(y)) <= 1 + 1e-10 for y in q.nroots(maxsteps=200))
 
 
 @settings(max_examples=100, deadline=None)
