@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Ray convergence and divergence experiments.
 
-Runs two experiments along rays k * Omega:
+Runs three experiments along rays k * Omega:
 
 1. The all-ones 3x3 triangle with the word T1 T2 T3: the deflated
    characteristic polynomials converge to x^2 + x (the characteristic
@@ -9,13 +9,24 @@ Runs two experiments along rays k * Omega:
 2. A 4x4 matrix whose intersection graph is missing the edge 1-2, with the
    closed path (1,2,3,4) not supported: the four eigenvalue magnitudes split
    along powers of k and are fitted to constant * k^exponent.
+3. The catalog entry Mr-5 with its spanning-tree tour from curve 1, at
+   k = 16, 256 and 4096, where the leading eigenvalue reaches 7.9e28: the
+   distances to the limit must fall, or the script exits with status 1.
 """
 
 import argparse
+import sys
 
 import mpmath as mp
 
-from penner import IntersectionMatrix, TwistWord, ray_convergence_experiment
+from penner import (
+    IntersectionMatrix,
+    TwistWord,
+    catalog_get,
+    graph_of,
+    ray_convergence_experiment,
+)
+from penner.graphs import spanning_tree_tour
 
 
 def main():
@@ -50,6 +61,20 @@ def main():
     for i, (e, c) in enumerate(zip(tab.divergence.exponents,
                                    tab.divergence.constants)):
         print(f"  slot {i + 1}: exponent {e:+.3f}, constant {c:.4f}")
+
+    omega5 = catalog_get("Mr-5").omega
+    tour = spanning_tree_tour(graph_of(omega5), root=1)
+    tab = ray_convergence_experiment(omega5, TwistWord(tour, (1,) * len(tour)),
+                                     (16, 256, 4096), digits=args.digits)
+    print()
+    print(f"== convergent run: Mr-5, spanning-tree tour {tour} ==")
+    print(f"limit polynomial: {tab.limit}")
+    for row in tab.rows:
+        print(f"  k = {row.scale:>4}: lambda = {mp.nstr(row.lam, 12):<16} "
+              f"distance to limit = {mp.nstr(row.distance, 6)}")
+    dists = [row.distance for row in tab.rows]
+    if not all(a > b for a, b in zip(dists, dists[1:])):
+        sys.exit("the Mr-5 distances to the limit do not fall as k grows")
 
 
 if __name__ == "__main__":

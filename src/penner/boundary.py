@@ -272,7 +272,6 @@ class RayRow:
     charpoly: Poly
     lam: Optional[mp.mpf]
     distance: Optional[mp.mpf]
-    deflated: Optional[Tuple[mp.mpf, ...]]
     magnitudes: Optional[Tuple[mp.mpf, ...]]
 
 
@@ -312,14 +311,16 @@ def ray_convergence_experiment(
     of a rank-deficient ``omega`` are exact, so their slots fit exponent 0.
 
     Raises :class:`NotGeneral` if the word does not use every curve,
-    :class:`ValidationError` if an unsupported path comes with fewer than
-    two different scales, and :class:`PreconditionViolated` if the root
-    finder does not converge (naming the scale on an unsupported path).  A
-    supported path raises what :func:`~penner.spectral.pf_eigenvalue`
-    raises.
+    :class:`ValidationError` if there is no scale or an unsupported path
+    comes with fewer than two different scales, and
+    :class:`PreconditionViolated` if the root finder does not converge
+    (naming the scale on an unsupported path).  A supported path raises
+    what :func:`~penner.spectral.pf_eigenvalue` raises.
     """
     if not covers_vertices(word.gamma, omega.n):
         raise NotGeneral("the word must use every curve")
+    if not scales:
+        raise ValidationError("need at least one scale")
     g = graph_of(omega)
     supported = word_supported(word, g)
     rows = []
@@ -329,8 +330,8 @@ def ray_convergence_experiment(
             m = twist_product(scale(omega, k), word)
             u = char_poly_exact(m)
             lam = pf_eigenvalue(u, digits).value
-            dist, defl = deflated_distance(u, lam, limit_poly, digits)
-            rows.append(RayRow(k, u, lam, dist, defl, None))
+            dist = deflated_distance(u, lam, limit_poly, digits)
+            rows.append(RayRow(k, u, lam, dist, None))
         return RayTable(True, tuple(rows), limit_poly, None)
     # divergent branch: fit eigenvalue magnitudes against the scale
     if len(set(scales)) < 2:
@@ -347,7 +348,7 @@ def ray_convergence_experiment(
         with mp.workdps(digits + 10):
             mags = tuple(sorted((abs(r) for r in roots), reverse=True))
         mags_per_scale.append(mags)
-        rows.append(RayRow(k, u, None, None, None, mags))
+        rows.append(RayRow(k, u, None, None, mags))
     exponents = []
     constants = []
     nslots = min(len(m) for m in mags_per_scale)

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Tuple
 
-from .core import ExactMatrix, IntersectionMatrix, exact, validate_omega
+from .core import IntersectionMatrix, exact, validate_omega
 from .errors import (
     CurvesIntersect,
     IndexOutOfRange,
@@ -305,16 +304,6 @@ def mr_matrix(r: int) -> IntersectionMatrix:
     return validate_omega([
         [0 if i == j else 1 for j in range(r)] for i in range(r)
     ])
-
-
-def mr_inverse(r: int) -> ExactMatrix:
-    """Exact inverse of :func:`mr_matrix`: ``1/(r-1)`` off the diagonal and
-    ``-(r-2)/(r-1)`` on it."""
-    off = Fraction(1, r - 1)
-    diag = exact(-Fraction(r - 2, r - 1))
-    return tuple(
-        tuple(diag if i == j else off for j in range(r)) for i in range(r)
-    )
 
 
 def _entry(id_, surface, raw, rank, notes=""):

@@ -81,7 +81,7 @@ def parse_ints(raw: str) -> Tuple[int, ...]:
 
 def word_from_args(args) -> TwistWord:
     gamma = parse_ints(args.gamma)
-    powers = parse_ints(args.powers) if args.powers else (1,) * len(gamma)
+    powers = parse_ints(args.powers) if args.powers is not None else (1,) * len(gamma)
     return TwistWord(gamma, powers)
 
 
@@ -167,7 +167,7 @@ def cmd_recipe(args) -> int:
 def cmd_limit(args) -> int:
     omega = load_omega(args.omega)
     word = word_from_args(args)
-    scales = parse_ints(args.scales) if args.scales else (4, 8, 16, 32)
+    scales = parse_ints(args.scales) if args.scales is not None else (4, 8, 16, 32)
     table = ray_convergence_experiment(omega, word, scales, digits=args.digits)
     if table.supported:
         payload = {

@@ -76,23 +76,6 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     )
 
 
-def mat_vec(a: ExactMatrix, v: ExactVector) -> ExactVector:
-    if len(a[0]) != len(v):
-        raise ValueError("incompatible shapes")
-    return tuple(exact(sum(x * y for x, y in zip(row, v))) for row in a)
-
-
-def vec_mat(v: ExactVector, a: ExactMatrix) -> ExactVector:
-    if len(a) != len(v):
-        raise ValueError("incompatible shapes")
-    return tuple(exact(sum(v[i] * a[i][j] for i in range(len(v)))) for j in range(len(a[0])))
-
-
-def mat_geq(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """Entrywise ``a >= b``."""
-    return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 # ---------------------------------------------------------------------------
 # intersection matrices
 # ---------------------------------------------------------------------------
@@ -124,9 +107,6 @@ class IntersectionMatrix:
     def check_index(self, i: int) -> None:
         if not (isinstance(i, int) and 1 <= i <= self.n):
             raise IndexOutOfRange(f"curve index {i} out of range 1..{self.n}")
-
-    def max_entry(self) -> Scalar:
-        return max(x for row in self.entries for x in row) if self.n else 0
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -241,18 +221,10 @@ class TwistWord:
                 out_p.append(p)
         return cls(tuple(out_g), tuple(out_p))
 
-    @property
-    def length(self) -> int:
-        return len(self.gamma)
-
     def check_indices(self, n: int) -> None:
         for i in self.gamma:
             if not 1 <= i <= n:
                 raise IndexOutOfRange(f"curve index {i} out of range 1..{n}")
-
-    def repeated(self, times: int) -> "TwistWord":
-        """The word concatenated with itself ``times`` times."""
-        return TwistWord.normalized(self.gamma * times, self.powers * times)
 
     def __str__(self) -> str:
         return " ".join(

@@ -115,11 +115,6 @@ def factor_monic(p: Poly) -> Factorization:
     return result
 
 
-def is_irreducible(p: Poly) -> bool:
-    fz = factor_monic(p)
-    return len(fz.factors) == 1 and fz.factors[0][1] == 1
-
-
 # ---------------------------------------------------------------------------
 # degree of the leading eigenvalue
 # ---------------------------------------------------------------------------
@@ -166,26 +161,34 @@ class ConvergenceReport:
 def deflate(
     p: Poly, lam: mp.mpf, digits: int = DEFAULT_DIGITS
 ) -> Tuple[mp.mpf, ...]:
-    """Coefficients (constant first) of ``p(x) / (x - lam)`` by synthetic
-    division, dropping the remainder."""
+    """Coefficients (constant first) of ``p(x) / (x - lam)`` for a root
+    ``lam`` of ``p``, dropping the remainder.
+
+    The division runs backward: the reversed polynomial ``x^d p(1/x)`` is
+    divided by ``x - 1/lam`` (synthetic division on the coefficients taken
+    constant first), and its quotient times ``-1/lam`` is the quotient
+    sought, read constant first.  Forward division by ``x - lam`` multiplies
+    each rounding error by ``lam`` at every step, which swamps the result
+    when ``lam`` is the dominant root; backward division multiplies by
+    ``1/lam`` instead.
+    """
     with mp.workdps(digits + 10):
-        quotient, _remainder = synthetic_division(p.mpf_coeffs(), lam)
-        return tuple(reversed(quotient))
+        inv = 1 / lam
+        quotient, _remainder = synthetic_division(p.mpf_coeffs()[::-1], inv)
+        return tuple(-inv * c for c in quotient)
 
 
 def deflated_distance(
     u: Poly, lam: mp.mpf, limit: Poly, digits: int = DEFAULT_DIGITS
-) -> Tuple[mp.mpf, Tuple[mp.mpf, ...]]:
-    """``(distance, deflated)``: the coefficients of ``u(x) / (x - lam)``
-    (see :func:`deflate`) as ``deflated``, and as ``distance`` their
-    sup-distance to the coefficients of ``limit``, the shorter list padded
+) -> mp.mpf:
+    """The sup-distance between the coefficients of ``u(x) / (x - lam)``
+    (see :func:`deflate`) and those of ``limit``, the shorter list padded
     with zeros."""
     defl = deflate(u, lam, digits)
     with mp.workdps(digits + 10):
         target = limit.mpf_coeffs()[::-1]
-        dist = max(abs(a - b)
+        return max(abs(a - b)
                    for a, b in zip_longest(defl, target, fillvalue=mp.mpf(0)))
-    return dist, defl
 
 
 def convergence_diagnostic(

@@ -28,15 +28,6 @@ class OmegaGraph:
             return False
         return (min(i, j), max(i, j)) in self.edges
 
-    def neighbors(self, i: int) -> Tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
-
     def adjacency(self) -> dict:
         adj = {v: [] for v in range(1, self.n + 1)}
         for a, b in self.edges:
@@ -132,38 +123,30 @@ def _reduce_open(seq: list) -> list:
     return out
 
 
-def _rotations(seq: Sequence[int]):
-    for s in range(len(seq)):
-        yield tuple(seq[s:]) + tuple(seq[:s])
-
-
 def reduce_backtracking(gamma: Sequence[int]) -> Tuple[int, ...]:
     """Remove backtracking ``(..., a, b, a, ...) -> (..., a, ...)`` from a
-    closed path, cyclically: rotations are allowed, and the result is a
-    cyclically reduced representative (possibly a single vertex when the
-    path is contractible).
+    closed path, cyclically: the result is a cyclically reduced
+    representative (a single vertex when the path is contractible).
+
+    One stack pass reduces the path as an open path ``r``.  A spur can then
+    remain only across the seam, as ``r[-1], r[0], r[1]`` with
+    ``r[-1] == r[1]`` or as ``r[-2], r[-1], r[0]`` with ``r[-2] == r[0]``;
+    trimming it from the ends makes no spur inside, so the ends are trimmed
+    until neither holds, in linear time overall.
     """
-    seq = list(gamma)
-    if len(seq) <= 1:
-        return tuple(seq)
-    # cyclic reduction: reduce, then rotate while the wrap-around pair
-    # backtracks, i.e. while second-to-last == first (spur across the seam)
-    cur = tuple(seq)
-    while True:
-        red = tuple(_reduce_open(list(cur)))
-        if len(red) <= 1:
-            return red
-        if len(red) == 2:
-            # a length-2 closed path runs over one edge and straight back
-            return (red[0],)
-        # look for a backtracking across the seam in some rotation
-        for rot in _rotations(red):
-            open_red = tuple(_reduce_open(list(rot)))
-            if len(open_red) < len(red):
-                cur = open_red
-                break
+    r = _reduce_open(list(gamma))
+    lo, hi = 0, len(r) - 1
+    while hi - lo >= 2:
+        if r[lo + 1] == r[hi]:
+            lo, hi = lo + 1, hi - 1
+        elif r[hi - 1] == r[lo]:
+            hi -= 2
         else:
-            return red
+            break
+    if hi - lo == 1:
+        # a length-2 closed path runs over one edge and straight back
+        return (r[lo],)
+    return tuple(r[lo:hi + 1])
 
 
 def is_contractible(gamma: Sequence[int]) -> bool:

@@ -194,11 +194,6 @@ def char_poly_exact(m: ExactMatrix) -> Poly:
                  for c in reversed(coeffs)])
 
 
-def determinant_from_char_poly(chi: Poly) -> Scalar:
-    """``det(M) = (-1)^n * chi(0)``."""
-    return exact(chi.coeffs[0] * (-1) ** chi.degree)
-
-
 def rank_exact(omega: IntersectionMatrix) -> int:
     """Rank over the rationals, via sympy's ``DomainMatrix``."""
     return _domain_matrix(omega.entries).rank()
@@ -484,11 +479,6 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
             f"{mp.nstr(pf.error, 5)} does not enclose a root"
         )
     return pf
-
-
-def pf_lower_bound(omega: IntersectionMatrix) -> Scalar:
-    """``lambda >= min_i (1 + sum_j omega[i][j])`` for any PF twist product."""
-    return min(exact(1 + sum(row)) for row in omega.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ so failures are reproducible without hypothesis' database.
 import functools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -49,12 +50,13 @@ def tour_path(omega, rng=None, spurs=0):
     """A contractible closed path visiting every vertex (spanning-tree tour),
     optionally with random backtracking spurs inserted."""
     g = graph_of(omega)
+    adj = g.adjacency()
     root = rng.randint(1, omega.n) if rng is not None else 1
     path = list(spanning_tree_tour(g, root=root))
     for _ in range(spurs):
         pos = rng.randrange(len(path))
         v = path[pos]
-        nbs = g.neighbors(v)
+        nbs = adj[v]
         if not nbs:
             continue
         u = rng.choice(nbs)
@@ -68,11 +70,11 @@ def random_closed_walk(omega, rng, steps):
     route back to the start.  Not contractible in general."""
     from collections import deque
 
-    g = graph_of(omega)
+    adj = graph_of(omega).adjacency()
     start = rng.randint(1, omega.n)
     walk = [start]
     for _ in range(steps):
-        nbs = g.neighbors(walk[-1])
+        nbs = adj[walk[-1]]
         if not nbs:
             return None
         walk.append(rng.choice(nbs))
@@ -81,7 +83,7 @@ def random_closed_walk(omega, rng, steps):
     q = deque([walk[-1]])
     while q and start not in parent:
         v = q.popleft()
-        for u in g.neighbors(v):
+        for u in adj[v]:
             if u not in parent:
                 parent[u] = v
                 q.append(u)
@@ -99,6 +101,23 @@ def random_closed_walk(omega, rng, steps):
     while len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return tuple(out) if len(out) >= 2 else None
+
+
+def sympy_mat_vec(a, v):
+    """The exact product ``a v`` by sympy's ``Matrix``, entries back as
+    ``Fraction``s: an oracle independent of the package's matrix code."""
+    return tuple(Fraction(int(x.p), int(x.q)) for x in sympy.Matrix(a) * sympy.Matrix(v))
+
+
+def sympy_is_irreducible(p):
+    """Whether ``p`` is irreducible over the rationals, by sympy's own test."""
+    return sympy.Poly(p.coeffs[::-1], sympy.Symbol("x")).is_irreducible
+
+
+def mr_inverse(r):
+    """The closed form of ``mr_matrix(r)`` inverted, as expected data:
+    ``1/(r-1)`` off the diagonal and ``-(r-2)/(r-1)`` on it."""
+    return sympy.Matrix(r, r, lambda i, j: sympy.Rational(-(r - 2) if i == j else 1, r - 1))
 
 
 def count_calls(monkeypatch, module, name):

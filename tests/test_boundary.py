@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from penner import (
@@ -55,10 +56,8 @@ def test_q_arrow_requires_edge(omega3):
 
 def test_q_arrow_kills_row(omega3):
     # e_i^T omega Q_{i<-j} == 0
-    from penner.core import vec_mat
-
     q = q_arrow(omega3, 2, 1)
-    assert vec_mat(omega3.row(2), q) == (0, 0, 0)
+    assert sympy.Matrix([omega3.row(2)]) * sympy.Matrix(q) == sympy.zeros(1, 3)
 
 
 def test_p_gamma_example(omega3):
@@ -108,9 +107,8 @@ def test_projection_identity(seed):
     om = random_omega(rng, rng.randint(3, 7))
     from penner import graph_of
 
-    g = graph_of(om)
     i2 = rng.randint(1, om.n)
-    nbs = g.neighbors(i2)
+    nbs = graph_of(om).adjacency()[i2]
     if not nbs:
         return
     i1, i, i3 = (rng.choice(nbs) for _ in range(3))
@@ -137,7 +135,7 @@ def test_homotopy_invariance(seed):
     if gamma is None or len(gamma) < 2:
         return
     pos = rng.randint(1, len(gamma) - 1)  # 1-based; keep the last edge intact
-    choices = [u for u in g.neighbors(gamma[pos - 1]) if u != gamma[pos - 1]]
+    choices = [u for u in g.adjacency()[gamma[pos - 1]] if u != gamma[pos - 1]]
     if not choices:
         return
     vertex = rng.choice(choices)
@@ -213,6 +211,15 @@ def test_ray_experiment_supported(omega3):
     assert tab.supported and tab.limit == Poly([0, 1, 1])
     dists = [row.distance for row in tab.rows]
     assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
+def test_ray_experiment_needs_a_scale(omega3, divergent4):
+    word = TwistWord((1, 2, 3), (1, 1, 1))
+    with pytest.raises(ValidationError, match="at least one scale"):
+        ray_convergence_experiment(omega3, word, (), digits=30)
+    with pytest.raises(ValidationError, match="at least one scale"):
+        ray_convergence_experiment(divergent4, TwistWord((1, 2, 3, 4), (1, 1, 1, 1)),
+                                   (), digits=30)
 
 
 def test_ray_experiment_divergent(divergent4):

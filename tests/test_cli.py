@@ -241,6 +241,34 @@ def test_limit_supported(omega_file, capsys):
     assert payload["supported"] and payload["limit"] == "x^2 + x"
 
 
+@pytest.mark.parametrize("scales", [",", ""])
+def test_limit_without_scales_exits_2(scales, omega_file, capsys):
+    # an empty list is not the default list
+    code, out, err = run(capsys, [
+        "limit", "--omega", omega_file, "--gamma", "1,2,3", f"--scales={scales}"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "at least one scale" in err
+
+
+@pytest.mark.parametrize("command", ["degree", "recipe", "limit"])
+def test_empty_powers_exit_2(command, omega_file, capsys):
+    # an empty list is not the default of all ones
+    code, out, err = run(capsys, [
+        command, "--omega", omega_file, "--gamma", "1,2,3", "--powers="])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "equal length" in err
+
+
+def test_limit_distances_at_large_scales(tmp_path, capsys):
+    # the Mr-5 tour's deflated polynomials are accurate at k = 4096, where
+    # lambda is about 7.9e28
+    argv = catalog_degree_argv(tmp_path, "Mr-5", 1)
+    code, out, err = run(capsys, ["limit", *argv[1:], "--scales", "256,4096"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [row["distance"] for row in rows] == ["0.0921806", "0.00585318"]
+
+
 @pytest.fixture
 def div4_file(tmp_path):
     """The 4x4 collection with a missing edge: the path 1,2,3,4 is not

@@ -13,6 +13,7 @@ from penner import (
     IntersectionMatrix,
     Poly,
     TwistWord,
+    char_poly_exact,
     convergence_diagnostic,
     degree_of_pf_root,
     factor_monic,
@@ -20,16 +21,17 @@ from penner import (
     ray_convergence_experiment,
     scale,
     spectral_report,
+    twist_product,
 )
 import penner.factor
 import penner.spectral
 from penner.catalog import catalog_get
 from penner.errors import NotPerronFrobenius, NotSupported
-from penner.factor import deflate, is_irreducible
+from penner.factor import deflate
 from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import trace_polynomial, unfold
 
-from conftest import count_calls, general_word, random_omega
+from conftest import count_calls, general_word, random_omega, sympy_is_irreducible
 
 
 def test_factor_monic_splits_product():
@@ -135,7 +137,7 @@ def test_factor_monic_split_unfolding_takes_the_fallback(middle, h0):
     # has g(2) g(-2) a square, and G itself goes to sympy
     h = monic([h0] + middle)
     mirror = Poly([c * h0 for c in reversed(h.coeffs)])
-    assume(mirror != h and is_irreducible(h))
+    assume(mirror != h and sympy_is_irreducible(h))
     assert factor_palindrome(h * mirror) == [h.degree, 2 * h.degree]
 
 
@@ -192,14 +194,14 @@ def test_s43max_is_factored_on_its_trace_polynomial(k, monkeypatch):
 
 def test_fixture_sextic_irreducible():
     p = Poly([1, 1, -1, 0, -1, -3, 1])  # x^6 - 3x^5 - x^4 - x^2 + x + 1
-    assert is_irreducible(p)
+    assert sympy_is_irreducible(p)
     lam = pf_eigenvalue(p, digits=50)
     assert abs(lam.value - mp.mpf("3.318022")) < 1e-5
 
 
 def test_fixture_quintic_irreducible():
     p = Poly([-1, -1, 1, -1, -3, 1])  # x^5 - 3x^4 - x^3 + x^2 - x - 1
-    assert is_irreducible(p)
+    assert sympy_is_irreducible(p)
     lam = pf_eigenvalue(p, digits=50)
     assert abs(lam.value - mp.mpf("3.251034")) < 1e-5
 
@@ -260,6 +262,40 @@ def test_deflate_quadratic():
     # (x - 2)(x - 1) deflated at 2 leaves x - 1
     q = deflate(Poly([2, -3, 1]), mp.mpf(2), digits=30)
     assert abs(q[0] + 1) < 1e-20 and abs(q[1] - 1) < 1e-20
+
+
+def forward_deflation(u, lam, digits):
+    """Coefficients (constant first) of ``u(x) / (x - lam)`` by forward
+    synthetic division at ``digits``: accurate for a dominant ``lam`` only
+    with far more digits than ``lam`` has in magnitude."""
+    with mp.workdps(digits):
+        acc, quotient = mp.mpf(0), []
+        for c in reversed(u.coeffs[1:]):
+            acc = acc * lam + c
+            quotient.append(acc)
+        return quotient[::-1]
+
+
+@pytest.mark.parametrize("entry_id", ["Mr-5", "N41-rank8"])
+@pytest.mark.parametrize("k", [256, 4096])
+def test_deflate_dominant_root_matches_forward_division_at_700_digits(entry_id, k):
+    # forward division at the working precision puts the Mr-5 distance at
+    # k = 256 at 1.8e15, where the true value is 0.0921806
+    omega = catalog_get(entry_id).omega
+    tour = spanning_tree_tour(graph_of(omega), root=1)
+    u = char_poly_exact(twist_product(scale(omega, k), TwistWord(tour, (1,) * len(tour))))
+    lam = pf_eigenvalue(u, 50).value
+    with mp.workdps(710):
+        # Newton from the 50-digit root doubles its digits at each step
+        fine = +lam
+        coeffs = [mp.mpf(c) for c in reversed(u.coeffs)]
+        for _ in range(6):
+            value, slope = mp.polyval(coeffs, fine, derivative=True)
+            fine -= value / slope
+    reference = forward_deflation(u, fine, 700)
+    got = deflate(u, lam, 50)
+    assert len(got) == len(reference)
+    assert all(abs(a - b) < 1e-40 for a, b in zip(got, reference))
 
 
 def test_convergence_diagnostic_triangle(omega3):

@@ -18,7 +18,7 @@ from penner import (
 from penner.catalog import catalog_get, catalog_ids
 from penner.graphs import OmegaGraph, bipartition, covers_vertices, spanning_tree_tour
 
-from conftest import random_omega, tour_path
+from conftest import random_closed_walk, random_omega, tour_path
 
 
 def test_graph_edges(omega3):
@@ -74,6 +74,66 @@ def test_reduce_spur():
     assert reduce_backtracking((1, 2, 1)) == (1,)
 
 
+def rotating_reduction(gamma):
+    """The reference reduction: reduce as an open path, then look through
+    every rotation for a spur across the seam and start again after each one
+    found (quadratic time at least)."""
+    def reduce_open(seq):
+        out = []
+        for v in seq:
+            if len(out) >= 2 and out[-2] == v:
+                out.pop()
+            else:
+                out.append(v)
+        return tuple(out)
+
+    cur = tuple(gamma)
+    if len(cur) <= 1:
+        return cur
+    while True:
+        red = reduce_open(cur)
+        if len(red) <= 1:
+            return red
+        if len(red) == 2:
+            return (red[0],)
+        for s in range(len(red)):
+            rotated = reduce_open(red[s:] + red[:s])
+            if len(rotated) < len(red):
+                cur = rotated
+                break
+        else:
+            return red
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_reduce_backtracking_matches_rotating_reduction(seed):
+    # same contractibility on random closed walks and spurred tours; the
+    # reduced path is the reference's up to rotation, and equal to it when
+    # it is a single vertex
+    rng = random.Random(seed)
+    om = random_omega(rng, rng.randint(2, 6))
+    for gamma in (random_closed_walk(om, rng, rng.randint(2, 12)),
+                  tour_path(om, rng, spurs=rng.randint(0, 3))):
+        if gamma is None:
+            continue
+        want = rotating_reduction(gamma)
+        got = reduce_backtracking(gamma)
+        assert is_contractible(gamma) == (len(want) <= 1)
+        assert got in {want[s:] + want[:s] for s in range(len(want))}
+
+
+def test_reduce_backtracking_of_long_paths():
+    n = 3200
+    cycle = tuple(range(1, n + 1))
+    assert reduce_backtracking(cycle) == cycle
+    # the triangle 1, 2, 3 with a tail 1, 4, ..., n, walked from the tail's
+    # tip: every spur of the tail crosses the seam
+    tail = tuple(range(n, 3, -1))
+    assert reduce_backtracking(tail + (1, 2, 3, 1) + tail[:0:-1]) in {
+        (1, 2, 3), (2, 3, 1), (3, 1, 2)}
+
+
 def test_length_two_closed_path_contractible():
     # a closed path (a, b) traverses the edge a-b out and back
     assert is_contractible((1, 2))
@@ -103,7 +163,7 @@ def test_spur_insertion_preserves_reduction(seed):
     gamma = list(tour_path(om, rng))
     g = graph_of(om)
     pos = rng.randrange(len(gamma))
-    nbs = g.neighbors(gamma[pos])
+    nbs = g.adjacency()[gamma[pos]]
     u = rng.choice(nbs)
     spurred = gamma[: pos + 1] + [u, gamma[pos]] + gamma[pos + 1:]
     assert reduce_backtracking(spurred) == reduce_backtracking(gamma)
