@@ -48,7 +48,6 @@ from .spectral import (
     rank_exact,
     spectral_report,
     structure_split,
-    symplectic_check,
 )
 from .factor import (
     Factorization,
@@ -88,7 +87,7 @@ __all__ = [
     "reduce_backtracking", "word_supported",
     "Poly", "SpectralReport", "char_poly_exact", "complexity", "height",
     "is_reciprocal", "pf_certify", "pf_eigenvalue", "rank_exact",
-    "spectral_report", "structure_split", "symplectic_check",
+    "spectral_report", "structure_split",
     "Factorization", "convergence_diagnostic", "degree_of_pf_root",
     "factor_monic",
     "LimitMap", "eigenvector_asymptotics", "f_gamma",

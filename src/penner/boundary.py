@@ -37,7 +37,6 @@ from .core import (
     twist_product,
 )
 from .errors import (
-    DegenerateRow,
     NotAnEdge,
     NotGeneral,
     NotSupported,
@@ -123,15 +122,13 @@ def f_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> LimitMap:
     covering every vertex the characteristic polynomial of the full map
     degenerates to ``x (x - 1)^(n - 2)``.
 
-    Raises :class:`DegenerateRow` when curve ``i_1`` meets no other curve.
+    Raises what :func:`p_gamma` raises: a path whose first curve meets no
+    other curve has no edge to leave it by.
     """
     gamma = tuple(gamma)
     full = p_gamma(omega, gamma)
     n = omega.n
-    i1 = gamma[0]
-    w = omega.row(i1)
-    if all(x == 0 for x in w):
-        raise DegenerateRow(f"row {i1} of omega is zero")
+    w = omega.row(gamma[0])  # nonzero: p_gamma found the step out of it
     m = next(t for t in range(n) if w[t] != 0)  # 0-based pivot
     others = [t for t in range(n) if t != m]
     # column t: the image of b_t under the full map, whose coordinates in the
@@ -310,19 +307,19 @@ def ray_convergence_experiment(
     ``constant * k^exponent`` by log-log least squares.  The eigenvalues 1
     of a rank-deficient ``omega`` are exact, so their slots fit exponent 0.
 
-    Raises :class:`NotGeneral` if the word does not use every curve,
-    :class:`ValidationError` if there is no scale or an unsupported path
+    Raises what :func:`~penner.graphs.word_supported` raises for a word
+    that is not a path, :class:`NotGeneral` if the word does not use every
+    curve, :class:`ValidationError` if there is no scale or an unsupported path
     comes with fewer than two different scales, and
     :class:`PreconditionViolated` if the root finder does not converge
     (naming the scale on an unsupported path).  A supported path raises
     what :func:`~penner.spectral.pf_eigenvalue` raises.
     """
+    supported = word_supported(word, graph_of(omega))
     if not covers_vertices(word.gamma, omega.n):
         raise NotGeneral("the word must use every curve")
     if not scales:
         raise ValidationError("need at least one scale")
-    g = graph_of(omega)
-    supported = word_supported(word, g)
     rows = []
     if supported:
         limit_poly = f_gamma(omega, word.gamma).charpoly

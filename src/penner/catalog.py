@@ -146,9 +146,10 @@ def degree_set(surface: SurfaceSpec) -> DegreeSetResult:
     if surface.orientable:
         half = dim // 2
         evens = _evens(2, dim)
-        if surface.punctures % 2 == 0 or half % 2 == 0:
+        # with punctures odd and dim/2 odd, the top odd degree dim/2 may be
+        # absent; below 3 (S_{1,1}) there is no odd degree to lose
+        if surface.punctures % 2 == 0 or half % 2 == 0 or half < 3:
             return DegreeSetResult((evens | _odds(3, half),), False)
-        # punctures odd and dim/2 odd: the top odd degree may be absent
         big = evens | _odds(3, half)
         small = evens | _odds(3, half - 1)
         return DegreeSetResult((big, small), True)

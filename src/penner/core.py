@@ -11,7 +11,7 @@ Conventions
   zero diagonal.  Entries may be rational.
 * A twist word is stored run-length encoded as ``(gamma, powers)`` where
   ``gamma`` is the sequence of curve indices and ``powers`` the positive
-  exponents; adjacent equal indices are merged on construction.
+  exponents; adjacent indices differ.
 * The product of a word ``gamma = (i_1, ..., i_K)`` with exponents
   ``p = (p_1, ..., p_K)`` is ``Q_{i_K}^{p_K} ... Q_{i_1}^{p_1}`` — the first
   letter of the word is the *rightmost* factor, i.e. the first twist applied.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .errors import (
     IndexOutOfRange,
@@ -171,11 +171,9 @@ class TwistWord:
     """A positive twist word, run-length encoded.
 
     ``gamma`` is the tuple of curve indices (1-based) and ``powers`` the
-    positive exponents.  Adjacent equal indices (including the wrap-around
-    pair when the word is read cyclically by a closed-path interpretation)
-    are *not* merged automatically here; use :meth:`normalized` for the
-    merging constructor.  Invariants: equal lengths, at least one letter,
-    positive exponents, consecutive indices distinct.
+    positive exponents.  Invariants: equal lengths, at least one letter,
+    positive exponents, consecutive indices distinct (a repeated letter is
+    one letter with the summed power).
     """
 
     gamma: Tuple[int, ...]
@@ -195,42 +193,14 @@ class TwistWord:
         for a, b in zip(self.gamma, self.gamma[1:]):
             if a == b:
                 raise InvalidWord(
-                    "consecutive indices must be distinct (use TwistWord.normalized)"
+                    f"consecutive indices must be distinct: merge the two letters {a} "
+                    "into one whose power is their sum"
                 )
-
-    @classmethod
-    def normalized(cls, gamma: Iterable[int], powers: Iterable[int] = None) -> "TwistWord":
-        """Build a word, merging adjacent equal indices by summing exponents.
-
-        ``powers`` defaults to all ones.
-        """
-        gamma = list(gamma)
-        if powers is None:
-            powers = [1] * len(gamma)
-        else:
-            powers = list(powers)
-        if len(gamma) != len(powers):
-            raise InvalidWord("gamma and powers must have equal length")
-        out_g: list = []
-        out_p: list = []
-        for i, p in zip(gamma, powers):
-            if out_g and out_g[-1] == i:
-                out_p[-1] += p
-            else:
-                out_g.append(i)
-                out_p.append(p)
-        return cls(tuple(out_g), tuple(out_p))
 
     def check_indices(self, n: int) -> None:
         for i in self.gamma:
             if not 1 <= i <= n:
                 raise IndexOutOfRange(f"curve index {i} out of range 1..{n}")
-
-    def __str__(self) -> str:
-        return " ".join(
-            f"T{i}" if p == 1 else f"T{i}^{p}"
-            for i, p in zip(reversed(self.gamma), reversed(self.powers))
-        )
 
 
 # ---------------------------------------------------------------------------

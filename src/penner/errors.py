@@ -71,19 +71,11 @@ class DivisionFailed(PreconditionError):
     pass
 
 
-class NotBipartite(PreconditionError):
-    pass
-
-
 class NotAnEdge(PreconditionError):
     pass
 
 
 class NotSupported(PreconditionError):
-    pass
-
-
-class DegenerateRow(PreconditionError):
     pass
 
 

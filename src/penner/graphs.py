@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .core import IntersectionMatrix, TwistWord
-from .errors import IndexOutOfRange
+from .errors import InvalidWord
 
 Edge = Tuple[int, int]  # always stored with first < second
 
@@ -97,14 +97,20 @@ def word_supported(word: TwistWord, g: OmegaGraph) -> bool:
     """Whether the index sequence of ``word`` is a closed path in ``g``.
 
     Every consecutive pair (including the wrap-around pair when the word has
-    at least two letters) must be an edge of ``g``.
+    at least two letters) must be an edge of ``g``.  Raises
+    :class:`IndexOutOfRange` for a curve index outside ``1..n``, and
+    :class:`InvalidWord` for a word of two or more letters that starts and
+    ends on the same curve: read as a closed path it twists that curve
+    twice in a row, so its first and last letters are one letter.
     """
+    word.check_indices(g.n)
     gamma = word.gamma
-    for i in gamma:
-        if not 1 <= i <= g.n:
-            raise IndexOutOfRange(f"vertex {i} out of range 1..{g.n}")
     if len(gamma) == 1:
         return True
+    if gamma[0] == gamma[-1]:
+        raise InvalidWord(
+            f"a closed path cannot start and end on curve {gamma[0]}: merge the "
+            "first and last letters into one whose power is their sum")
     for a, b in zip(gamma, gamma[1:] + gamma[:1]):
         if not g.has_edge(a, b):
             return False

@@ -72,8 +72,9 @@ def run_recipe(
     raises nothing, even where the root finder would fail.
 
     Raises :class:`ValidationError` for a ``k_max`` or ``window`` below 1,
-    :class:`NotSupported` when the word does not trace a closed path in the
-    intersection graph, :class:`NotGeneral` when it misses a curve,
+    what :func:`~penner.graphs.word_supported` raises for a word that is
+    not a path, :class:`NotSupported` when the word does not trace a closed
+    path in the intersection graph, :class:`NotGeneral` when it misses a curve,
     :class:`NotContractible`, :class:`NotPerronFrobenius` when the product
     is not certified Perron-Frobenius (a single curve), or
     :class:`KBudgetExhausted`.  Reading the eigenvalue may raise what

@@ -27,17 +27,15 @@ from .core import (
     Scalar,
     TwistWord,
     exact,
-    mat_mul,
     twist_product,
 )
 from .errors import (
     DimensionMismatch,
     DivisionFailed,
-    NotBipartite,
     NotPerronFrobenius,
     PreconditionViolated,
 )
-from .graphs import bipartition, covers_vertices, graph_of, is_connected
+from .graphs import covers_vertices, graph_of, is_connected
 
 #: Working precision in decimal digits of every ``digits`` argument left unset.
 DEFAULT_DIGITS = 50
@@ -145,7 +143,7 @@ def _to_mpf(c: Scalar) -> mp.mpf:
     return mp.mpf(c)
 
 
-def poly_str(p: Poly, var: str = "x") -> str:
+def poly_str(p: Poly) -> str:
     terms = []
     for k in range(p.degree, -1, -1):
         c = p.coeffs[k]
@@ -155,7 +153,7 @@ def poly_str(p: Poly, var: str = "x") -> str:
         if k == 0:
             body = str(mag)
         else:
-            xpow = var if k == 1 else f"{var}^{k}"
+            xpow = "x" if k == 1 else f"x^{k}"
             body = xpow if mag == 1 else f"{mag}*{xpow}"
         if c < 0:
             sign = "- " if terms else "-"
@@ -340,8 +338,8 @@ def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
     return sign_at(p, v - e) * sign_at(p, v + e) <= 0
 
 
-def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
-    """Newton-refine a simple real root of an exact polynomial.
+def refine_real_root(p: Poly, x0: mp.mpf, digits: int) -> PFEigenvalue:
+    """Newton-refine a simple real root of an exact polynomial from ``x0``.
 
     Returns the root to roughly ``digits`` significant digits together with
     an error estimate: the residual-based ``2 |p(x)/p'(x)|``, but never less
@@ -349,7 +347,7 @@ def refine_real_root(p: Poly, x0, digits: int) -> PFEigenvalue:
     the residual is rounding noise.
     """
     with mp.workdps(digits + 15):
-        x = mp.mpf(str(x0)) if not isinstance(x0, mp.mpf) else mp.mpf(x0)
+        x = mp.mpf(x0)
         f = p.mpf_coeffs()
         df = p.derivative().mpf_coeffs()
         tol = mp.mpf(10) ** (-(digits + 5))
@@ -479,41 +477,6 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
             f"{mp.nstr(pf.error, 5)} does not enclose a root"
         )
     return pf
-
-
-# ---------------------------------------------------------------------------
-# bipartite / symplectic structure
-# ---------------------------------------------------------------------------
-
-def symplectic_check(omega: IntersectionMatrix, m: ExactMatrix) -> bool:
-    """Exact check that ``M`` preserves the skew form attached to a bipartite
-    intersection graph.
-
-    With the curves split into the two sides of the bipartition, the matrix
-    ``Delta = [[0, X], [-X^T, 0]]`` (indices permuted so each side is a
-    contiguous block) satisfies ``M^T Delta M = Delta`` for every twist
-    product.  Equivalently, with ``U = diag(+1 on side a, -1 on side b)``,
-    ``M^T (U omega) M = U omega``; the check is performed in this permuted
-    form conjugated back to the original index order.
-
-    Raises :class:`NotBipartite` if the intersection graph is not bipartite.
-    """
-    parts = bipartition(graph_of(omega))
-    if parts is None:
-        raise NotBipartite("intersection graph is not bipartite")
-    side_a = set(parts[0])
-    n = omega.n
-    if len(m) != n or len(m[0]) != n:
-        raise DimensionMismatch("matrix size does not match omega")
-    delta = tuple(
-        tuple(row) if (i + 1) in side_a else tuple(-x for x in row)
-        for i, row in enumerate(omega.entries)
-    )
-    mt = tuple(zip(*m))
-    lhs = mat_mul(mat_mul(mt, delta), m)
-    return all(
-        lhs[i][j] == delta[i][j] for i in range(n) for j in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------

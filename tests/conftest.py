@@ -13,7 +13,7 @@ import pytest
 import sympy
 
 from penner import IntersectionMatrix, Poly, TwistWord, graph_of
-from penner.graphs import spanning_tree_tour
+from penner.graphs import bipartition, spanning_tree_tour
 
 
 def random_omega(rng, n, max_entry=3, density=0.6, connected=True):
@@ -107,6 +107,18 @@ def sympy_mat_vec(a, v):
     """The exact product ``a v`` by sympy's ``Matrix``, entries back as
     ``Fraction``s: an oracle independent of the package's matrix code."""
     return tuple(Fraction(int(x.p), int(x.q)) for x in sympy.Matrix(a) * sympy.Matrix(v))
+
+
+def sympy_preserves_form(omega, m):
+    """Whether ``M^T (U omega) M == U omega`` by sympy, for a bipartite
+    ``omega`` and ``U = diag(+1 on one side, -1 on the other)``: ``U omega``
+    is the alternating form that every twist product over ``omega``
+    preserves (it is skew because each edge joins the two sides)."""
+    side_a, _side_b = bipartition(graph_of(omega))
+    u = sympy.diag(*(1 if i in side_a else -1 for i in range(1, omega.n + 1)))
+    form = u * sympy.Matrix(omega.entries)
+    m = sympy.Matrix(m)
+    return m.T * form * m == form
 
 
 def sympy_is_irreducible(p):

@@ -34,7 +34,6 @@ from penner import (
     scale,
     spectral_report,
     structure_split,
-    symplectic_check,
     twist_product,
 )
 from penner.catalog import SurfaceSpec, catalog_get, mr_matrix
@@ -50,6 +49,7 @@ from conftest import (
     random_omega,
     sympy_is_irreducible,
     sympy_mat_vec,
+    sympy_preserves_form,
     tour_path,
 )
 
@@ -233,7 +233,7 @@ def test_criterion_08_algebraic_structure_suite():
         word = general_word(om, rng)
         m = twist_product(om, word)
         _, reduced = structure_split(char_poly_exact(m), rank_exact(om))
-        if symplectic_check(om, m) and is_reciprocal(reduced):
+        if sympy_preserves_form(om, m) and is_reciprocal(reduced):
             bip_ok += 1
     ok = general_ok == 100 and bip_ok == 100
     report(8, ok,

@@ -64,6 +64,21 @@ def test_p_gamma_example(omega3):
     assert p_gamma(omega3, (1, 2, 3)) == ((0, 0, -1), (0, 0, 1), (0, 0, -1))
 
 
+def test_p_gamma_rejects_paths_it_cannot_follow(omega3):
+    with pytest.raises(NotSupported, match="at least two vertices"):
+        p_gamma(omega3, (1,))
+    om = IntersectionMatrix(((0, 1, 0), (1, 0, 1), (0, 1, 0)))
+    with pytest.raises(NotSupported, match="step 3 -> 1 is not an edge"):
+        p_gamma(om, (1, 2, 3))
+
+
+def test_f_gamma_out_of_a_curve_that_meets_nothing():
+    # curve 3 meets nothing, so the path has no edge to leave it by
+    om = IntersectionMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    with pytest.raises(NotSupported, match="step 3 -> 1 is not an edge"):
+        f_gamma(om, (3, 1))
+
+
 def test_f_gamma_triangle(omega3):
     lm = f_gamma(omega3, (1, 2, 3))
     assert lm.matrix == ((0, -1), (0, -1))

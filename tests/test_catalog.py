@@ -154,6 +154,8 @@ def test_teich_dim_out_of_range():
 def test_degree_sets():
     assert degree_set(SurfaceSpec(True, 2, 0)).single == frozenset({2, 3, 4, 6})
     assert degree_set(SurfaceSpec(False, 3, 1)).single == frozenset({3, 4, 5})
+    # odd punctures and half-dimension 1, but no odd degree in 3..1 to lose
+    assert degree_set(SurfaceSpec(True, 1, 1)).single == frozenset({2})
     with pytest.raises(NoPseudoAnosov):
         degree_set(SurfaceSpec(False, 3, 0))
 

@@ -87,6 +87,21 @@ def test_recipe_rejected_word_exits_3(entries, gamma, message, tmp_path, capsys)
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("command, gamma", [("limit", "1,2,3,1"), ("recipe", "1,2,3,2,1")])
+def test_path_that_starts_and_ends_on_one_curve_exits_2(command, gamma, omega_file, capsys):
+    # read cyclically, the word twists curve 1 twice in a row
+    code, out, err = run(capsys, [command, "--omega", omega_file, "--gamma", gamma])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "cannot start and end on curve 1" in err
+
+
+@pytest.mark.parametrize("command, gamma", [
+    ("degree", "1,2,9"), ("recipe", "1,2,3,9"), ("limit", "1,2,3,9")])
+def test_curve_index_out_of_range_exits_2(command, gamma, omega_file, capsys):
+    code, out, err = run(capsys, [command, "--omega", omega_file, "--gamma", gamma])
+    assert (code, out, err) == (2, "", "error: curve index 9 out of range 1..3\n")
+
+
 def test_recipe_budget_exhausted(omega_file, capsys):
     # k* = 1 here, so a window of 3 scales does not fit in k <= 2
     code, _, err = run(capsys, [
@@ -259,6 +274,27 @@ def test_empty_powers_exit_2(command, omega_file, capsys):
     assert err.count("\n") == 1 and "equal length" in err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--gamma", ",1,,2,3,4,5,4,3,2,"),
+    ("--gamma", "1 2,3,4,5,4,3,2"),
+    ("--gamma", "1,2,3,4,5,4,3,2.0"),
+    ("--powers", "1,1,1,,1,1,1,1"),
+    ("--scales", "4,,8"),
+])
+def test_malformed_integer_list_exits_2(option, value, tmp_path, capsys):
+    argv = ["limit", *catalog_degree_argv(tmp_path, "Mr-5", 1)[1:], "--scales", "4,8"]
+    code, out, err = run(capsys, [*argv, f"{option}={value}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a comma-separated integer list, got {value!r}\n"
+
+
+def test_integer_list_items_may_carry_spaces(tmp_path, capsys):
+    argv = catalog_degree_argv(tmp_path, "Mr-5", 1)
+    code, out, err = run(capsys, argv)
+    argv[argv.index("--gamma") + 1] = " 1, 2,3 ,4,5,4,3,2 "
+    assert run(capsys, argv) == (code, out, err) and code == 0
+
+
 def test_limit_distances_at_large_scales(tmp_path, capsys):
     # the Mr-5 tour's deflated polynomials are accurate at k = 4096, where
     # lambda is about 7.9e28
@@ -373,6 +409,27 @@ def test_catalog_degrees(capsys):
     assert payload["degree_sets"] == [[2, 3, 4, 6]]
 
 
+def test_catalog_degrees_ambiguous_case_text(capsys):
+    code, out, _ = run(capsys, ["catalog", "degrees", "--genus", "3", "--punctures", "1"])
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "surface: S_{3,1}",
+        "ambiguous case: two candidate degree sets",
+        "degrees: [2, 3, 4, 5, 6, 7, 8, 10, 12, 14]",
+        "degrees: [2, 3, 4, 5, 6, 8, 10, 12, 14]",
+    ]
+
+
+def test_catalog_degrees_s11_has_one_set(capsys):
+    code, out, _ = run(capsys, ["catalog", "degrees", "--genus", "1", "--punctures", "1"])
+    assert code == 0
+    assert "ambiguous" not in out and out.count("degrees: [2]") == 1
+    code, out, _ = run(capsys, [
+        "catalog", "degrees", "--genus", "1", "--punctures", "1", "--json"])
+    payload = json.loads(out)
+    assert (payload["degree_sets"], payload["ambiguous"]) == ([[2]], False)
+
+
 def test_catalog_degrees_no_pa(capsys):
     code, _, err = run(capsys, [
         "catalog", "degrees", "--kind", "N", "--genus", "3",
@@ -448,6 +505,14 @@ def test_digits_below_minimum_exits_2(omega_file, capsys):
         main(["degree", "--omega", omega_file, "--gamma", "1,2,3", "--digits", "0"])
     assert exc.value.code == 2
     assert "at least 5" in capsys.readouterr().err
+
+
+def test_digits_option_sets_the_printed_precision(omega_file, capsys):
+    code, out, _ = run(capsys, [
+        "degree", "--omega", omega_file, "--gamma", "1,2,3", "--digits", "20", "--json"])
+    assert code == 0
+    # 20 significant digits of sympy's 6.222262523120398626674561...
+    assert json.loads(out)["lambda"] == "6.2222625231203986267"
 
 
 def test_python_dash_m_penner():

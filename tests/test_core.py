@@ -79,19 +79,14 @@ def test_index_bounds(omega3):
 # ---------------------------------------------------------------------------
 
 def test_word_rejects_adjacent_repeat():
-    with pytest.raises(InvalidWord):
+    # the message names the letter to merge, not a Python method
+    with pytest.raises(InvalidWord, match="merge the two letters 1 into one whose power"):
         TwistWord((1, 1, 2), (1, 1, 1))
 
 
 def test_word_rejects_nonpositive_power():
     with pytest.raises(InvalidWord):
         TwistWord((1, 2), (1, 0))
-
-
-def test_word_normalized_merges_runs():
-    w = TwistWord.normalized((1, 1, 2, 3, 3, 3))
-    assert w.gamma == (1, 2, 3)
-    assert w.powers == (2, 1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from penner import (
     word_supported,
 )
 from penner.catalog import catalog_get, catalog_ids
+from penner.errors import IndexOutOfRange, InvalidWord
 from penner.graphs import OmegaGraph, bipartition, covers_vertices, spanning_tree_tour
 
 from conftest import random_closed_walk, random_omega, tour_path
@@ -59,6 +60,11 @@ def test_word_supported(omega3):
     # (1,2,3) needs the wraparound edge 3-1, absent here
     assert not word_supported(TwistWord((1, 2, 3), (1, 1, 1)), graph_of(om))
     assert word_supported(TwistWord((1, 2, 3, 2), (1, 1, 1, 1)), graph_of(om))
+    # read cyclically, 1,2,3,1 twists curve 1 twice in a row
+    with pytest.raises(InvalidWord, match="cannot start and end on curve 1"):
+        word_supported(TwistWord((1, 2, 3, 1), (1, 1, 1, 1)), g)
+    with pytest.raises(IndexOutOfRange, match=r"^curve index 9 out of range 1\.\.3$"):
+        word_supported(TwistWord((1, 2, 3, 9), (1, 1, 1, 1)), g)
 
 
 def test_is_general():

@@ -30,7 +30,6 @@ from penner import (
     scale,
     spectral_report,
     structure_split,
-    symplectic_check,
     twist_product,
     validate_omega,
 )
@@ -38,7 +37,6 @@ import penner.spectral
 from penner.catalog import catalog_get
 from penner.errors import (
     DivisionFailed,
-    NotBipartite,
     NotPerronFrobenius,
     PreconditionViolated,
 )
@@ -54,7 +52,13 @@ from penner.spectral import (
     unfold,
 )
 
-from conftest import count_pf_eigenvalue, general_word, random_omega, sympy_mat_vec
+from conftest import (
+    count_pf_eigenvalue,
+    general_word,
+    random_omega,
+    sympy_mat_vec,
+    sympy_preserves_form,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +212,8 @@ def test_structure_split_rejects_wrong_rank(omega3):
     chi = char_poly_exact(m)
     with pytest.raises(DivisionFailed):
         structure_split(chi, 1)
+    with pytest.raises(DivisionFailed, match="rank 4 exceeds polynomial degree 3"):
+        structure_split(chi, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +418,8 @@ def test_symplectic_and_reciprocal(seed):
     om = bipartite_omega(rng, rng.randint(2, 3), rng.randint(2, 3))
     word = general_word(om, rng)
     m = twist_product(om, word)
-    assert symplectic_check(om, m)
+    assert sympy_preserves_form(om, m)
+    assert not sympy_preserves_form(om, tuple(tuple(2 * x for x in row) for row in m))
     exponent, reduced = structure_split(char_poly_exact(m), rank_exact(om))
     assert is_reciprocal(reduced)
 
@@ -526,12 +533,6 @@ def test_every_root_finding_goes_through_all_roots(monkeypatch, omega3, divergen
                                (16, 32), digits=30)
     # one call for the eigenvalue, two for the diagnostic, one per scale
     assert callers == ["penner.spectral.all_roots"] * 5
-
-
-def test_symplectic_rejects_odd_cycle(omega3):
-    m = twist_product(omega3, TwistWord((1, 2, 3), (1, 1, 1)))
-    with pytest.raises(NotBipartite):
-        symplectic_check(omega3, m)
 
 
 # ---------------------------------------------------------------------------
