@@ -48,6 +48,7 @@ from .spectral import (
     rank_exact,
     spectral_report,
     structure_split,
+    twist_charpoly,
 )
 from .factor import (
     Factorization,
@@ -87,7 +88,7 @@ __all__ = [
     "reduce_backtracking", "word_supported",
     "Poly", "SpectralReport", "char_poly_exact", "complexity", "height",
     "is_reciprocal", "pf_certify", "pf_eigenvalue", "rank_exact",
-    "spectral_report", "structure_split",
+    "spectral_report", "structure_split", "twist_charpoly",
     "Factorization", "convergence_diagnostic", "degree_of_pf_root",
     "factor_monic",
     "LimitMap", "eigenvector_asymptotics", "f_gamma",

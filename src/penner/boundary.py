@@ -44,7 +44,15 @@ from .errors import (
     ValidationError,
 )
 from .graphs import covers_vertices, graph_of, word_supported
-from .spectral import DEFAULT_DIGITS, Poly, _to_mpf, all_roots, char_poly_exact, pf_eigenvalue
+from .spectral import (
+    DEFAULT_DIGITS,
+    Poly,
+    _to_mpf,
+    all_roots,
+    char_poly_exact,
+    pf_eigenvalue,
+    twist_charpoly,
+)
 from .factor import deflated_distance
 
 
@@ -324,8 +332,7 @@ def ray_convergence_experiment(
     if supported:
         limit_poly = f_gamma(omega, word.gamma).charpoly
         for k in scales:
-            m = twist_product(scale(omega, k), word)
-            u = char_poly_exact(m)
+            u = twist_charpoly(scale(omega, k), word)
             lam = pf_eigenvalue(u, digits).value
             dist = deflated_distance(u, lam, limit_poly, digits)
             rows.append(RayRow(k, u, lam, dist, None))
@@ -336,8 +343,7 @@ def ray_convergence_experiment(
             "need at least two scales of different size to fit growth exponents")
     mags_per_scale = []
     for k in scales:
-        m = twist_product(scale(omega, k), word)
-        u = char_poly_exact(m)
+        u = twist_charpoly(scale(omega, k), word)
         try:
             roots = all_roots(u, digits)
         except PreconditionViolated as e:

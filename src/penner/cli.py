@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
@@ -40,13 +40,21 @@ from .core import (
     IntersectionMatrix,
     TwistWord,
     generator,
+    scale,
     twist_product,
     validate_omega,
 )
 from .errors import BudgetError, PreconditionError, ValidationError
 from .factor import degree_of_pf_root
 from .recipe import run_recipe
-from .spectral import DEFAULT_DIGITS, poly_str, spectral_report
+from .graphs import graph_of, spanning_tree_tour
+from .spectral import (
+    DEFAULT_DIGITS,
+    char_poly_exact,
+    poly_str,
+    spectral_report,
+    twist_charpoly,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +92,24 @@ def parse_ints(raw: str) -> Tuple[int, ...]:
     except ValueError:
         raise ValidationError(
             f"expected a comma-separated integer list, got {raw!r}") from None
+
+
+#: The options whose value is a comma-separated integer list.
+LIST_OPTIONS = ("--gamma", "--powers", "--scales")
+
+
+def attach_list_values(argv: Sequence[str]) -> List[str]:
+    """``argv`` with each ``--gamma -1,2`` written ``--gamma=-1,2``, and so
+    for every option in ``LIST_OPTIONS``.  argparse reads a separate value
+    such as ``-4,4`` as an unknown option and reports a missing value, so
+    the list would never reach the library's own validation."""
+    out: List[str] = []
+    for item in argv:
+        if out and out[-1] in LIST_OPTIONS and item[:1] == "-" and item[1:2].isdigit():
+            out[-1] += "=" + item
+        else:
+            out.append(item)
+    return out
 
 
 def word_from_args(args) -> TwistWord:
@@ -289,6 +315,14 @@ def cmd_selftest(args) -> int:
     check("characteristic polynomial", lambda: poly_str(
         spectral_report(omega3, word3, digits=20).charpoly
     ) == "x^3 - 7*x^2 + 5*x - 1")
+
+    def charpoly_modulo_a_prime():
+        omega = scale(catalog_get("S43-max").omega, 3)
+        tour = spanning_tree_tour(graph_of(omega), root=1)
+        word = TwistWord(tour, (1,) * len(tour))
+        return twist_charpoly(omega, word) == char_poly_exact(twist_product(omega, word))
+
+    check("characteristic polynomial modulo a prime", charpoly_modulo_a_prime)
     check("catalog ranks", lambda: all(
         catalog_verify(catalog_get(i)) for i in catalog_ids()))
     check("degree pipeline", lambda: degree_of_pf_root(
@@ -365,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            attach_list_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,7 +9,7 @@ from typing import List, Tuple
 
 import mpmath as mp
 
-from .core import IntersectionMatrix, TwistWord, scale, twist_product
+from .core import IntersectionMatrix, TwistWord, scale
 from .errors import (
     KBudgetExhausted,
     NotContractible,
@@ -25,9 +25,9 @@ from .spectral import (
     SINGLE_CURVE,
     Poly,
     SpectralReport,
-    char_poly_exact,
     pf_certify,
     rank_exact,
+    twist_charpoly,
 )
 
 
@@ -71,7 +71,8 @@ def run_recipe(
     reduced polynomial factors.  A scale whose eigenvalue is not needed
     raises nothing, even where the root finder would fail.
 
-    Raises :class:`ValidationError` for a ``k_max`` or ``window`` below 1,
+    Raises :class:`ValidationError` for a ``k_max`` or ``window`` below 1
+    or a ``window`` above ``k_max``,
     what :func:`~penner.graphs.word_supported` raises for a word that is
     not a path, :class:`NotSupported` when the word does not trace a closed
     path in the intersection graph, :class:`NotGeneral` when it misses a curve,
@@ -85,6 +86,9 @@ def run_recipe(
         raise ValidationError(f"k_max must be at least 1, got {k_max}")
     if window < 1:
         raise ValidationError(f"window must be at least 1, got {window}")
+    if window > k_max:
+        raise ValidationError(
+            f"a window of {window} scales does not fit in k <= {k_max}")
     g = graph_of(omega)
     if not word_supported(word, g):
         raise NotSupported("the word must trace a closed path in the graph")
@@ -97,9 +101,8 @@ def run_recipe(
     rank = rank_exact(omega)
     streak: List[Tuple[int, SpectralReport, Poly]] = []  # (k, report, minpoly)
     for k in range(1, k_max + 1):
-        omega_k = scale(omega, k)
-        matrix = twist_product(omega_k, word)
-        report = SpectralReport.from_charpoly(char_poly_exact(matrix), rank, digits)
+        chi = twist_charpoly(scale(omega, k), word)
+        report = SpectralReport.from_charpoly(chi, rank, digits)
         degree, minpoly, _fz = degree_of_pf_root(report)
         if degree == rank:
             streak.append((k, report, minpoly))

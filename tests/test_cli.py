@@ -102,16 +102,6 @@ def test_curve_index_out_of_range_exits_2(command, gamma, omega_file, capsys):
     assert (code, out, err) == (2, "", "error: curve index 9 out of range 1..3\n")
 
 
-def test_recipe_budget_exhausted(omega_file, capsys):
-    # k* = 1 here, so a window of 3 scales does not fit in k <= 2
-    code, _, err = run(capsys, [
-        "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
-        "--k-max", "2",
-    ])
-    assert code == 4
-    assert err.count("\n") == 1 and "within k <= 2" in err
-
-
 @pytest.mark.parametrize("option", ["window", "k_max"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_recipe_budget_below_one_exits_2_before_scanning(
@@ -119,13 +109,27 @@ def test_recipe_budget_below_one_exits_2_before_scanning(
     def refuse(*_args, **_kwargs):
         raise AssertionError("a scale was scanned")
 
-    monkeypatch.setattr(penner.recipe, "twist_product", refuse)
+    monkeypatch.setattr(penner.recipe, "twist_charpoly", refuse)
     code, _, err = run(capsys, [
         "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
         f"--{option.replace('_', '-')}={value}",
     ])
     assert code == 2
     assert err.count("\n") == 1 and f"{option} must be at least 1" in err
+
+
+def test_recipe_window_above_k_max_exits_2_before_scanning(
+        omega_file, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a scale was scanned")
+
+    monkeypatch.setattr(penner.recipe, "twist_charpoly", refuse)
+    code, out, err = run(capsys, [
+        "recipe", "--omega", omega_file, "--gamma", "1,2,1,3",
+        "--window", "300", "--k-max", "2",
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: a window of 300 scales does not fit in k <= 2\n"
 
 
 @pytest.fixture
@@ -157,6 +161,15 @@ def test_recipe_with_rational_omega(half_file, capsys):
     assert payload["minpoly"] == "x^2 - 6*x + 1"
 
 
+def test_recipe_budget_exhausted(half_file, capsys):
+    # k = 3 factors (see above), so k = 4, 5 are too few for a window of 3
+    code, _, err = run(capsys, [
+        "recipe", "--omega", half_file, "--gamma", "1,2", "--k-max", "5",
+    ])
+    assert code == 4
+    assert err.count("\n") == 1 and "within k <= 5" in err
+
+
 @pytest.fixture
 def one_curve_file(tmp_path):
     path = tmp_path / "one.json"
@@ -185,7 +198,7 @@ def test_recipe_with_one_curve_exits_3_before_scanning(
     def refuse(*_args, **_kwargs):
         raise AssertionError("a scale was scanned")
 
-    monkeypatch.setattr(penner.recipe, "twist_product", refuse)
+    monkeypatch.setattr(penner.recipe, "twist_charpoly", refuse)
     code, _, err = run(capsys, ["recipe", "--omega", one_curve_file, "--gamma", "1"])
     assert code == 3
     assert err.count("\n") == 1 and "not Perron-Frobenius" in err
@@ -286,6 +299,21 @@ def test_malformed_integer_list_exits_2(option, value, tmp_path, capsys):
     code, out, err = run(capsys, [*argv, f"{option}={value}"])
     assert (code, out) == (2, "")
     assert err == f"error: expected a comma-separated integer list, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("limit", "--scales", "-4,4", "scale factor must be positive, got -4"),
+    ("degree", "--powers", "-1,2,3", "exponents must be positive integers, got -1"),
+    ("degree", "--gamma", "-1,2,3", "curve indices must be positive integers, got -1"),
+])
+def test_list_value_with_a_leading_minus_reaches_validation(
+        command, option, value, message, omega_file, capsys):
+    # a separate value, as with `=`: argparse would take "-4,4" for an option
+    argv = [command, "--omega", omega_file, "--gamma", "1,2,3"]
+    for joined in (False, True):
+        code, out, err = run(capsys, [*argv, f"{option}={value}"] if joined
+                             else [*argv, option, value])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_integer_list_items_may_carry_spaces(tmp_path, capsys):
@@ -452,6 +480,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0
     assert "FAIL" not in out
+    assert "selftest characteristic polynomial modulo a prime: PASS" in out
 
 
 def test_selftest_has_no_json_flag(capsys):

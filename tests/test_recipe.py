@@ -15,7 +15,7 @@ import penner.recipe
 import penner.spectral
 from penner import IntersectionMatrix, TwistWord, graph_of, pf_eigenvalue, run_recipe
 from penner.catalog import catalog_get
-from penner.errors import NotContractible, NotGeneral, NotSupported
+from penner.errors import NotContractible, NotGeneral, NotSupported, ValidationError
 from penner.graphs import spanning_tree_tour
 
 from conftest import count_calls
@@ -85,12 +85,25 @@ REJECTED_WORDS = [
 ]
 
 
+def test_recipe_rejects_window_above_k_max_before_scanning(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a scale was scanned")
+
+    monkeypatch.setattr(penner.recipe, "twist_charpoly", refuse)
+    omega = IntersectionMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    word = TwistWord((1, 2, 1, 3), (1, 1, 1, 1))
+    with pytest.raises(ValidationError, match="a window of 3 scales does not fit in k <= 2"):
+        run_recipe(omega, word, k_max=2, window=3)
+    monkeypatch.undo()  # a window of k_max scales fits
+    assert run_recipe(omega, word, k_max=3, window=3).k_star == 1
+
+
 @pytest.mark.parametrize("entries, gamma, error, message", REJECTED_WORDS)
 def test_recipe_rejects_word_before_scanning(entries, gamma, error, message, monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("a scale was scanned")
 
-    monkeypatch.setattr(penner.recipe, "twist_product", refuse)
+    monkeypatch.setattr(penner.recipe, "twist_charpoly", refuse)
     with pytest.raises(error, match=message):
         run_recipe(IntersectionMatrix(tuple(map(tuple, entries))),
                    TwistWord(gamma, (1,) * len(gamma)))

@@ -34,7 +34,7 @@ from penner import (
     validate_omega,
 )
 import penner.spectral
-from penner.catalog import catalog_get
+from penner.catalog import catalog_get, catalog_ids
 from penner.errors import (
     DivisionFailed,
     NotPerronFrobenius,
@@ -44,11 +44,13 @@ from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import (
     all_roots,
     brackets_root,
+    charpoly_bound,
     poly_str,
     root_bound_bits,
     sign_at,
     strip_unit_root,
     trace_polynomial,
+    twist_charpoly,
     unfold,
 )
 
@@ -175,6 +177,91 @@ def test_rank_handles_fractions():
     # curves 2 and 3 meet only curve 1, in proportional rational amounts
     om = validate_omega([[0, "1/2", "1/4"], ["1/2", 0, 0], ["1/4", 0, 0]])
     assert rank_exact(om) == 2
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials of twist products modulo one prime
+# ---------------------------------------------------------------------------
+
+def catalog_tour_words(omega):
+    """Tours of ``omega`` from its first, middle and last curve, with unit
+    powers and with the powers 1, 2, 3 repeating."""
+    g = graph_of(omega)
+    for root in sorted({1, omega.n // 2 + 1, omega.n}):
+        tour = spanning_tree_tour(g, root=root)
+        yield TwistWord(tour, (1,) * len(tour))
+        yield TwistWord(tour, tuple(1 + j % 3 for j in range(len(tour))))
+
+
+def sympy_twist_charpoly(omega, word):
+    return char_poly_exact(twist_product(omega, word))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 256, 1000])
+def test_twist_charpoly_matches_sympy_on_the_catalog(k):
+    for cid in catalog_ids():
+        omega = scale(catalog_get(cid).omega, k)
+        for word in catalog_tour_words(omega):
+            assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word), (
+                cid, word)
+
+
+def test_twist_charpoly_matches_sympy_on_a_rational_omega():
+    omega = scale(catalog_get("S43-max").omega, Fraction(1, 3))
+    word = next(catalog_tour_words(omega))
+    chi = twist_charpoly(omega, word)
+    assert chi == sympy_twist_charpoly(omega, word)
+    assert any(isinstance(c, Fraction) for c in chi.coeffs)
+
+
+def random_word(rng, n):
+    """A random word on curves ``1..n``: consecutive letters differ."""
+    gamma = [rng.randint(1, n)]
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        gamma.append(rng.choice([i for i in range(1, n + 1) if i != gamma[-1]]))
+    return TwistWord(tuple(gamma), tuple(rng.randint(1, 3) for _ in gamma))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 5, Fraction(1, 2), Fraction(7, 3)]))
+def test_twist_charpoly_matches_sympy_on_random_words(seed, k):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    omega = scale(random_omega(rng, n, connected=False), k)
+    word = random_word(rng, n)
+    assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_charpoly_bound_holds_on_random_words(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    omega = random_omega(rng, n, max_entry=rng.choice([3, 10**6]), connected=False)
+    word = random_word(rng, n)
+    bound = charpoly_bound(omega, word)
+    assert all(abs(c) <= bound for c in sympy_twist_charpoly(omega, word).coeffs)
+
+
+def test_charpoly_bound_holds_on_the_catalog():
+    for cid in catalog_ids():
+        for k in (1, 64, Fraction(1, 3)):
+            omega = scale(catalog_get(cid).omega, k)
+            for word in catalog_tour_words(omega):
+                bound = charpoly_bound(omega, word)
+                assert all(abs(c) <= bound
+                           for c in sympy_twist_charpoly(omega, word).coeffs), (cid, k)
+
+
+def test_charpoly_bound_on_the_s43_max_tour():
+    # the bit lengths the docstring of charpoly_bound quotes
+    omega = catalog_get("S43-max").omega
+    word = next(catalog_tour_words(omega))
+    scales = (1, 2, 3, 27, 243)
+    assert [charpoly_bound(scale(omega, k), word).bit_length() for k in scales] == [
+        118, 148, 169, 302, 446]
+    assert [max(abs(c).bit_length() for c in sympy_twist_charpoly(scale(omega, k), word).coeffs)
+            for k in scales] == [63, 95, 119, 261, 406]
 
 
 # ---------------------------------------------------------------------------

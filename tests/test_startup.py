@@ -70,7 +70,9 @@ def test_commands_without_exact_algebra_leave_sympy_unloaded(argv, code):
     "penner.char_poly_exact(((Fraction(1, 2), 1), (3, Fraction(-2, 3))))",
     "penner.factor_monic(penner.Poly([-1, 0, 0, 0, 1]))",
     "penner.factor_monic(penner.Poly([1, Fraction(-5, 2), 1]))",
-], ids=["rank", "charpoly-ZZ", "charpoly-QQ", "factor-ZZ", "factor-QQ"])
+    "penner.twist_charpoly(penner.validate_omega([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),"
+    " penner.TwistWord((1, 2, 3), (1, 1, 1)))",
+], ids=["rank", "charpoly-ZZ", "charpoly-QQ", "factor-ZZ", "factor-QQ", "twist-charpoly"])
 def test_first_exact_algebra_call_loads_sympy_and_agrees(call):
     expected = eval(call, {"penner": penner, "Fraction": Fraction})
     assert fresh_python(FIRST_USE, call) == repr(expected) + "\n"
