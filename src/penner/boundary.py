@@ -49,7 +49,7 @@ from .spectral import (
     Poly,
     _to_mpf,
     all_roots,
-    char_poly_exact,
+    hadamard_charpoly,
     pf_eigenvalue,
     twist_charpoly,
 )
@@ -122,18 +122,8 @@ class LimitMap:
     charpoly: Poly
 
 
-def f_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> LimitMap:
-    """The limit map of a closed path, restricted to its invariant hyperplane.
-
-    Structure: 0 is always an eigenvalue with one-dimensional eigenspace
-    contribution from the collapsed direction; for a *contractible* path
-    covering every vertex the characteristic polynomial of the full map
-    degenerates to ``x (x - 1)^(n - 2)``.
-
-    Raises what :func:`p_gamma` raises: a path whose first curve meets no
-    other curve has no edge to leave it by.
-    """
-    gamma = tuple(gamma)
+def _restricted(omega: IntersectionMatrix, gamma: Sequence[int]) -> ExactMatrix:
+    """The matrix of :class:`LimitMap`: ``p_gamma`` restricted to ``W``."""
     full = p_gamma(omega, gamma)
     n = omega.n
     w = omega.row(gamma[0])  # nonzero: p_gamma found the step out of it
@@ -142,10 +132,25 @@ def f_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> LimitMap:
     # column t: the image of b_t under the full map, whose coordinates in the
     # basis are its entries at the positions in `others` (the pivot entry is
     # determined by membership in W)
-    matrix = tuple(
+    return tuple(
         tuple(exact(full[r][t] - Fraction(w[t]) / Fraction(w[m]) * full[r][m]) for t in others)
         for r in others)
-    return LimitMap(matrix=matrix, charpoly=char_poly_exact(matrix))
+
+
+def f_gamma(omega: IntersectionMatrix, gamma: Sequence[int]) -> LimitMap:
+    """The limit map of a closed path, restricted to its invariant hyperplane.
+
+    Structure: 0 is always an eigenvalue with one-dimensional eigenspace
+    contribution from the collapsed direction; for a *contractible* path
+    covering every vertex the characteristic polynomial of the full map
+    degenerates to ``x (x - 1)^(n - 2)``.  The characteristic polynomial
+    comes from :func:`~penner.spectral.hadamard_charpoly`.
+
+    Raises what :func:`p_gamma` raises: a path whose first curve meets no
+    other curve has no edge to leave it by.
+    """
+    matrix = _restricted(omega, gamma)
+    return LimitMap(matrix=matrix, charpoly=hadamard_charpoly(matrix))
 
 
 def insert_spur(gamma: Sequence[int], position: int, vertex: int) -> Tuple[int, ...]:
@@ -164,11 +169,7 @@ def homotopy_invariance_check(omega: IntersectionMatrix, gamma: Sequence[int],
                               position: int, vertex: int) -> bool:
     """Whether inserting a backtracking spur leaves the restricted limit map
     unchanged (it always should, provided the spur edge exists)."""
-    gamma = tuple(gamma)
-    primed = insert_spur(gamma, position, vertex)
-    base = f_gamma(omega, gamma)
-    moved = f_gamma(omega, primed)
-    return base.matrix == moved.matrix
+    return _restricted(omega, gamma) == _restricted(omega, insert_spur(gamma, position, vertex))
 
 
 # ---------------------------------------------------------------------------

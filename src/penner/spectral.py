@@ -1,12 +1,14 @@
 """Exact spectral invariants of twist products.
 
-The characteristic polynomial of a twist product is computed exactly by
-:func:`twist_charpoly`, modulo one prime larger than four times a bound on
-its coefficients read off the word.  Other matrices' characteristic
-polynomials (Berkowitz) and ranks are computed exactly by sympy's
-``DomainMatrix`` over the integers or the rationals.  The leading eigenvalue
-is computed numerically to a requested number of digits via mpmath, always
-starting from the exact polynomial.
+The characteristic polynomials of the pipeline are computed exactly modulo
+one prime larger than four times a bound on their coefficients: that of a
+twist product by :func:`twist_charpoly`, with a bound read off the word, and
+that of a limit map by :func:`hadamard_charpoly`, with Hadamard's bound.
+The primes are found in-house, so neither loads sympy.  The general
+characteristic polynomial (Berkowitz) and ranks are computed exactly by
+sympy's ``DomainMatrix`` over the integers or the rationals.  The leading
+eigenvalue is computed numerically to a requested number of digits via
+mpmath, always starting from the exact polynomial.
 
 Key structure: for a twist product ``M`` over ``omega`` of rank ``r``, the
 characteristic polynomial splits as ``chi(x) = (x - 1)^(n - r) * p(x)`` with
@@ -202,7 +204,7 @@ def rank_exact(omega: IntersectionMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial of a twist product, modulo one prime
+# characteristic polynomials modulo one prime
 # ---------------------------------------------------------------------------
 
 def charpoly_bound(omega: IntersectionMatrix, word: TwistWord) -> int:
@@ -229,12 +231,40 @@ def charpoly_bound(omega: IntersectionMatrix, word: TwistWord) -> int:
     return bound
 
 
+#: Miller-Rabin bases of :func:`_prime_above`: the first 12 primes, a
+#: deterministic test below ``3.1 * 10^23`` (about ``2^78``).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Whether the odd ``n > 37`` passes a Miller-Rabin round to every base in
+    ``_BASES``.  A base that divides a composite ``n`` fails its round."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _prime_above(bits: int) -> int:
-    """The least prime above ``2^bits``."""
-    from sympy import nextprime
-
-    return int(nextprime(1 << bits))
+    """The least probable prime above ``2^bits`` (``bits >= 6``): the first
+    odd number that passes :func:`_is_probable_prime`.  It is sympy's
+    ``nextprime(2^bits)`` for every ``bits`` = 64, 128, ..., 2048 (the tests
+    check up to 1024).  Computed once per size and kept."""
+    n = (1 << bits) + 1
+    while not _is_probable_prime(n):
+        n += 2
+    return n
 
 
 def _charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
@@ -246,6 +276,11 @@ def _charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
     blocks then follow from ``p_(m-1), ..., p_0`` (Cohen, *A Course in
     Computational Algebraic Number Theory*, Algorithm 2.2.9).  ``O(n^3)``
     operations modulo ``prime``.
+
+    Exactness never rests on the primality of ``prime``: the similarity and
+    the recurrence are ring operations, valid modulo any integer, so a
+    composite modulus can only make ``pow(pivot, -1, prime)`` raise
+    ``ValueError`` on a pivot that shares a factor with it.
     """
     n = len(h)
     for m in range(1, n - 1):
@@ -284,29 +319,82 @@ def _charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
     return polys[n]
 
 
+def _charpoly_lifted(m: ExactMatrix, bound: int, multipliers: Sequence[int]) -> Poly:
+    """The characteristic polynomial of the square exact matrix ``m``, from
+    one computation modulo a prime, given for each coefficient ``c_j`` (that
+    of ``x^j``) an integer ``d_j = multipliers[j]`` with ``d_j c_j`` integral
+    and ``|d_j c_j| <= bound``.  Every prime factor of the entries'
+    denominators and of the ``d_j`` must be at most ``bound``.
+
+    The entries reduce modulo the least prime ``P`` above ``2^b``, with
+    ``b`` the least multiple of 64 at which ``2^b > 4 bound``: ``x`` to
+    ``(L x) L^-1``, ``L`` the least common denominator of the entries.
+    :func:`_charpoly_mod` gives each ``c_j`` modulo ``P``, and ``d_j c_j``
+    is the symmetric residue of ``d_j c_j mod P`` in ``(-P/2, P/2)``, which
+    determines it.
+    """
+    bits = (4 * bound).bit_length()
+    prime = _prime_above(-(-bits // 64) * 64)
+    lcd = math.lcm(*(x.denominator for row in m for x in row))
+    inverse = pow(lcd, -1, prime)
+    residues = _charpoly_mod([[int(x * lcd) * inverse % prime for x in row] for row in m],
+                             prime)
+    half = prime // 2
+    coeffs = []
+    for c, d in zip(residues, multipliers):
+        c = c * d % prime
+        coeffs.append(Fraction(c - prime if c > half else c, d))
+    return Poly(coeffs)
+
+
 def twist_charpoly(omega: IntersectionMatrix, word: TwistWord) -> Poly:
     """The characteristic polynomial of ``M = twist_product(omega, word)``,
-    exactly, from one computation modulo a prime.
+    exactly, from one computation modulo a prime (:func:`_charpoly_lifted`).
 
-    With ``D`` the least common denominator of the entries of ``M`` (1 for
-    an integral ``omega``), the characteristic polynomial of ``D M`` has the
-    integer coefficients ``D^(n-j) c_j`` (``c_j`` that of ``x^j`` for ``M``),
-    each at most ``D^n B`` in absolute value, ``B`` the
-    :func:`charpoly_bound` of the word.  They are computed by
-    :func:`_charpoly_mod` modulo the least prime ``P`` above ``2^b``, with
-    ``b`` the least multiple of 64 at which ``2^b > 4 D^n B``, and lifted to
-    the symmetric residues in ``(-P/2, P/2)``, which determine them.  The
-    prime is found once per size ``b`` (by sympy's ``nextprime``) and kept.
+    Its coefficients have denominators dividing ``G = gcd(E, D^n)`` (1 for
+    an integral ``omega``), so ``G c_j`` is an integer of size at most
+    ``G B``, ``B`` the :func:`charpoly_bound` of the word.  Here ``D`` is
+    the least common denominator of the entries of ``M``: ``D M`` is
+    integral, so ``D^(n-j) c_j`` is an integer.  And ``E`` is the product
+    over the letters ``(g_j, p_j)`` of the least common denominator of row
+    ``g_j`` of ``omega``: every minor of a letter ``I + p e_g omega_g^T`` is
+    linear in its row ``g``, so its denominator divides that of the row,
+    and by Cauchy-Binet the denominators of the minors of ``M``, whose sums
+    the ``c_j`` are, divide ``E``.  The entries are minors too, so ``D``
+    divides ``G``, and the prime exceeds its prime factors.
     """
     m = twist_product(omega, word)
-    n = omega.n
     lcd = math.lcm(*(x.denominator for row in m for x in row))
-    bits = (4 * lcd ** n * charpoly_bound(omega, word)).bit_length()
-    prime = _prime_above(-(-bits // 64) * 64)
-    residues = _charpoly_mod([[int(x * lcd) % prime for x in row] for row in m], prime)
-    half = prime // 2
-    return Poly([Fraction(c - prime if c > half else c, lcd ** (n - j))
-                 for j, c in enumerate(residues)])
+    rows = math.prod(math.lcm(*(x.denominator for x in omega.entries[g - 1]))
+                     for g in word.gamma)
+    mult = math.gcd(rows, lcd ** omega.n)
+    return _charpoly_lifted(m, mult * charpoly_bound(omega, word), [mult] * (omega.n + 1))
+
+
+def hadamard_charpoly(m: ExactMatrix) -> Poly:
+    """The characteristic polynomial of the square exact matrix ``m``, from
+    one computation modulo a prime (:func:`_charpoly_lifted`): for small
+    entries, such as those of the limit maps of :func:`penner.boundary.f_gamma`.
+
+    With ``D`` the least common denominator of the entries and ``A = D m``,
+    ``D^(n-j) c_j`` is the coefficient of ``x^j`` in the characteristic
+    polynomial of ``A``, a signed sum of the ``C(n, j)`` principal minors of
+    order ``n - j``.  By Hadamard's inequality each is at most the product
+    of the Euclidean norms of its rows, which are at most those of the rows
+    of ``A``, so
+    ``|D^(n-j) c_j| <= C(n, n // 2) prod_rows max(1, ceil(||A_row||_2))``.
+    The bound is raised to ``D`` when that is more, so that the prime
+    exceeds the prime factors of ``D``.  On large entries sympy's Berkowitz
+    (:func:`char_poly_exact`) is faster.
+    """
+    n = len(m)
+    lcd = math.lcm(*(x.denominator for row in m for x in row))
+    bound = math.comb(n, n // 2)
+    for row in m:
+        square = sum(int(x * lcd) ** 2 for x in row)
+        root = math.isqrt(square)
+        bound *= max(1, root + (root * root < square))
+    return _charpoly_lifted(m, max(bound, lcd), [lcd ** (n - j) for j in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from penner import (
     IntersectionMatrix,
     Poly,
     TwistWord,
+    char_poly_exact,
     complexity,
     eigenvector_asymptotics,
     f_gamma,
@@ -24,8 +25,11 @@ from penner import (
     ray_convergence_experiment,
     scale,
 )
+import penner.spectral
 from penner.boundary import insert_spur
+from penner.catalog import catalog_get, catalog_ids
 from penner.core import mat_mul
+from penner.graphs import graph_of, spanning_tree_tour
 from penner.errors import (
     NotAnEdge,
     NotGeneral,
@@ -34,7 +38,13 @@ from penner.errors import (
     ValidationError,
 )
 
-from conftest import collapsed_charpoly, random_closed_walk, random_omega, tour_path
+from conftest import (
+    collapsed_charpoly,
+    count_calls,
+    random_closed_walk,
+    random_omega,
+    tour_path,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +93,30 @@ def test_f_gamma_triangle(omega3):
     lm = f_gamma(omega3, (1, 2, 3))
     assert lm.matrix == ((0, -1), (0, -1))
     assert lm.charpoly == Poly([0, 1, 1])  # x^2 + x
+
+
+def test_limit_charpoly_matches_sympy_on_every_catalog_tour(monkeypatch):
+    primes = count_calls(monkeypatch, penner.spectral, "_charpoly_mod")
+    for cid in catalog_ids():
+        omega = catalog_get(cid).omega
+        for root in sorted({1, omega.n // 2 + 1, omega.n}):
+            lm = f_gamma(omega, spanning_tree_tour(graph_of(omega), root=root))
+            assert lm.charpoly == char_poly_exact(lm.matrix), (cid, root)
+    # the Hadamard bound of every tour's limit map fits a 64-bit prime
+    assert {prime.bit_length() for _h, prime in primes} == {65}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_limit_charpoly_matches_sympy_on_random_paths(seed):
+    # a tour, whose limit map collapses, and a closed walk, which in general
+    # is not contractible, over entries up to 50
+    rng = random.Random(seed)
+    om = random_omega(rng, rng.randint(2, 8), max_entry=50)
+    for gamma in (tour_path(om, rng), random_closed_walk(om, rng, rng.randint(2, 8))):
+        if gamma is not None:
+            lm = f_gamma(om, gamma)
+            assert lm.charpoly == char_poly_exact(lm.matrix), gamma
 
 
 @settings(max_examples=30, deadline=None)

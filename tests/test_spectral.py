@@ -55,6 +55,7 @@ from penner.spectral import (
 )
 
 from conftest import (
+    count_calls,
     count_pf_eigenvalue,
     general_word,
     random_omega,
@@ -212,6 +213,43 @@ def test_twist_charpoly_matches_sympy_on_a_rational_omega():
     chi = twist_charpoly(omega, word)
     assert chi == sympy_twist_charpoly(omega, word)
     assert any(isinstance(c, Fraction) for c in chi.coeffs)
+
+
+@pytest.mark.parametrize("entries", [
+    scale(catalog_get("S43-max").omega, Fraction(1, 3)).entries,
+    ((0, Fraction(1, 2)), (Fraction(1, 2), 0)),
+], ids=["S43-max/3", "half"])
+def test_rational_twist_charpoly_takes_a_prime_of_at_most_256_bits(entries, monkeypatch):
+    # the denominators of the coefficients divide the product of the letters'
+    # row denominators, which sizes the prime, not D^n
+    omega = validate_omega(entries)
+    word = next(catalog_tour_words(omega))
+    primes = count_calls(monkeypatch, penner.spectral, "_charpoly_mod")
+    assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word)
+    assert [prime.bit_length() <= 256 for _h, prime in primes] == [True]
+
+
+def test_prime_above_is_sympys_nextprime():
+    for bits in range(64, 1025, 64):
+        assert penner.spectral._prime_above(bits) == sympy.nextprime(2 ** bits), bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_charpoly_mod_with_a_composite_modulus_is_right_or_raises(seed):
+    # the kernel's arithmetic holds modulo any integer; only a pivot that
+    # shares a factor with the modulus stops it, with ValueError
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    modulus = rng.choice([4, 6, 15, 35, 1001, 2 ** 64 * 3])
+    m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    expected = [c % modulus for c in char_poly_exact(m).coeffs]
+    try:
+        residues = penner.spectral._charpoly_mod([[x % modulus for x in row] for row in m],
+                                                 modulus)
+    except ValueError:
+        return
+    assert residues == expected
 
 
 def random_word(rng, n):

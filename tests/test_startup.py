@@ -1,4 +1,5 @@
-"""Start-up: sympy is imported on first use, not with the package.
+"""Start-up: sympy is imported on first use, not with the package, and the
+limit path (``limit``, ``f_gamma``, ``twist_charpoly``) never uses it.
 
 pytest itself imports sympy, so every check here runs in a fresh
 interpreter."""
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import penner
+import penner.cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(penner.__file__)))
 
@@ -35,6 +37,17 @@ import penner
 assert "sympy" not in sys.modules
 result = eval(sys.argv[1])
 assert "sympy" in sys.modules
+print(repr(result))
+"""
+
+
+# evaluates one expression with no use of sympy and prints its repr
+NO_SYMPY = """
+import sys
+from fractions import Fraction
+import penner
+result = eval(sys.argv[1])
+assert "sympy" not in sys.modules
 print(repr(result))
 """
 
@@ -70,9 +83,32 @@ def test_commands_without_exact_algebra_leave_sympy_unloaded(argv, code):
     "penner.char_poly_exact(((Fraction(1, 2), 1), (3, Fraction(-2, 3))))",
     "penner.factor_monic(penner.Poly([-1, 0, 0, 0, 1]))",
     "penner.factor_monic(penner.Poly([1, Fraction(-5, 2), 1]))",
-    "penner.twist_charpoly(penner.validate_omega([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),"
-    " penner.TwistWord((1, 2, 3), (1, 1, 1)))",
-], ids=["rank", "charpoly-ZZ", "charpoly-QQ", "factor-ZZ", "factor-QQ", "twist-charpoly"])
+], ids=["rank", "charpoly-ZZ", "charpoly-QQ", "factor-ZZ", "factor-QQ"])
 def test_first_exact_algebra_call_loads_sympy_and_agrees(call):
     expected = eval(call, {"penner": penner, "Fraction": Fraction})
     assert fresh_python(FIRST_USE, call) == repr(expected) + "\n"
+
+
+@pytest.mark.parametrize("call", [
+    "penner.f_gamma(penner.catalog_get('S43-max').omega,"
+    " penner.graphs.spanning_tree_tour(penner.graph_of(penner.catalog_get('S43-max').omega), 1))",
+    "penner.twist_charpoly(penner.validate_omega([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),"
+    " penner.TwistWord((1, 2, 3), (1, 1, 1)))",
+], ids=["f-gamma", "twist-charpoly"])
+def test_limit_path_calls_leave_sympy_unloaded_and_agree(call):
+    expected = eval(call, {"penner": penner, "Fraction": Fraction})
+    assert fresh_python(NO_SYMPY, call) == repr(expected) + "\n"
+
+
+@pytest.mark.parametrize("entries, gamma, scales", [
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "1,2,3", "4,8"),
+    ([[0, 0, 1, 2], [0, 0, 1, 1], [1, 1, 0, 1], [2, 1, 1, 0]], "1,2,3,4", "16,32,64,128"),
+], ids=["supported", "divergent"])
+def test_limit_leaves_sympy_unloaded_and_agrees(entries, gamma, scales, tmp_path, capsys):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"n": len(entries), "entries": entries}))
+    argv = ["limit", "--omega", str(path), "--gamma", gamma, "--scales", scales, "--json"]
+    *printed, verdict = fresh_python(CLI, *argv).splitlines()
+    assert json.loads(verdict) == {"code": 0, "sympy": False}
+    assert penner.cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == printed
