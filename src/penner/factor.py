@@ -2,13 +2,20 @@
 of the leading eigenvalue.
 
 ``factor_monic`` factors a monic polynomial with integer or rational
-coefficients into monic irreducible factors (delegated to sympy's
-Zassenhaus/LLL machinery; a palindromic polynomial of even degree is
+coefficients into monic irreducible factors and certifies the result by
+exact re-multiplication.  A palindromic polynomial of even degree is
 factored on its half-degree trace polynomial, whose factors unfold back by
-an exact irreducibility test) and certifies the result by exact
-re-multiplication.  ``degree_of_pf_root`` then identifies the unique
-irreducible factor vanishing at the leading eigenvalue: the algebraic degree
-of the stretch factor is the degree of that factor.
+an exact irreducibility test.  Each polynomial to factor is first put to
+the degree-pattern certificate (:func:`_proves_irreducible`): if ``f`` is
+monic with coefficients in ``Z_(p)`` and squarefree modulo ``p``, the
+degree of every rational factor of ``f`` is a sum of degrees of distinct
+irreducible factors of ``f`` modulo ``p``, so if these subset sums share no
+value in ``1 .. deg f - 1`` over the primes tried, ``f`` is irreducible.
+Only a polynomial the certificate cannot prove irreducible goes to sympy's
+Zassenhaus/LLL machinery: a reducible one, or one such as ``x^4 + 1`` that
+is reducible modulo every prime.  ``degree_of_pf_root`` then identifies the
+unique irreducible factor vanishing at the leading eigenvalue: the
+algebraic degree of the stretch factor is the degree of that factor.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .spectral import (
     DEFAULT_DIGITS,
     Poly,
     SpectralReport,
+    _ddf_degrees,
     all_roots,
     brackets_root,
     synthetic_division,
@@ -52,14 +60,61 @@ class Factorization:
         return out
 
 
-def _sympy_factors(p: Poly) -> List[Tuple[Poly, int]]:
-    """sympy's irreducible factors of ``p``, made monic: over ZZ if every
-    coefficient is an integer, else over QQ (the rule of
-    :func:`~penner.spectral.char_poly_exact`)."""
-    import sympy  # on first use, like spectral._domain_matrix
+#: The primes of :func:`_proves_irreducible`: the first 40 odd primes, 3 to
+#: 179.  On the spanning-tree tour of every catalog entry from every root,
+#: at k = 1, 2, 3, 27 and 243, the reduced polynomial (or its trace
+#: polynomial) was proven irreducible within the first 4 primes in the
+#: median and the first 19 at most (S43-max, root 1, k = 243).  The S43-max
+#: tour from root 21 at k = 3 needs 15, so a budget of 12 would leave it to
+#: sympy.
+PATTERN_PRIMES = tuple(p for p in range(3, 180, 2)
+                       if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
 
-    integral = all(isinstance(c, int) for c in p.coeffs)
-    spoly = sympy.Poly(list(p.leading_first()), sympy.Symbol("x"),
+
+def _proves_irreducible(q: Poly) -> bool:
+    """Whether the Frobenius degree patterns of the monic ``q`` modulo the
+    :data:`PATTERN_PRIMES` prove it irreducible over the rationals.
+
+    The lemma (Musser, *J. ACM* 1978): let ``q = g h`` with ``g`` and ``h``
+    monic and rational.  For a prime ``p`` that divides no denominator of
+    ``q``, Gauss's lemma over ``Z_(p)`` puts ``g`` and ``h`` in
+    ``Z_(p)[x]``, so ``q = g h`` modulo ``p`` with the degrees kept.  If
+    ``q`` is squarefree modulo ``p``, the irreducible factors of ``g``
+    modulo ``p`` are distinct irreducible factors of ``q`` modulo ``p``,
+    and ``deg g`` is a sum of a subset of their degrees
+    (:func:`~penner.spectral._ddf_degrees`).  A degree in ``1 .. deg q - 1``
+    that no prime admits is the degree of no factor.  Each prime counts
+    against the budget, whether it divides a denominator, leaves ``q`` with
+    a repeated factor or is used; a polynomial with a repeated factor is
+    never squarefree and so runs through the budget and is not proven.
+    """
+    possible = (1 << q.degree) - 2  # bit d: a factor of degree d may exist
+    for prime in PATTERN_PRIMES:
+        if not possible:
+            break
+        if any(c.denominator % prime == 0 for c in q.coeffs):
+            continue
+        degrees = _ddf_degrees([c.numerator * pow(c.denominator, -1, prime) % prime
+                                for c in q.coeffs], prime)
+        if degrees is not None:
+            sums = 1
+            for d in degrees:
+                sums |= sums << d
+            possible &= sums
+    return not possible
+
+
+def _irreducible_factors(q: Poly) -> List[Tuple[Poly, int]]:
+    """The irreducible factors of the monic ``q``, made monic: ``[(q, 1)]``
+    when :func:`_proves_irreducible` proves it, else sympy's, over ZZ if
+    every coefficient is an integer and over QQ otherwise (the rule of
+    :func:`~penner.spectral.char_poly_exact`)."""
+    if _proves_irreducible(q):
+        return [(q, 1)]
+    import sympy  # on first use, like spectral.char_poly_exact
+
+    integral = all(isinstance(c, int) for c in q.coeffs)
+    spoly = sympy.Poly(list(q.leading_first()), sympy.Symbol("x"),
                        domain="ZZ" if integral else "QQ")
     factors = []
     for f, e in spoly.factor_list()[1]:
@@ -76,8 +131,11 @@ def _is_rational_square(q: Scalar) -> bool:
 
 def factor_monic(p: Poly) -> Factorization:
     """Factor a monic polynomial into monic factors irreducible over the
-    rationals, by sympy (see :func:`_sympy_factors`).  The factor list is
-    certified by exact re-multiplication; factors are sorted by (degree,
+    rationals (see :func:`_irreducible_factors`): a polynomial that the
+    Frobenius degree patterns prove irreducible (:func:`_proves_irreducible`)
+    is its own factor, and only one they cannot prove irreducible, such as
+    a reducible one or ``x^4 + 1``, is factored by sympy.  The factor list
+    is certified by exact re-multiplication; factors are sorted by (degree,
     coefficients) for determinism.
 
     A palindromic ``p = x^m T(x + 1/x)`` of even degree ``2m`` is factored
@@ -99,13 +157,13 @@ def factor_monic(p: Poly) -> Factorization:
         raise ValueError("factor_monic requires degree >= 1")
     trace = trace_polynomial(p)
     if trace is None:
-        factors = _sympy_factors(p)
+        factors = _irreducible_factors(p)
     else:
         factors = []
-        for g, e in _sympy_factors(trace):
+        for g, e in _irreducible_factors(trace):
             unfolded = unfold(g)
             if _is_rational_square(g(2) * g(-2)):
-                factors += [(h, e * eh) for h, eh in _sympy_factors(unfolded)]
+                factors += [(h, e * eh) for h, eh in _irreducible_factors(unfolded)]
             else:
                 factors.append((unfolded, e))
     factors.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))

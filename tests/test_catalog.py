@@ -90,6 +90,9 @@ def test_crosscap_augment_rank_deltas():
     # curves 1 and 2 in M_4 intersect, so pick a disjoint pair from a matrix
     om = IntersectionMatrix(((0, 0, 1), (0, 0, 2), (1, 2, 0)))
     r0 = rank_exact(om)
+    for moves in ("E", "ED1", "ED1D2"):
+        aug = crosscap_augment(om, 1, 2, moves)
+        assert rank_exact(aug) == sympy.Matrix(aug.entries).rank()
     assert rank_exact(crosscap_augment(om, 1, 2, "E")) == r0
     assert rank_exact(crosscap_augment(om, 1, 2, "ED1")) == r0 + 2
     assert rank_exact(crosscap_augment(om, 1, 2, "ED1D2")) == r0 + 3
@@ -111,6 +114,9 @@ def test_crosscap_augment_rank_deltas():
 
 def test_puncture_augment_rank_deltas(omega3):
     r0 = rank_exact(omega3)
+    for moves in ("D", "DE"):
+        aug = puncture_augment(omega3, 1, moves)
+        assert rank_exact(aug) == sympy.Matrix(aug.entries).rank()
     assert rank_exact(puncture_augment(omega3, 1, "D")) == r0
     assert rank_exact(puncture_augment(omega3, 1, "DE")) == r0 + 2
 

@@ -91,10 +91,11 @@ def sympy_factors(p):
 
 def factor_palindrome(p):
     """``factor_monic(p)`` checked against :func:`sympy_factors`; returns
-    the degrees of the inputs the package handed to sympy."""
+    the degrees of the inputs the package factored, each by the degree
+    patterns or, failing them, by sympy."""
     assert trace_polynomial(p) is not None
     with pytest.MonkeyPatch.context() as patch:
-        calls = count_calls(patch, penner.factor, "_sympy_factors")
+        calls = count_calls(patch, penner.factor, "_irreducible_factors")
         fz = factor_monic(p)
     assert fz.factors == sympy_factors(p)
     return [q.degree for (q,) in calls]
@@ -173,11 +174,9 @@ def test_factor_monic_rational_palindrome_takes_the_fallback():
     assert factor_palindrome(Poly([1, Fraction(-5, 2), 1])) == [1, 2]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_s43max_is_factored_on_its_trace_polynomial(k, monkeypatch):
-    entry = catalog_get("S43-max")
-    tour = spanning_tree_tour(graph_of(entry.omega), root=1)
-    report = spectral_report(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour)))
+def spy_sympy_factor_list(monkeypatch):
+    """Record the degree of every polynomial ``sympy.Poly.factor_list`` is
+    called on; returns the list."""
     degrees = []
     real = sympy.Poly.factor_list
 
@@ -186,10 +185,74 @@ def test_s43max_is_factored_on_its_trace_polynomial(k, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(sympy.Poly, "factor_list", spied)
+    return degrees
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_s43max_is_factored_on_its_trace_polynomial(k, monkeypatch):
+    entry = catalog_get("S43-max")
+    tour = spanning_tree_tour(graph_of(entry.omega), root=1)
+    report = spectral_report(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour)))
+    factored = count_calls(monkeypatch, penner.factor, "_irreducible_factors")
+    sympy_calls = spy_sympy_factor_list(monkeypatch)
     degree, minpoly, fz = degree_of_pf_root(report)
-    assert degrees == [12]
+    # the trace polynomial alone is factored, and the degree patterns prove
+    # it irreducible without sympy
+    assert [q.degree for (q,) in factored] == [12]
+    assert sympy_calls == []
     assert (degree, minpoly) == (24, report.reduced)
     assert fz.factors == ((report.reduced, 1),)
+
+
+# ---------------------------------------------------------------------------
+# the degree-pattern certificate, against sympy
+# ---------------------------------------------------------------------------
+
+_proves_irreducible = penner.factor._proves_irreducible
+
+
+def monic_integer_polys(max_degree):
+    return st.lists(st.integers(-20, 20), min_size=1, max_size=max_degree).map(monic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_integer_polys(6), monic_integer_polys(6))
+def test_certificate_never_proves_a_product_irreducible(g, h):
+    assert not _proves_irreducible(g * h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_integer_polys(10))
+def test_certificate_agrees_with_sympy_when_it_proves(p):
+    if _proves_irreducible(p):
+        assert sympy_is_irreducible(p)
+        assert factor_monic(p).factors == ((p, 1),)
+    assert factor_monic(p).factors == sympy_factors(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_small_fractions, min_size=1, max_size=6)
+       .filter(lambda cs: any(c.denominator > 1 for c in cs)))
+def test_certificate_over_the_rationals_agrees_with_sympy(coeffs):
+    p = monic(coeffs)
+    if _proves_irreducible(p):
+        assert sympy_factors(p) == ((p, 1),)
+    assert factor_monic(p).factors == sympy_factors(p)
+
+
+@pytest.mark.parametrize("p, factors", [
+    # reducible modulo every prime
+    (Poly([1, 0, 0, 0, 1]), ((Poly([1, 0, 0, 0, 1]), 1),)),
+    # never squarefree: every prime counts against the budget
+    (Poly([-2, 1]) * Poly([-2, 1]) * Poly([1, 1]), ((Poly([-2, 1]), 2), (Poly([1, 1]), 1))),
+    (Poly([1, Fraction(-5, 2), 1]), ((Poly([-2, 1]), 1), (Poly([Fraction(-1, 2), 1]), 1))),
+], ids=["x^4+1", "repeated-root", "rational"])
+def test_uncertified_polynomials_go_to_sympy(p, factors, monkeypatch):
+    assert not _proves_irreducible(p)
+    calls = spy_sympy_factor_list(monkeypatch)
+    assert factor_monic(p).factors == factors
+    assert calls == [p.degree]
+    assert factors == sympy_factors(p)
 
 
 def test_fixture_sextic_irreducible():

@@ -166,18 +166,60 @@ def test_char_poly_matches_sympy(seed, s43_scale):
     assert_char_poly_matches_determinants(rational)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_rank_matches_sympy(seed):
+def random_rank_matrix(rng, n, rank, entry):
+    """An ``n x n`` matrix ``A B``, ``A`` of size ``n x rank`` and ``B`` of
+    size ``rank x n`` with entries drawn by ``entry(rng)``: of rank at most
+    ``rank``, with zero pivots along the way."""
+    a = [[entry(rng) for _ in range(rank)] for _ in range(n)]
+    b = [[entry(rng) for _ in range(n)] for _ in range(rank)]
+    return IntersectionMatrix(tuple(tuple(sum(a[i][t] * b[t][j] for t in range(rank))
+                                          for j in range(n)) for i in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["omega", "integer", "rational"]))
+def test_rank_matches_sympy(seed, kind):
+    # an omega, or a general square matrix of random rank, integral or not
     rng = random.Random(seed)
-    om = random_omega(rng, rng.randint(1, 6), connected=False)
+    n = rng.randint(1, 7)
+    if kind == "omega":
+        om = random_omega(rng, rng.randint(1, 6), connected=False)
+    elif kind == "integer":
+        om = random_rank_matrix(rng, n, rng.randint(0, n), lambda r: r.randint(-5, 5))
+    else:
+        om = random_rank_matrix(rng, n, rng.randint(0, n),
+                                lambda r: Fraction(r.randint(-5, 5), r.randint(1, 6)))
     assert rank_exact(om) == sympy.Matrix(om.entries).rank()
+
+
+def test_rank_of_every_catalog_entry_matches_sympy():
+    for entry_id in catalog_ids():
+        om = catalog_get(entry_id).omega
+        assert rank_exact(om) == sympy.Matrix(om.entries).rank(), entry_id
 
 
 def test_rank_handles_fractions():
     # curves 2 and 3 meet only curve 1, in proportional rational amounts
     om = validate_omega([[0, "1/2", "1/4"], ["1/2", 0, 0], ["1/4", 0, 0]])
     assert rank_exact(om) == 2
+
+
+# ---------------------------------------------------------------------------
+# distinct-degree factorization modulo a small prime
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 101, 179]),
+       st.lists(st.integers(0, 178), min_size=1, max_size=14))
+def test_ddf_degrees_match_sympy_modulo_the_prime(prime, low):
+    f = [c % prime for c in low] + [1]
+    spoly = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=prime)
+    factors = spoly.factor_list()[1]
+    if any(e > 1 for _g, e in factors):
+        assert penner.spectral._ddf_degrees(f, prime) is None
+    else:
+        expected = sorted(g.degree() for g, _e in factors)
+        assert penner.spectral._ddf_degrees(f, prime) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Start-up: sympy is imported on first use, not with the package, and the
-limit path (``limit``, ``f_gamma``, ``twist_charpoly``) never uses it.
+"""Start-up: sympy is imported on first use, not with the package.  The
+limit path (``limit``, ``f_gamma``, ``twist_charpoly``) never uses it, and
+the degree path (``degree``, ``recipe``, ``rank_exact``, ``factor_monic``)
+uses it only for a polynomial the degree patterns cannot prove irreducible.
 
 pytest itself imports sympy, so every check here runs in a fresh
 interpreter."""
@@ -78,12 +80,11 @@ def test_commands_without_exact_algebra_leave_sympy_unloaded(argv, code):
 
 
 @pytest.mark.parametrize("call", [
-    "penner.rank_exact(penner.catalog_get('S43-max').omega)",
     "penner.char_poly_exact(((2, 1, 0), (1, 3, 1), (0, 1, 4)))",
     "penner.char_poly_exact(((Fraction(1, 2), 1), (3, Fraction(-2, 3))))",
     "penner.factor_monic(penner.Poly([-1, 0, 0, 0, 1]))",
     "penner.factor_monic(penner.Poly([1, Fraction(-5, 2), 1]))",
-], ids=["rank", "charpoly-ZZ", "charpoly-QQ", "factor-ZZ", "factor-QQ"])
+], ids=["charpoly-ZZ", "charpoly-QQ", "factor-ZZ", "factor-QQ"])
 def test_first_exact_algebra_call_loads_sympy_and_agrees(call):
     expected = eval(call, {"penner": penner, "Fraction": Fraction})
     assert fresh_python(FIRST_USE, call) == repr(expected) + "\n"
@@ -98,6 +99,39 @@ def test_first_exact_algebra_call_loads_sympy_and_agrees(call):
 def test_limit_path_calls_leave_sympy_unloaded_and_agree(call):
     expected = eval(call, {"penner": penner, "Fraction": Fraction})
     assert fresh_python(NO_SYMPY, call) == repr(expected) + "\n"
+
+
+# the reduced polynomials of the S43-max tours from all 24 roots at scale k,
+# factored without reading an eigenvalue
+S43_MAX_REDUCED_FACTORS = (
+    "[penner.factor_monic(penner.structure_split(penner.twist_charpoly("
+    "penner.scale(penner.catalog_get('S43-max').omega, {k}), penner.TwistWord(t, (1,) * len(t))),"
+    " 24)[1]) for t in [penner.graphs.spanning_tree_tour("
+    "penner.graph_of(penner.catalog_get('S43-max').omega), r) for r in range(1, 25)]]")
+
+
+@pytest.mark.parametrize("call", [
+    "penner.rank_exact(penner.catalog_get('S43-max').omega)",
+    "penner.rank_exact(penner.validate_omega([[0, '1/2', '1/4'], ['1/2', 0, 0], ['1/4', 0, 0]]))",
+    *(S43_MAX_REDUCED_FACTORS.format(k=k) for k in (1, 2, 3)),
+], ids=["rank", "rank-QQ", "factor-S43-max-k1", "factor-S43-max-k2", "factor-S43-max-k3"])
+def test_degree_path_calls_leave_sympy_unloaded_and_agree(call):
+    expected = eval(call, {"penner": penner, "Fraction": Fraction})
+    assert fresh_python(NO_SYMPY, call) == repr(expected) + "\n"
+
+
+@pytest.mark.parametrize("command", ["degree", "recipe"])
+def test_degree_and_recipe_on_s43max_leave_sympy_unloaded_and_agree(command, tmp_path, capsys):
+    entry = penner.catalog_get("S43-max")
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"n": entry.omega.n,
+                                "entries": [list(row) for row in entry.omega.entries]}))
+    tour = penner.graphs.spanning_tree_tour(penner.graph_of(entry.omega), 1)
+    argv = [command, "--omega", str(path), "--gamma", ",".join(map(str, tour)), "--json"]
+    *printed, verdict = fresh_python(CLI, *argv).splitlines()
+    assert json.loads(verdict) == {"code": 0, "sympy": False}
+    assert penner.cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == printed
 
 
 @pytest.mark.parametrize("entries, gamma, scales", [
