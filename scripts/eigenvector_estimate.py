@@ -9,25 +9,28 @@ to the explicit upper bound 2^K p_max^(K-2) ||Omega'||^(K-1) /
 """
 
 import argparse
+import sys
 
 import mpmath as mp
 
 from penner import IntersectionMatrix, TwistWord, eigenvector_asymptotics
+from penner.cli import attach_list_values, digits_arg, parse_ints, run_command
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scales", default="1,2,4,8,16,32,64")
-    ap.add_argument("--digits", type=int, default=30)
-    args = ap.parse_args()
+    ap.add_argument("--digits", type=digits_arg, default=30)
+    args = ap.parse_args(attach_list_values(sys.argv[1:]))
 
     omega = IntersectionMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
     word = TwistWord((1, 2, 3), (1, 1, 1))
     print(f"{'k':>5}  {'measured lhs':>14}  {'bound rhs':>12}")
-    for k in (int(s) for s in args.scales.split(",")):
+    for k in parse_ints(args.scales):
         res = eigenvector_asymptotics(omega, word, k=k, digits=args.digits)
         print(f"{k:>5}  {mp.nstr(res.lhs, 6):>14}  {mp.nstr(res.rhs, 6):>12}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_command(main))

@@ -9,19 +9,21 @@ degree 24 = rank(Omega), stable over a window of consecutive scales.
 """
 
 import argparse
+import sys
 import time
 
 import mpmath as mp
 
 from penner import TwistWord, graph_of, run_recipe
 from penner.catalog import catalog_get
+from penner.cli import digits_arg, run_command
 from penner.graphs import spanning_tree_tour
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--id", default="S43-max", help="catalog entry id")
-    ap.add_argument("--digits", type=int, default=50)
+    ap.add_argument("--digits", type=digits_arg, default=50)
     ap.add_argument("--k-max", type=int, default=256, dest="k_max")
     ap.add_argument("--window", type=int, default=3)
     args = ap.parse_args()
@@ -41,7 +43,8 @@ def main():
     print(f"degree = rank = {result.degree}")
     print(f"lambda = {mp.nstr(result.lam, 30)}")
     print(f"minimal polynomial: {result.minpoly}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_command(main))

@@ -26,16 +26,17 @@ from penner import (
     graph_of,
     ray_convergence_experiment,
 )
+from penner.cli import attach_list_values, digits_arg, parse_ints, run_command
 from penner.graphs import spanning_tree_tour
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scales", default="4,8,16,32,64",
                     help="comma-separated scales for the convergent run")
-    ap.add_argument("--digits", type=int, default=50)
-    args = ap.parse_args()
-    scales = tuple(int(s) for s in args.scales.split(","))
+    ap.add_argument("--digits", type=digits_arg, default=50)
+    args = ap.parse_args(attach_list_values(sys.argv[1:]))
+    scales = parse_ints(args.scales)
 
     omega3 = IntersectionMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
     word3 = TwistWord((1, 2, 3), (1, 1, 1))
@@ -75,7 +76,8 @@ def main():
     dists = [row.distance for row in tab.rows]
     if not all(a > b for a, b in zip(dists, dists[1:])):
         sys.exit("the Mr-5 distances to the limit do not fall as k grows")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_command(main))

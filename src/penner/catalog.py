@@ -120,12 +120,6 @@ class DegreeSetResult:
     sets: Tuple[FrozenSet[int], ...]
     ambiguous: bool
 
-    @property
-    def single(self) -> FrozenSet[int]:
-        if self.ambiguous:
-            raise ValueError("ambiguous result carries two candidate sets")
-        return self.sets[0]
-
 
 def _evens(lo: int, hi: int) -> FrozenSet[int]:
     return frozenset(d for d in range(lo, hi + 1) if d % 2 == 0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
@@ -51,6 +51,7 @@ from .graphs import graph_of, spanning_tree_tour
 from .spectral import (
     DEFAULT_DIGITS,
     char_poly_exact,
+    complexity,
     poly_str,
     spectral_report,
     twist_charpoly,
@@ -118,18 +119,21 @@ def word_from_args(args) -> TwistWord:
     return TwistWord(gamma, powers)
 
 
-MIN_DIGITS = 5
+#: The range of ``--digits``; far above it mpmath runs out of memory or overflows.
+MIN_DIGITS, MAX_DIGITS = 5, 10_000
 
 
 def digits_arg(raw: str) -> int:
-    """``--digits`` value: an integer of at least ``MIN_DIGITS``; anything
-    else is a usage error (exit 2)."""
+    """``--digits`` value: an integer from ``MIN_DIGITS`` to ``MAX_DIGITS``;
+    anything else is a usage error (exit 2)."""
     try:
         digits = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"value must be an integer, got {raw!r}") from None
     if digits < MIN_DIGITS:
         raise argparse.ArgumentTypeError(f"value must be at least {MIN_DIGITS}, got {digits}")
+    if digits > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"value must be at most {MAX_DIGITS}, got {digits}")
     return digits
 
 
@@ -152,7 +156,7 @@ def cmd_degree(args) -> int:
         "rank": report.rank,
         "unit_exponent": report.unit_exponent,
         "reduced": poly_str(report.reduced),
-        "complexity": report.complexity,
+        "complexity": complexity(report.reduced),
         "lambda": _nstr(report.pf_value, digits),
         "minpoly": poly_str(minpoly),
         "degree": degree,
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--powers", default=None,
                        help="comma-separated positive exponents (default: all 1)")
         p.add_argument("--digits", type=digits_arg, default=DEFAULT_DIGITS,
-                       help="working precision in decimal digits")
+                       help=f"working precision, {MIN_DIGITS} to {MAX_DIGITS} decimal digits")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if scales:
             p.add_argument("--scales", default=None,
@@ -397,23 +401,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def run_command(command: Callable[[], int]) -> int:
+    """``command()``, or, when it raises a package error, that error on one
+    stderr line and its exit code: 2 invalid input or an unreadable file, 3
+    violated mathematical precondition, 4 exhausted search budget."""
     try:
-        args = build_parser().parse_args(
-            attach_list_values(sys.argv[1:] if argv is None else argv))
-        return args.func(args)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (PreconditionError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return command()
+    except (ValidationError, OSError) as e:
+        error, code = e, 2
+    except PreconditionError as e:
+        error, code = e, 3
     except BudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        error, code = e, 4
+    print(f"error: {error}", file=sys.stderr)
+    return code
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(
+        attach_list_values(sys.argv[1:] if argv is None else argv))
+    return run_command(lambda: args.func(args))
 
 
 if __name__ == "__main__":

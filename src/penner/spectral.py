@@ -110,9 +110,6 @@ class Poly:
     def __call__(self, x):
         return synthetic_division(reversed(self.coeffs), x)[1]
 
-    def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
     # -- arithmetic (exact) -------------------------------------------------
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -270,14 +267,19 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+#: The product of the primes below 1000, which sieves :func:`_prime_above`.
+_SMALL_PRIMES = math.prod(p for p in range(2, 1000)
+                          if all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
 @lru_cache(maxsize=None)
 def _prime_above(bits: int) -> int:
-    """The least probable prime above ``2^bits`` (``bits >= 6``): the first
-    odd number that passes :func:`_is_probable_prime`.  It is sympy's
-    ``nextprime(2^bits)`` for every ``bits`` = 64, 128, ..., 2048 (the tests
-    check up to 1024).  Computed once per size and kept."""
+    """The least probable prime above ``2^bits`` (``bits >= 10``): the first
+    odd number prime to ``_SMALL_PRIMES`` that passes :func:`_is_probable_prime`.
+    It is sympy's ``nextprime(2^bits)`` for every ``bits`` = 64, 128, ..., 2048
+    (the tests check up to 1024).  Computed once per size and kept."""
     n = (1 << bits) + 1
-    while not _is_probable_prime(n):
+    while math.gcd(n, _SMALL_PRIMES) > 1 or not _is_probable_prime(n):
         n += 2
     return n
 
@@ -366,24 +368,20 @@ def twist_charpoly(omega: IntersectionMatrix, word: TwistWord) -> Poly:
     """The characteristic polynomial of ``M = twist_product(omega, word)``,
     exactly, from one computation modulo a prime (:func:`_charpoly_lifted`).
 
-    Its coefficients have denominators dividing ``G = gcd(E, D^n)`` (1 for
-    an integral ``omega``), so ``G c_j`` is an integer of size at most
-    ``G B``, ``B`` the :func:`charpoly_bound` of the word.  Here ``D`` is
-    the least common denominator of the entries of ``M``: ``D M`` is
-    integral, so ``D^(n-j) c_j`` is an integer.  And ``E`` is the product
-    over the letters ``(g_j, p_j)`` of the least common denominator of row
-    ``g_j`` of ``omega``: every minor of a letter ``I + p e_g omega_g^T`` is
-    linear in its row ``g``, so its denominator divides that of the row,
-    and by Cauchy-Binet the denominators of the minors of ``M``, whose sums
-    the ``c_j`` are, divide ``E``.  The entries are minors too, so ``D``
-    divides ``G``, and the prime exceeds its prime factors.
+    Its coefficients have denominators dividing ``E`` (1 for an integral
+    ``omega``), the product over the letters ``(g_j, p_j)`` of the least
+    common denominator of row ``g_j`` of ``omega``, so ``E c_j`` is an
+    integer of size at most ``E B``, ``B`` the :func:`charpoly_bound` of the
+    word.  Every minor of a letter ``I + p e_g omega_g^T`` is linear in its
+    row ``g``, so its denominator divides that of the row, and by
+    Cauchy-Binet the denominators of the minors of ``M``, whose sums the
+    ``c_j`` are, divide ``E``.  The entries are minors too, so their
+    denominators divide ``E``, and the prime exceeds its prime factors.
     """
-    m = twist_product(omega, word)
-    lcd = math.lcm(*(x.denominator for row in m for x in row))
-    rows = math.prod(math.lcm(*(x.denominator for x in omega.entries[g - 1]))
+    mult = math.prod(math.lcm(*(x.denominator for x in omega.entries[g - 1]))
                      for g in word.gamma)
-    mult = math.gcd(rows, lcd ** omega.n)
-    return _charpoly_lifted(m, mult * charpoly_bound(omega, word), [mult] * (omega.n + 1))
+    return _charpoly_lifted(twist_product(omega, word), mult * charpoly_bound(omega, word),
+                            [mult] * (omega.n + 1))
 
 
 def hadamard_charpoly(m: ExactMatrix) -> Poly:
@@ -651,19 +649,17 @@ def refine_real_root(p: Poly, x0: mp.mpf, digits: int) -> PFEigenvalue:
     with mp.workdps(digits + 15):
         x = mp.mpf(x0)
         f = p.mpf_coeffs()
-        df = p.derivative().mpf_coeffs()
         tol = mp.mpf(10) ** (-(digits + 5))
         for _ in range(200):
-            fx = mp.polyval(f, x)
-            dfx = mp.polyval(df, x)
+            fx, dfx = mp.polyval(f, x, derivative=True)
             if dfx == 0:
                 break
             dx = fx / dfx
             x = x - dx
             if abs(dx) <= tol * max(1, abs(x)):
                 break
-        err = max(2 * abs(mp.polyval(f, x) / mp.polyval(df, x)),
-                  tol * max(1, abs(x)))
+        fx, dfx = mp.polyval(f, x, derivative=True)
+        err = max(2 * abs(fx / dfx), tol * max(1, abs(x)))
         return PFEigenvalue(mp.mpf(x), mp.mpf(err))
 
 
@@ -842,11 +838,6 @@ class SpectralReport:
     def unit_exponent(self) -> int:
         """The exponent ``n - rank`` of ``(x - 1)`` split off ``charpoly``."""
         return self.charpoly.degree - self.rank
-
-    @property
-    def complexity(self) -> int:
-        """The number of eigenvalues different from 1."""
-        return self.reduced.degree
 
     @cached_property
     def _pf(self) -> PFEigenvalue:

@@ -296,8 +296,8 @@ def test_criterion_11_fixture_polynomials():
 
 
 def test_criterion_12_degree_set_tables():
-    s2 = degree_set(SurfaceSpec(True, 2, 0)).single == frozenset({2, 3, 4, 6})
-    n31 = degree_set(SurfaceSpec(False, 3, 1)).single == frozenset({3, 4, 5})
+    s2 = degree_set(SurfaceSpec(True, 2, 0)).sets == (frozenset({2, 3, 4, 6}),)
+    n31 = degree_set(SurfaceSpec(False, 3, 1)).sets == (frozenset({3, 4, 5}),)
     try:
         degree_set(SurfaceSpec(False, 3, 0))
         n3_err = False

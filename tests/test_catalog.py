@@ -158,10 +158,10 @@ def test_teich_dim_out_of_range():
 
 
 def test_degree_sets():
-    assert degree_set(SurfaceSpec(True, 2, 0)).single == frozenset({2, 3, 4, 6})
-    assert degree_set(SurfaceSpec(False, 3, 1)).single == frozenset({3, 4, 5})
+    assert degree_set(SurfaceSpec(True, 2, 0)).sets == (frozenset({2, 3, 4, 6}),)
+    assert degree_set(SurfaceSpec(False, 3, 1)).sets == (frozenset({3, 4, 5}),)
     # odd punctures and half-dimension 1, but no odd degree in 3..1 to lose
-    assert degree_set(SurfaceSpec(True, 1, 1)).single == frozenset({2})
+    assert degree_set(SurfaceSpec(True, 1, 1)).sets == (frozenset({2}),)
     with pytest.raises(NoPseudoAnosov):
         degree_set(SurfaceSpec(False, 3, 0))
 
@@ -170,10 +170,8 @@ def test_degree_set_ambiguous_case():
     # odd punctures with odd half-dimension: two candidate sets
     res = degree_set(SurfaceSpec(True, 3, 1))
     assert res.ambiguous and len(res.sets) == 2
-    with pytest.raises(ValueError):
-        res.single
 
 
 def test_degree_set_plus():
-    assert degree_set_plus(SurfaceSpec(True, 3, 0)).single == frozenset({2, 3, 4, 6})
-    assert degree_set_plus(SurfaceSpec(False, 5, 0)).single == frozenset({3, 4})
+    assert degree_set_plus(SurfaceSpec(True, 3, 0)).sets == (frozenset({2, 3, 4, 6}),)
+    assert degree_set_plus(SurfaceSpec(False, 5, 0)).sets == (frozenset({3, 4}),)

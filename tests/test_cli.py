@@ -13,8 +13,8 @@ import penner
 import penner.cli
 import penner.recipe
 
-from penner.catalog import catalog_get
-from penner.cli import main
+from penner.catalog import catalog_get, catalog_ids
+from penner.cli import MAX_DIGITS, digits_arg, main
 from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import brackets_root
 
@@ -252,6 +252,14 @@ def test_degree_s43max_k64_is_certified(tmp_path, capsys):
                                     penner.TwistWord(gamma, (1,) * len(gamma)))
     assert json.loads(out)["degree"] == 24
     assert brackets_root(report.reduced, report.pf_value, report.pf_error)
+
+
+@pytest.mark.parametrize("entry_id", catalog_ids())
+def test_degree_complexity_is_the_rank(entry_id, tmp_path, capsys):
+    code, out, err = run(capsys, catalog_degree_argv(tmp_path, entry_id, 1))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["complexity"] == payload["rank"] == catalog_get(entry_id).expected_rank
 
 
 def test_limit_json_golden(omega_file, capsys):
@@ -534,6 +542,25 @@ def test_digits_below_minimum_exits_2(omega_file, capsys):
         main(["degree", "--omega", omega_file, "--gamma", "1,2,3", "--digits", "0"])
     assert exc.value.code == 2
     assert "at least 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", [10**17, 10**19])
+def test_digits_above_maximum_exits_2(digits, omega_file, capsys):
+    # mpmath raised MemoryError at 10^17 and OverflowError at 10^19
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "--omega", omega_file, "--gamma", "1,2,3", "--digits", str(digits)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"penner degree: error: argument --digits: value must be at most "
+                      f"{MAX_DIGITS}, got {digits}"]
+
+
+def test_digits_maximum_is_accepted_and_shown_in_help(capsys):
+    assert MAX_DIGITS >= 10_000 and digits_arg(str(MAX_DIGITS)) == MAX_DIGITS
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "--help"])
+    assert exc.value.code == 0
+    assert f"5 to {MAX_DIGITS}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_digits_option_sets_the_printed_precision(omega_file, capsys):

@@ -2,6 +2,7 @@
 characteristic polynomial of twist products, leading eigenvalues, the
 invariant alternating form, and the height function."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -312,6 +313,32 @@ def test_twist_charpoly_matches_sympy_on_random_words(seed, k):
     assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word)
 
 
+def test_twist_charpoly_matches_sympy_on_long_words_over_rational_omegas():
+    # each entry gets its own denominator, so E, the product over the letters
+    # of their row's denominator, can exceed gcd(E, D^n), D the product's
+    # common denominator; E alone sizes the prime
+    beyond_gcd = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        rows = [list(r) for r in random_omega(rng, n, connected=False).entries]
+        for a in range(n):
+            for b in range(a + 1, n):
+                rows[a][b] = rows[b][a] = Fraction(rows[a][b], rng.randint(1, 6))
+        omega = validate_omega(rows)
+        gamma = [rng.randint(1, n)]
+        for _ in range(rng.randint(19, 59)):
+            gamma.append(rng.choice([i for i in range(1, n + 1) if i != gamma[-1]]))
+        word = TwistWord(tuple(gamma), tuple(rng.randint(1, 3) for _ in gamma))
+        m = twist_product(omega, word)
+        e = math.prod(math.lcm(*(x.denominator for x in omega.entries[g - 1]))
+                      for g in gamma)
+        d = math.lcm(*(x.denominator for row in m for x in row))
+        beyond_gcd += e > math.gcd(e, d ** n)
+        assert twist_charpoly(omega, word) == char_poly_exact(m), seed
+    assert beyond_gcd > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_charpoly_bound_holds_on_random_words(seed):
@@ -510,7 +537,7 @@ def test_spectral_report(omega3):
     rep = spectral_report(omega3, TwistWord((1, 2, 3), (1, 1, 1)))
     assert rep.rank == 3 and rep.unit_exponent == 0
     assert rep.pf_value > 1 and rep.pf_error > 0
-    assert rep.complexity == 3
+    assert complexity(rep.reduced) == 3
 
 
 def test_spectral_report_computes_lambda_once_on_demand(omega3, monkeypatch):
