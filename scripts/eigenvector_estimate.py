@@ -15,6 +15,7 @@ import mpmath as mp
 
 from penner import IntersectionMatrix, TwistWord, eigenvector_asymptotics
 from penner.cli import attach_list_values, digits_arg, parse_ints, run_command
+from penner.errors import ValidationError
 
 
 def main() -> int:
@@ -25,9 +26,14 @@ def main() -> int:
 
     omega = IntersectionMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
     word = TwistWord((1, 2, 3), (1, 1, 1))
+    scales = parse_ints(args.scales)
+    if not scales:
+        raise ValidationError("need at least one scale")
+    # every row first, so that bad input prints no partial table
+    rows = [(k, eigenvector_asymptotics(omega, word, k=k, digits=args.digits))
+            for k in scales]
     print(f"{'k':>5}  {'measured lhs':>14}  {'bound rhs':>12}")
-    for k in parse_ints(args.scales):
-        res = eigenvector_asymptotics(omega, word, k=k, digits=args.digits)
+    for k, res in rows:
         print(f"{k:>5}  {mp.nstr(res.lhs, 6):>14}  {mp.nstr(res.rhs, 6):>12}")
     return 0
 

@@ -41,7 +41,6 @@ from .spectral import (
     SpectralReport,
     char_poly_exact,
     complexity,
-    height,
     is_reciprocal,
     pf_certify,
     pf_eigenvalue,
@@ -86,7 +85,7 @@ __all__ = [
     "validate_omega", "PennerError",
     "graph_of", "is_bipartite", "is_connected", "is_contractible",
     "reduce_backtracking", "word_supported",
-    "Poly", "SpectralReport", "char_poly_exact", "complexity", "height",
+    "Poly", "SpectralReport", "char_poly_exact", "complexity",
     "is_reciprocal", "pf_certify", "pf_eigenvalue", "rank_exact",
     "spectral_report", "structure_split", "twist_charpoly",
     "Factorization", "convergence_diagnostic", "degree_of_pf_root",

@@ -45,10 +45,6 @@ class InvalidWord(ValidationError):
     pass
 
 
-class DimensionMismatch(ValidationError):
-    pass
-
-
 class UnknownId(ValidationError):
     pass
 

@@ -4,8 +4,9 @@ The characteristic polynomials of the pipeline are computed exactly modulo
 one prime larger than four times a bound on their coefficients: that of a
 twist product by :func:`twist_charpoly`, with a bound read off the word, and
 that of a limit map by :func:`hadamard_charpoly`, with Hadamard's bound.
-The primes are found in-house, so neither loads sympy.  Ranks are computed
-exactly in-house too, by fraction-free elimination (:func:`rank_exact`).
+The primes come from a table up to ``2^1024``, so neither loads sympy up to
+there; past it sympy's Berkowitz takes over.  Ranks are computed exactly
+in-house, by fraction-free elimination (:func:`rank_exact`).
 The general characteristic polynomial (Berkowitz) is computed exactly by
 sympy's ``DomainMatrix`` over the integers or the rationals; it is the
 oracle of the modular kernel.  :func:`_ddf_degrees` gives the degrees of
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -40,7 +41,6 @@ from .core import (
     twist_product,
 )
 from .errors import (
-    DimensionMismatch,
     DivisionFailed,
     NotPerronFrobenius,
     PreconditionViolated,
@@ -243,45 +243,9 @@ def charpoly_bound(omega: IntersectionMatrix, word: TwistWord) -> int:
     return bound
 
 
-#: Miller-Rabin bases of :func:`_prime_above`: the first 12 primes, a
-#: deterministic test below ``3.1 * 10^23`` (about ``2^78``).
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Whether the odd ``n > 37`` passes a Miller-Rabin round to every base in
-    ``_BASES``.  A base that divides a composite ``n`` fails its round."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-#: The product of the primes below 1000, which sieves :func:`_prime_above`.
-_SMALL_PRIMES = math.prod(p for p in range(2, 1000)
-                          if all(p % q for q in range(2, math.isqrt(p) + 1)))
-
-
-@lru_cache(maxsize=None)
-def _prime_above(bits: int) -> int:
-    """The least probable prime above ``2^bits`` (``bits >= 10``): the first
-    odd number prime to ``_SMALL_PRIMES`` that passes :func:`_is_probable_prime`.
-    It is sympy's ``nextprime(2^bits)`` for every ``bits`` = 64, 128, ..., 2048
-    (the tests check up to 1024).  Computed once per size and kept."""
-    n = (1 << bits) + 1
-    while math.gcd(n, _SMALL_PRIMES) > 1 or not _is_probable_prime(n):
-        n += 2
-    return n
+#: ``nextprime(2^b) - 2^b`` for ``b`` = 64, 128, ..., 1024: the primes of
+#: :func:`_charpoly_lifted`, checked against sympy by the tests.
+_PRIME_OFFSETS = (13, 51, 133, 297, 27, 231, 211, 75, 243, 115, 327, 183, 637, 993, 1465, 643)
 
 
 def _charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
@@ -344,14 +308,18 @@ def _charpoly_lifted(m: ExactMatrix, bound: int, multipliers: Sequence[int]) -> 
     denominators and of the ``d_j`` must be at most ``bound``.
 
     The entries reduce modulo the least prime ``P`` above ``2^b``, with
-    ``b`` the least multiple of 64 at which ``2^b > 4 bound``: ``x`` to
-    ``(L x) L^-1``, ``L`` the least common denominator of the entries.
-    :func:`_charpoly_mod` gives each ``c_j`` modulo ``P``, and ``d_j c_j``
-    is the symmetric residue of ``d_j c_j mod P`` in ``(-P/2, P/2)``, which
-    determines it.
+    ``b`` the least multiple of 64 at which ``2^b > 4 bound``, read off
+    ``_PRIME_OFFSETS``: ``x`` to ``(L x) L^-1``, ``L`` the least common
+    denominator of the entries.  :func:`_charpoly_mod` gives each ``c_j``
+    modulo ``P``, and ``d_j c_j`` is the symmetric residue of
+    ``d_j c_j mod P`` in ``(-P/2, P/2)``, which determines it.  Past the
+    table, ``b > 1024``, sympy's Berkowitz (:func:`char_poly_exact`) gives
+    the polynomial instead; no pipeline bound gets there.
     """
-    bits = (4 * bound).bit_length()
-    prime = _prime_above(-(-bits // 64) * 64)
+    bits = -(-(4 * bound).bit_length() // 64) * 64
+    if bits > 64 * len(_PRIME_OFFSETS):
+        return char_poly_exact(m)
+    prime = (1 << bits) + _PRIME_OFFSETS[bits // 64 - 1]
     lcd = math.lcm(*(x.denominator for row in m for x in row))
     inverse = pow(lcd, -1, prime)
     residues = _charpoly_mod([[int(x * lcd) * inverse % prime for x in row] for row in m],
@@ -397,8 +365,9 @@ def hadamard_charpoly(m: ExactMatrix) -> Poly:
     of ``A``, so
     ``|D^(n-j) c_j| <= C(n, n // 2) prod_rows max(1, ceil(||A_row||_2))``.
     The bound is raised to ``D`` when that is more, so that the prime
-    exceeds the prime factors of ``D``.  On large entries sympy's Berkowitz
-    (:func:`char_poly_exact`) is faster.
+    exceeds the prime factors of ``D``.  A bound past 1,024 bits, such as
+    that of the ``S43-max`` tour product at k = 256 (6,186 bits), goes to
+    sympy's Berkowitz (:func:`char_poly_exact`).
     """
     n = len(m)
     lcd = math.lcm(*(x.denominator for row in m for x in row))
@@ -775,30 +744,6 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
             f"{mp.nstr(pf.error, 5)} does not enclose a root"
         )
     return pf
-
-
-# ---------------------------------------------------------------------------
-# the quadratic height
-# ---------------------------------------------------------------------------
-
-def height(omega: IntersectionMatrix, v: Sequence[Scalar]) -> Scalar:
-    """The quadratic form ``h(v) = (1/2) v^T omega v``.
-
-    For any elementary twist ``Q_i`` the exact identity
-    ``h(Q_i v) - h(v) = ||Q_i v - v||^2`` holds (both sides equal ``s^2``
-    with ``s = (e_i^T omega) v``).  Each entry of ``v`` passes through
-    :func:`penner.core.exact`, so a float raises ``TypeError``.
-    """
-    if len(v) != omega.n:
-        raise DimensionMismatch(f"vector length {len(v)} != n = {omega.n}")
-    v = tuple(map(exact, v))
-    total = sum(
-        omega.entries[i][j] * v[i] * v[j]
-        for i in range(omega.n)
-        for j in range(omega.n)
-        if omega.entries[i][j] != 0
-    )
-    return exact(Fraction(total, 2))
 
 
 # ---------------------------------------------------------------------------

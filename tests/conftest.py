@@ -13,6 +13,7 @@ import pytest
 import sympy
 
 from penner import IntersectionMatrix, Poly, TwistWord, graph_of
+from penner.core import exact
 from penner.graphs import bipartition, spanning_tree_tour
 
 
@@ -119,6 +120,17 @@ def sympy_preserves_form(omega, m):
     form = u * sympy.Matrix(omega.entries)
     m = sympy.Matrix(m)
     return m.T * form * m == form
+
+
+def height(omega, v):
+    """The quadratic form ``h(v) = (1/2) v^T omega v``, exactly.  For any
+    elementary twist ``Q_i``, ``h(Q_i v) - h(v) = ||Q_i v - v||^2`` (both
+    sides equal ``s^2`` with ``s = (e_i^T omega) v``).  Each entry of ``v``
+    passes through :func:`penner.core.exact`, so a float raises
+    ``TypeError``."""
+    v = tuple(map(exact, v))
+    n = range(omega.n)
+    return exact(Fraction(sum(omega.entries[i][j] * v[i] * v[j] for i in n for j in n), 2))
 
 
 def sympy_is_irreducible(p):

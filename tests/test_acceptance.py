@@ -24,7 +24,6 @@ from penner import (
     f_gamma,
     factor_monic,
     graph_of,
-    height,
     is_reciprocal,
     pf_eigenvalue,
     q_arrow,
@@ -44,6 +43,7 @@ from penner.graphs import spanning_tree_tour
 from conftest import (
     collapsed_charpoly,
     general_word,
+    height,
     mr_inverse,
     random_closed_walk,
     random_omega,

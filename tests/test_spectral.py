@@ -5,6 +5,7 @@ invariant alternating form, and the height function."""
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -22,7 +23,6 @@ from penner import (
     complexity,
     convergence_diagnostic,
     degree_of_pf_root,
-    height,
     is_reciprocal,
     pf_certify,
     pf_eigenvalue,
@@ -59,6 +59,7 @@ from conftest import (
     count_calls,
     count_pf_eigenvalue,
     general_word,
+    height,
     random_omega,
     sympy_mat_vec,
     sympy_preserves_form,
@@ -272,9 +273,37 @@ def test_rational_twist_charpoly_takes_a_prime_of_at_most_256_bits(entries, monk
     assert [prime.bit_length() <= 256 for _h, prime in primes] == [True]
 
 
-def test_prime_above_is_sympys_nextprime():
-    for bits in range(64, 1025, 64):
-        assert penner.spectral._prime_above(bits) == sympy.nextprime(2 ** bits), bits
+def test_prime_offsets_are_sympys_nextprime():
+    offsets = penner.spectral._PRIME_OFFSETS
+    assert len(offsets) == 16
+    for j, offset in enumerate(offsets):
+        bits = 64 * (j + 1)
+        assert 2 ** bits + offset == sympy.nextprime(2 ** bits), bits
+
+
+def test_a_bound_past_1024_bits_goes_to_berkowitz(monkeypatch):
+    # 4 * bound below 2^1024 takes the last prime of the table, 2^1024 + 643;
+    # from 2^1024 on, sympy's Berkowitz gives the polynomial
+    m = ((2, Fraction(1, 3)), (-1, 5))
+    primes = count_calls(monkeypatch, penner.spectral, "_charpoly_mod")
+    berkowitz = count_calls(monkeypatch, penner.spectral, "char_poly_exact")
+    expected = Poly([Fraction(31, 3), -7, 1])
+    lifted = penner.spectral._charpoly_lifted
+    assert lifted(m, 2 ** 1022 - 1, [3, 3, 3]) == expected
+    assert [prime for _h, prime in primes] == [2 ** 1024 + 643] and berkowitz == []
+    assert lifted(m, 2 ** 1022, [3, 3, 3]) == expected
+    assert len(primes) == 1 and berkowitz == [(m,)]
+
+
+def test_hadamard_charpoly_past_the_table_is_berkowitz_and_fast():
+    # the S43-max tour product at k = 256 has a 6,186-bit Hadamard bound
+    omega = scale(catalog_get("S43-max").omega, 256)
+    tour = spanning_tree_tour(graph_of(omega), root=1)
+    m = twist_product(omega, TwistWord(tour, (1,) * len(tour)))
+    start = time.perf_counter()
+    chi = penner.spectral.hadamard_charpoly(m)
+    assert time.perf_counter() - start < 5
+    assert chi == char_poly_exact(m)
 
 
 @settings(max_examples=60, deadline=None)
