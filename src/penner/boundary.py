@@ -70,8 +70,6 @@ def q_arrow(omega: IntersectionMatrix, i: int, j: int) -> ExactMatrix:
 
     Raises :class:`NotAnEdge` when ``omega[i][j] == 0``.
     """
-    omega.check_index(i)
-    omega.check_index(j)
     w = omega.entry(i, j)
     if i == j or w == 0:
         raise NotAnEdge(f"curves {i} and {j} do not intersect")
@@ -126,7 +124,7 @@ def _restricted(omega: IntersectionMatrix, gamma: Sequence[int]) -> ExactMatrix:
     """The matrix of :class:`LimitMap`: ``p_gamma`` restricted to ``W``."""
     full = p_gamma(omega, gamma)
     n = omega.n
-    w = omega.row(gamma[0])  # nonzero: p_gamma found the step out of it
+    w = omega.entries[gamma[0] - 1]  # in range and nonzero: p_gamma left curve gamma[0]
     m = next(t for t in range(n) if w[t] != 0)  # 0-based pivot
     others = [t for t in range(n) if t != m]
     # column t: the image of b_t under the full map, whose coordinates in the
@@ -180,8 +178,6 @@ def homotopy_invariance_check(omega: IntersectionMatrix, gamma: Sequence[int],
 class AsymptoticsResult:
     lhs: mp.mpf
     rhs: mp.mpf
-    eigenvector: Tuple[mp.mpf, ...]
-    target: Tuple[mp.mpf, ...]
 
 
 def eigenvector_asymptotics(
@@ -255,7 +251,6 @@ def eigenvector_asymptotics(
 
         t_best = min(((target[a] + target[c]) / (y[a] + y[c])
                       for a in range(n) for c in range(a, n)), key=dist)
-        v = tuple(t_best * y[j] for j in range(n))
         lhs = dist(t_best)
         p_max, p_min = max(powers), min(powers)
         norm_inf = max(_to_mpf(xx) for row in omega_k.entries for xx in row)
@@ -265,7 +260,7 @@ def eigenvector_asymptotics(
             * norm_inf ** (K - 1)
             / (mp.mpf(p_min) ** K * _to_mpf(min_gamma) ** K)
         )
-        return AsymptoticsResult(lhs=lhs, rhs=rhs, eigenvector=v, target=target)
+        return AsymptoticsResult(lhs=lhs, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +351,7 @@ def ray_convergence_experiment(
     exponents = []
     constants = []
     nslots = min(len(m) for m in mags_per_scale)
-    logs_k = [mp.log(mp.mpf(k)) for k in scales]
+    logs_k = [mp.log(_to_mpf(k)) for k in scales]
     mean_x = sum(logs_k) / len(logs_k)
     for slot in range(nslots):
         ys = [mp.log(mags_per_scale[t][slot]) for t in range(len(scales))]

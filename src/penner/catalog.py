@@ -121,12 +121,8 @@ class DegreeSetResult:
     ambiguous: bool
 
 
-def _evens(lo: int, hi: int) -> FrozenSet[int]:
-    return frozenset(d for d in range(lo, hi + 1) if d % 2 == 0)
-
-
-def _odds(lo: int, hi: int) -> FrozenSet[int]:
-    return frozenset(d for d in range(lo, hi + 1) if d % 2 == 1)
+def _every_other(lo: int, hi: int) -> FrozenSet[int]:
+    return frozenset(range(lo, hi + 1, 2))
 
 
 def degree_set(surface: SurfaceSpec) -> DegreeSetResult:
@@ -139,13 +135,13 @@ def degree_set(surface: SurfaceSpec) -> DegreeSetResult:
     dim = teich_dim(surface)
     if surface.orientable:
         half = dim // 2
-        evens = _evens(2, dim)
+        evens = _every_other(2, dim)
         # with punctures odd and dim/2 odd, the top odd degree dim/2 may be
         # absent; below 3 (S_{1,1}) there is no odd degree to lose
         if surface.punctures % 2 == 0 or half % 2 == 0 or half < 3:
-            return DegreeSetResult((evens | _odds(3, half),), False)
-        big = evens | _odds(3, half)
-        small = evens | _odds(3, half - 1)
+            return DegreeSetResult((evens | _every_other(3, half),), False)
+        big = evens | _every_other(3, half)
+        small = evens | _every_other(3, half - 1)
         return DegreeSetResult((big, small), True)
     return DegreeSetResult((frozenset(range(3, dim + 1)),), False)
 
@@ -161,7 +157,7 @@ def degree_set_plus(surface: SurfaceSpec) -> DegreeSetResult:
         raise NoPseudoAnosov(f"{surface} carries no pseudo-Anosov map")
     g = surface.genus
     if surface.orientable:
-        return DegreeSetResult((_evens(2, 2 * g) | _odds(3, g),), False)
+        return DegreeSetResult((_every_other(2, 2 * g) | _every_other(3, g),), False)
     return DegreeSetResult((frozenset(range(3, g)),), False)
 
 
@@ -189,26 +185,17 @@ def crosscap_augment(
     Variants keep a prefix: ``"E"`` appends ``e`` only (rank unchanged),
     ``"ED1"`` appends ``e, d1`` (rank + 2), ``"ED1D2"`` all three (rank + 3).
     """
-    omega.check_index(i1)
-    omega.check_index(i2)
+    w = omega.entry(i1, i2)
     if i1 == i2:
         raise IndexOutOfRange("the two curves must be distinct")
-    if omega.entry(i1, i2) != 0:
-        raise CurvesIntersect(
-            f"curves {i1} and {i2} intersect ({omega.entry(i1, i2)} times)"
-        )
+    if w != 0:
+        raise CurvesIntersect(f"curves {i1} and {i2} intersect ({w} times)")
     if variant not in _CROSSCAP_VARIANTS:
         raise ValueError(f"variant must be one of {_CROSSCAP_VARIANTS}")
-    n = omega.n
-    col1 = [omega.entries[r][i1 - 1] for r in range(n)]
-    col2 = [omega.entries[r][i2 - 1] for r in range(n)]
-    new_cols = {
-        "e": [exact(a + b) for a, b in zip(col1, col2)],
-        "d1": list(col1),
-        "d2": list(col2),
-    }
-    names = {"E": ["e"], "ED1": ["e", "d1"], "ED1D2": ["e", "d1", "d2"]}[variant]
-    return _append_curves(omega, [new_cols[name] for name in names])
+    d1 = [row[i1 - 1] for row in omega.entries]
+    d2 = [row[i2 - 1] for row in omega.entries]
+    e = [exact(a + b) for a, b in zip(d1, d2)]
+    return _append_curves(omega, [e, d1, d2][:_CROSSCAP_VARIANTS.index(variant) + 1])
 
 
 def puncture_augment(
@@ -226,11 +213,9 @@ def puncture_augment(
     omega.check_index(c)
     if variant not in _PUNCTURE_VARIANTS:
         raise ValueError(f"variant must be one of {_PUNCTURE_VARIANTS}")
-    n = omega.n
-    col = [omega.entries[r][c - 1] for r in range(n)]
-    if variant == "D":
-        return _append_curves(omega, [col])
-    return _append_curves(omega, [col, [0] * n])
+    d = [row[c - 1] for row in omega.entries]
+    e = [0] * omega.n
+    return _append_curves(omega, [d, e][:_PUNCTURE_VARIANTS.index(variant) + 1])
 
 
 #: How often any two of the curves added by one augmentation move meet.

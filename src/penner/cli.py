@@ -74,10 +74,11 @@ def load_omega(path: str) -> IntersectionMatrix:
             or not all(isinstance(row, list) for row in data["entries"])):
         raise ValidationError('omega file must be {"n": int, "entries": [[...]]}')
     omega = validate_omega(data["entries"])
-    if "n" in data and data["n"] != omega.n:
-        raise ValidationError(
-            f'omega file declares n = {data["n"]} but has {omega.n} rows'
-        )
+    n = data.get("n", omega.n)
+    if type(n) is not int:  # not a float, a string or a bool
+        raise ValidationError(f'"n" must be an integer, got {n!r}')
+    if n != omega.n:
+        raise ValidationError(f"omega file declares n = {n} but has {omega.n} rows")
     return omega
 
 

@@ -36,7 +36,6 @@ from .errors import (
 
 Scalar = Union[int, Fraction]
 ExactMatrix = Tuple[Tuple[Scalar, ...], ...]
-ExactVector = Tuple[Scalar, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +79,12 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # intersection matrices
 # ---------------------------------------------------------------------------
 
+def check_curve_index(i: int, n: int) -> None:
+    """Raise :class:`IndexOutOfRange` unless ``i`` is a curve index in ``1..n``."""
+    if not (isinstance(i, int) and 1 <= i <= n):
+        raise IndexOutOfRange(f"curve index {i} out of range 1..{n}")
+
+
 @dataclass(frozen=True)
 class IntersectionMatrix:
     """A symmetric nonnegative matrix with zero diagonal, stored exactly.
@@ -93,11 +98,6 @@ class IntersectionMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> ExactVector:
-        """Row for curve ``i`` (1-based)."""
-        self.check_index(i)
-        return self.entries[i - 1]
-
     def entry(self, i: int, j: int) -> Scalar:
         """Entry ``omega[i][j]`` (1-based)."""
         self.check_index(i)
@@ -105,8 +105,7 @@ class IntersectionMatrix:
         return self.entries[i - 1][j - 1]
 
     def check_index(self, i: int) -> None:
-        if not (isinstance(i, int) and 1 <= i <= self.n):
-            raise IndexOutOfRange(f"curve index {i} out of range 1..{self.n}")
+        check_curve_index(i, self.n)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -199,8 +198,7 @@ class TwistWord:
 
     def check_indices(self, n: int) -> None:
         for i in self.gamma:
-            if not 1 <= i <= n:
-                raise IndexOutOfRange(f"curve index {i} out of range 1..{n}")
+            check_curve_index(i, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by the whole package.
 
-Every error raised by library code derives from :class:`PennerError`, so
-callers can catch a single base class.  The CLI maps subfamilies onto exit
-codes: input/validation problems exit with 2, violated mathematical
+Errors in the data and unmet preconditions derive from :class:`PennerError`,
+so callers can catch one base class; a call outside a function's documented
+domain raises ``ValueError`` or ``TypeError``.  The CLI maps subfamilies onto
+exit codes: input/validation problems exit with 2, violated mathematical
 preconditions with 3, and exhausted search budgets with 4.
 """
 

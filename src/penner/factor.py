@@ -151,7 +151,7 @@ def factor_monic(p: Poly) -> Factorization:
     case ``G(1) G(-1) (-1)^d = (h(1) h(-1) / h(0))^2``, while ``G(1) = g(2)``
     and ``G(-1) = (-1)^d g(-2)``.
     """
-    if not p.is_monic:
+    if p.coeffs[-1] != 1:
         raise ValueError("factor_monic requires a monic polynomial")
     if p.degree < 1:
         raise ValueError("factor_monic requires degree >= 1")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
-from .core import IntersectionMatrix, TwistWord
+from .core import IntersectionMatrix, TwistWord, check_curve_index
 from .errors import InvalidWord
 
 Edge = Tuple[int, int]  # always stored with first < second
@@ -24,8 +24,6 @@ class OmegaGraph:
     edges: FrozenSet[Edge]
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
         return (min(i, j), max(i, j)) in self.edges
 
     def adjacency(self) -> dict:
@@ -173,8 +171,10 @@ def spanning_tree_tour(g: OmegaGraph, root: int = 1) -> Tuple[int, ...]:
     increasing order: each tree edge is traversed once in each direction, so
     the tour is freely null-homotopic.  The final return to the root is left
     implicit (the path closes up).  The walk keeps its own stack, so the
-    depth of the tree is not limited by Python's recursion limit.
+    depth of the tree is not limited by Python's recursion limit.  A root
+    outside ``1..n`` raises :class:`IndexOutOfRange`.
     """
+    check_curve_index(root, g.n)
     if not is_connected(g):
         raise ValueError("graph must be connected")
     if g.n == 1:

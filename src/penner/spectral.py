@@ -96,10 +96,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1
-
     def leading_first(self) -> Tuple:
         return tuple(reversed(self.coeffs))
 

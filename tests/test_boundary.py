@@ -67,7 +67,7 @@ def test_q_arrow_requires_edge(omega3):
 def test_q_arrow_kills_row(omega3):
     # e_i^T omega Q_{i<-j} == 0
     q = q_arrow(omega3, 2, 1)
-    assert sympy.Matrix([omega3.row(2)]) * sympy.Matrix(q) == sympy.zeros(1, 3)
+    assert sympy.Matrix([omega3.entries[1]]) * sympy.Matrix(q) == sympy.zeros(1, 3)
 
 
 def test_p_gamma_example(omega3):
@@ -277,6 +277,18 @@ def test_ray_experiment_divergent(divergent4):
     assert not tab.supported
     for got, want in zip(tab.divergence.exponents, (3, 1, -1, -3)):
         assert abs(got - want) < 0.15
+
+
+def test_ray_experiment_divergent_rational_scales(divergent4):
+    # a Fraction scale goes into the log-log fit as it goes into scale(),
+    # and an integral one fits exactly as the int does
+    word = TwistWord((1, 2, 3, 4), (1, 1, 1, 1))
+    ks = (16, 32, 64, 128)
+    ints = ray_convergence_experiment(divergent4, word, ks, digits=50)
+    fracs = ray_convergence_experiment(divergent4, word, [Fraction(k) for k in ks], digits=50)
+    assert fracs.divergence == ints.divergence
+    half = ray_convergence_experiment(divergent4, word, [Fraction(1, 2), 4, 8], digits=30)
+    assert not half.supported and len(half.divergence.exponents) == 4
 
 
 def test_ray_experiment_divergent_needs_two_different_scales(divergent4):

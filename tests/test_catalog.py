@@ -96,6 +96,8 @@ def test_crosscap_augment_rank_deltas():
     assert rank_exact(crosscap_augment(om, 1, 2, "E")) == r0
     assert rank_exact(crosscap_augment(om, 1, 2, "ED1")) == r0 + 2
     assert rank_exact(crosscap_augment(om, 1, 2, "ED1D2")) == r0 + 3
+    # each variant appends a prefix of (e, d1, d2)
+    assert [crosscap_augment(om, 1, 2, v).n for v in ("E", "ED1", "ED1D2")] == [4, 5, 6]
     # e = column 1 + column 2, d1 = column 1, d2 = column 2; the new curves
     # meet pairwise twice
     assert crosscap_augment(om, 1, 2, "ED1D2").entries == (
@@ -112,6 +114,16 @@ def test_crosscap_augment_rank_deltas():
         crosscap_augment(om, 1, 1, "E")
 
 
+def test_crosscap_augment_checks_index_then_distinct_then_disjoint():
+    om = IntersectionMatrix(((0, 0, 1), (0, 0, 2), (1, 2, 0)))
+    with pytest.raises(IndexOutOfRange, match=r"^curve index 4 out of range 1\.\.3$"):
+        crosscap_augment(om, 4, 4, "bad")
+    with pytest.raises(IndexOutOfRange, match="^the two curves must be distinct$"):
+        crosscap_augment(om, 1, 1, "bad")
+    with pytest.raises(CurvesIntersect, match=r"^curves 1 and 3 intersect \(1 times\)$"):
+        crosscap_augment(om, 1, 3, "bad")
+
+
 def test_puncture_augment_rank_deltas(omega3):
     r0 = rank_exact(omega3)
     for moves in ("D", "DE"):
@@ -119,6 +131,8 @@ def test_puncture_augment_rank_deltas(omega3):
         assert rank_exact(aug) == sympy.Matrix(aug.entries).rank()
     assert rank_exact(puncture_augment(omega3, 1, "D")) == r0
     assert rank_exact(puncture_augment(omega3, 1, "DE")) == r0 + 2
+    # each variant appends a prefix of (d, e)
+    assert [puncture_augment(omega3, 1, v).n for v in ("D", "DE")] == [4, 5]
 
 
 def test_puncture_augment_structure(omega3):

@@ -537,6 +537,23 @@ def test_non_integer_entry_exits_2(entries, message, tmp_path, capsys):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("n, entries, message", [
+    ("3", OMEGA3["entries"], """"n" must be an integer, got '3'"""),
+    (3.0, OMEGA3["entries"], '"n" must be an integer, got 3.0'),
+    (True, [[0]], '"n" must be an integer, got True'),
+    (None, [[0]], '"n" must be an integer, got None'),
+    (4, OMEGA3["entries"], "omega file declares n = 4 but has 3 rows"),
+])
+def test_declared_n_must_be_the_integer_row_count(n, entries, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": n, "entries": entries}))
+    code, _, err = run(capsys, [
+        "degree", "--omega", str(path), "--gamma", "1,2,3",
+    ])
+    assert code == 2
+    assert err.count("\n") == 1 and message in err
+
+
 def test_digits_below_minimum_exits_2(omega_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["degree", "--omega", omega_file, "--gamma", "1,2,3", "--digits", "0"])

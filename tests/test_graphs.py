@@ -211,3 +211,10 @@ def test_spanning_tree_tour_of_a_long_path():
     tour = spanning_tree_tour(g)
     assert tour == tuple(range(1, n + 1)) + tuple(range(n - 1, 1, -1))
     assert is_contractible(tour) and covers_vertices(tour, n)
+
+
+def test_spanning_tree_tour_rejects_a_root_outside_the_graph(omega3):
+    with pytest.raises(IndexOutOfRange, match=r"^curve index 0 out of range 1\.\.3$"):
+        spanning_tree_tour(graph_of(omega3), root=0)
+    with pytest.raises(IndexOutOfRange, match=r"^curve index 5 out of range 1\.\.1$"):
+        spanning_tree_tour(OmegaGraph(1, frozenset()), root=5)
