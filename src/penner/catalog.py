@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
-from .core import IntersectionMatrix, exact, validate_omega
+from .core import IntersectionMatrix, check_curve_index, exact, validate_omega
 from .errors import (
     CurvesIntersect,
     IndexOutOfRange,
@@ -210,7 +210,7 @@ def puncture_augment(
     Variants: ``"D"`` appends ``d`` only (rank unchanged), ``"DE"`` appends
     ``d`` and ``e`` (rank + 2).
     """
-    omega.check_index(c)
+    check_curve_index(c, omega.n)
     if variant not in _PUNCTURE_VARIANTS:
         raise ValueError(f"variant must be one of {_PUNCTURE_VARIANTS}")
     d = [row[c - 1] for row in omega.entries]

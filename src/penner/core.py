@@ -81,7 +81,7 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def check_curve_index(i: int, n: int) -> None:
     """Raise :class:`IndexOutOfRange` unless ``i`` is a curve index in ``1..n``."""
-    if not (isinstance(i, int) and 1 <= i <= n):
+    if not (isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= n):
         raise IndexOutOfRange(f"curve index {i} out of range 1..{n}")
 
 
@@ -100,12 +100,9 @@ class IntersectionMatrix:
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry ``omega[i][j]`` (1-based)."""
-        self.check_index(i)
-        self.check_index(j)
-        return self.entries[i - 1][j - 1]
-
-    def check_index(self, i: int) -> None:
         check_curve_index(i, self.n)
+        check_curve_index(j, self.n)
+        return self.entries[i - 1][j - 1]
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -184,10 +181,10 @@ class TwistWord:
         if not self.gamma:
             raise InvalidWord("twist word must have at least one letter")
         for p in self.powers:
-            if not (isinstance(p, int) and p >= 1):
+            if not (isinstance(p, int) and not isinstance(p, bool) and p >= 1):
                 raise InvalidWord(f"exponents must be positive integers, got {p}")
         for i in self.gamma:
-            if not (isinstance(i, int) and i >= 1):
+            if not (isinstance(i, int) and not isinstance(i, bool) and i >= 1):
                 raise InvalidWord(f"curve indices must be positive integers, got {i}")
         for a, b in zip(self.gamma, self.gamma[1:]):
             if a == b:
@@ -205,6 +202,15 @@ class TwistWord:
 # twist generators and products
 # ---------------------------------------------------------------------------
 
+def letter_update(m: list, r: int, c: Scalar, v: Sequence[Scalar]) -> None:
+    """Left-multiply the row-list matrix ``m`` by ``I + c e_r v^T`` in place:
+    row ``r`` (0-based) gains ``c`` times ``v^T m``.  Twist letters and the
+    limit projections of :mod:`penner.boundary` are both of this form."""
+    terms = [(w, m[t]) for t, w in enumerate(v) if w != 0]
+    m[r] = [exact(x + c * sum(w * row[col] for w, row in terms))
+            for col, x in enumerate(m[r])]
+
+
 def generator(omega: IntersectionMatrix, i: int) -> ExactMatrix:
     """The elementary twist matrix ``Q_i = I + D_i * omega``.
 
@@ -212,10 +218,10 @@ def generator(omega: IntersectionMatrix, i: int) -> ExactMatrix:
     of ``omega``.  It is unipotent with determinant 1, and satisfies the
     powering identity ``Q_i(omega)^k = Q_i(k * omega)``.
     """
-    omega.check_index(i)
-    rows = list(identity_matrix(omega.n))
-    rows[i - 1] = tuple(exact(x + w) for x, w in zip(rows[i - 1], omega.entries[i - 1]))
-    return tuple(rows)
+    check_curve_index(i, omega.n)
+    rows = [list(row) for row in identity_matrix(omega.n)]
+    letter_update(rows, i - 1, 1, omega.entries[i - 1])
+    return tuple(map(tuple, rows))
 
 
 def twist_product(omega: IntersectionMatrix, word: TwistWord) -> ExactMatrix:
@@ -227,14 +233,7 @@ def twist_product(omega: IntersectionMatrix, word: TwistWord) -> ExactMatrix:
     ``O(K n^2)`` exact operations.
     """
     word.check_indices(omega.n)
-    n = omega.n
-    m = [list(row) for row in identity_matrix(n)]
+    m = [list(row) for row in identity_matrix(omega.n)]
     for i, p in zip(word.gamma, word.powers):
-        r = i - 1
-        omega_row = omega.entries[r]
-        extra = [
-            sum(omega_row[t] * m[t][c] for t in range(n) if omega_row[t] != 0)
-            for c in range(n)
-        ]
-        m[r] = [exact(m[r][c] + p * extra[c]) for c in range(n)]
-    return tuple(tuple(row) for row in m)
+        letter_update(m, i - 1, p, omega.entries[i - 1])
+    return tuple(map(tuple, m))

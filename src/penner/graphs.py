@@ -45,20 +45,29 @@ def graph_of(omega: IntersectionMatrix) -> OmegaGraph:
     return OmegaGraph(n, frozenset(edges))
 
 
+def _tree_edges(adj: dict, root: int, seen: set):
+    """Yield the edges ``(parent, child)`` of the depth-first spanning tree of
+    ``root``'s component as the walk finds them, neighbours in increasing
+    order, skipping and adding to ``seen``.  The walk keeps its own stack, so
+    the depth of the tree is not limited by Python's recursion limit."""
+    seen.add(root)
+    # the tree path from the root to the current vertex, each vertex with
+    # an iterator over the neighbours it has yet to try
+    path = [(root, iter(adj[root]))]
+    while path:
+        v, untried = path[-1]
+        w = next((w for w in untried if w not in seen), None)
+        if w is None:
+            path.pop()
+            continue
+        seen.add(w)
+        yield v, w
+        path.append((w, iter(adj[w])))
+
+
 def is_connected(g: OmegaGraph) -> bool:
     """Whether ``g`` is connected.  A single vertex counts as connected."""
-    if g.n <= 1:
-        return True
-    adj = g.adjacency()
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return g.n <= 1 or sum(1 for _ in _tree_edges(g.adjacency(), 1, set())) == g.n - 1
 
 
 def bipartition(g: OmegaGraph) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -67,21 +76,14 @@ def bipartition(g: OmegaGraph) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...
     For disconnected graphs each component is colored independently, with the
     component's smallest vertex placed on side ``a``.
     """
-    adj = g.adjacency()
-    color = {}
+    adj, seen, color = g.adjacency(), set(), {}
     for root in range(1, g.n + 1):
-        if root in color:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
+        if root not in seen:
+            color[root] = 0
+            for v, w in _tree_edges(adj, root, seen):
+                color[w] = 1 - color[v]
+    if any(color[a] == color[b] for a, b in g.edges):
+        return None
     side_a = tuple(v for v in range(1, g.n + 1) if color[v] == 0)
     side_b = tuple(v for v in range(1, g.n + 1) if color[v] == 1)
     return side_a, side_b
@@ -170,31 +172,21 @@ def spanning_tree_tour(g: OmegaGraph, root: int = 1) -> Tuple[int, ...]:
     Depth-first tour of a spanning tree rooted at ``root``, neighbours in
     increasing order: each tree edge is traversed once in each direction, so
     the tour is freely null-homotopic.  The final return to the root is left
-    implicit (the path closes up).  The walk keeps its own stack, so the
-    depth of the tree is not limited by Python's recursion limit.  A root
-    outside ``1..n`` raises :class:`IndexOutOfRange`.
+    implicit (the path closes up).  A root outside ``1..n`` raises
+    :class:`IndexOutOfRange`.
     """
     check_curve_index(root, g.n)
     if not is_connected(g):
         raise ValueError("graph must be connected")
     if g.n == 1:
         return (root,)
-    adj = g.adjacency()
-    seen = {root}
-    tour = [root]
-    # the tree path from the root to the current vertex, each vertex with
-    # an iterator over the neighbours it has yet to try
-    path = [(root, iter(adj[root]))]
-    while path:
-        w = next((w for w in path[-1][1] if w not in seen), None)
-        if w is None:
-            path.pop()
-            if path:
-                tour.append(path[-1][0])  # back up the tree edge
-            continue
-        seen.add(w)
+    tour, parent = [root], {}
+    for v, w in _tree_edges(g.adjacency(), root, set()):
+        while tour[-1] != v:
+            tour.append(parent[tour[-1]])  # back up the tree edge
+        parent[w] = v
         tour.append(w)
-        path.append((w, iter(adj[w])))
-    # tour currently ends at root; drop the final entry so the closing edge
-    # is the wrap-around pair (last, root)
+    while tour[-1] != root:
+        tour.append(parent[tour[-1]])
+    # drop the final return to the root: the wrap-around pair closes the path
     return tuple(tour[:-1])

@@ -577,30 +577,16 @@ class PFEigenvalue(NamedTuple):
 
 def _mpf_to_fraction(x: mp.mpf) -> Fraction:
     """The exact rational value stored in an mpf (no re-rounding)."""
-    man, exp = x.man_exp
-    return Fraction(int(man)) * Fraction(2) ** int(exp)
-
-
-def sign_at(p: Poly, x: Fraction) -> int:
-    """The sign (-1, 0 or 1) of ``p(x)``, over the integers: that of
-    ``L den^d p(num/den)`` for ``x = num/den`` with ``den > 0``, ``d`` the
-    degree and ``L`` the least common denominator of the coefficients."""
-    num, den = x.numerator, x.denominator
-    lcd = math.lcm(*(c.denominator for c in p.coeffs))
-    scaled, power = [], 1
-    for c in p.leading_first():
-        scaled.append(c.numerator * (lcd // c.denominator) * power)
-        power *= den
-    value = synthetic_division(scaled, num)[1]
-    return (value > 0) - (value < 0)
+    man, exp = x.man_exp  # an unsigned mantissa: the sign is read apart
+    return Fraction(-int(man) if x < 0 else int(man)) * Fraction(2) ** int(exp)
 
 
 def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
     """Whether the exact polynomial ``p`` has a root in
-    ``[value - error, value + error]``: its values at the two ends, signed
-    exactly by :func:`sign_at`, are of opposite sign or zero."""
+    ``[value - error, value + error]``: its values at the two ends, checked
+    exactly, by rational evaluation, are of opposite sign or zero."""
     v, e = _mpf_to_fraction(value), _mpf_to_fraction(error)
-    return sign_at(p, v - e) * sign_at(p, v + e) <= 0
+    return p(v - e) * p(v + e) <= 0
 
 
 def refine_real_root(p: Poly, x0: mp.mpf, digits: int) -> PFEigenvalue:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from penner import IntersectionMatrix, Poly, TwistWord, graph_of
+from penner import IntersectionMatrix, Poly, TwistWord, graph_of, validate_omega
 from penner.core import exact
 from penner.graphs import bipartition, spanning_tree_tour
 
@@ -37,6 +37,17 @@ def random_omega(rng, n, max_entry=3, density=0.6, connected=True):
                 v = rng.randint(1, max_entry)
                 rows[prev][cur] = rows[cur][prev] = v
     return IntersectionMatrix(tuple(tuple(r) for r in rows))
+
+
+def random_rational_omega(rng, n):
+    """A random intersection matrix with ``"p/q"`` string entries, read
+    through :func:`penner.core.validate_omega`."""
+    rows = [["0"] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.6:
+                rows[a][b] = rows[b][a] = f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+    return validate_omega(rows)
 
 
 @functools.lru_cache(maxsize=None)

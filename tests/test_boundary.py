@@ -28,9 +28,10 @@ from penner import (
 import penner.spectral
 from penner.boundary import insert_spur
 from penner.catalog import catalog_get, catalog_ids
-from penner.core import mat_mul
+from penner.core import exact, mat_mul
 from penner.graphs import graph_of, spanning_tree_tour
 from penner.errors import (
+    IndexOutOfRange,
     NotAnEdge,
     NotGeneral,
     NotSupported,
@@ -43,6 +44,7 @@ from conftest import (
     count_calls,
     random_closed_walk,
     random_omega,
+    random_rational_omega,
     tour_path,
 )
 
@@ -62,6 +64,30 @@ def test_q_arrow_requires_edge(omega3):
         q_arrow(om, 1, 3)
     with pytest.raises(NotAnEdge):
         q_arrow(omega3, 2, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_q_arrow_is_identity_minus_scaled_row_of_omega(seed):
+    # Q_{i<-j} = I - omega_ij^(-1) e_j omega_i^T, entry by entry, on rational omega
+    rng = random.Random(seed)
+    om = random_rational_omega(rng, rng.randint(2, 6))
+    n = om.n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            w = om.entries[i - 1][j - 1]
+            if w == 0:
+                continue
+            assert q_arrow(om, i, j) == tuple(
+                tuple(exact((r == c) - (r == j - 1) * om.entries[i - 1][c] / Fraction(w))
+                      for c in range(n)) for r in range(n))
+    for bad in (0, n + 1):
+        with pytest.raises(IndexOutOfRange, match=rf"^curve index {bad} out of range 1\.\.{n}$"):
+            q_arrow(om, bad, 1)
+        with pytest.raises(IndexOutOfRange, match=rf"^curve index {bad} out of range 1\.\.{n}$"):
+            q_arrow(om, 1, bad)
+    with pytest.raises(IndexOutOfRange, match=rf"^curve index True out of range 1\.\.{n}$"):
+        q_arrow(om, True, 2)
 
 
 def test_q_arrow_kills_row(omega3):

@@ -27,7 +27,7 @@ from penner.errors import (
     NotSymmetric,
 )
 
-from conftest import general_word, random_omega, tour_path
+from conftest import general_word, random_omega, random_rational_omega, tour_path
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,18 @@ def test_word_rejects_nonpositive_power():
         TwistWord((1, 2), (1, 0))
 
 
+def test_booleans_are_not_curve_indices_or_exponents(omega3):
+    with pytest.raises(IndexOutOfRange, match=r"^curve index True out of range 1\.\.3$"):
+        generator(omega3, True)
+    with pytest.raises(IndexOutOfRange, match=r"^curve index False out of range 1\.\.3$"):
+        omega3.entry(1, False)
+    with pytest.raises(InvalidWord, match=r"^exponents must be positive integers, got True$"):
+        TwistWord((2, 1, 3), (True, 1, 2))
+    with pytest.raises(InvalidWord,
+                       match=r"^curve indices must be positive integers, got True$"):
+        TwistWord((1, True, 3), (1, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # generators and products
 # ---------------------------------------------------------------------------
@@ -97,6 +109,22 @@ def test_generator_matches_definition(omega3):
     # Q_2 = I + D_2 * omega: only row 2 differs from the identity
     q = generator(omega3, 2)
     assert q == ((1, 0, 0), (1, 1, 1), (0, 0, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_generator_is_identity_plus_row_of_omega(seed):
+    # Q_i = I + e_i omega_i^T, entry by entry, on rational omega
+    rng = random.Random(seed)
+    om = random_rational_omega(rng, rng.randint(1, 6))
+    n = om.n
+    for i in range(1, n + 1):
+        q = generator(om, i)
+        assert q == tuple(tuple(exact((r == c) + (r == i - 1) * om.entries[i - 1][c])
+                                for c in range(n)) for r in range(n))
+    for bad in (0, n + 1):
+        with pytest.raises(IndexOutOfRange, match=rf"^curve index {bad} out of range 1\.\.{n}$"):
+            generator(om, bad)
 
 
 def test_power_identity(omega3):

@@ -201,7 +201,8 @@ def recursive_tour(g, root):
 @pytest.mark.parametrize("entry_id", catalog_ids())
 def test_spanning_tree_tour_matches_recursive_order(entry_id):
     g = graph_of(catalog_get(entry_id).omega)
-    assert spanning_tree_tour(g, root=1) == recursive_tour(g, 1)
+    for root in range(1, g.n + 1):
+        assert spanning_tree_tour(g, root=root) == recursive_tour(g, root), root
 
 
 def test_spanning_tree_tour_of_a_long_path():
@@ -218,3 +219,48 @@ def test_spanning_tree_tour_rejects_a_root_outside_the_graph(omega3):
         spanning_tree_tour(graph_of(omega3), root=0)
     with pytest.raises(IndexOutOfRange, match=r"^curve index 5 out of range 1\.\.1$"):
         spanning_tree_tour(OmegaGraph(1, frozenset()), root=5)
+    with pytest.raises(IndexOutOfRange, match=r"^curve index True out of range 1\.\.3$"):
+        spanning_tree_tour(graph_of(omega3), root=True)
+
+
+def _components(g):
+    """Union-find over the edges: the components of ``g`` as vertex sets."""
+    parent = list(range(g.n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in g.edges:
+        parent[find(a)] = find(b)
+    comps = {}
+    for v in range(1, g.n + 1):
+        comps.setdefault(find(v), set()).add(v)
+    return list(comps.values())
+
+
+def _two_colourable(g):
+    """Brute force: whether some assignment of two colours to ``1..n``
+    leaves no edge inside a colour."""
+    return any(all((mask >> (a - 1) & 1) != (mask >> (b - 1) & 1) for a, b in g.edges)
+               for mask in range(2 ** g.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1))))
+def test_walks_match_brute_force_references(graph):
+    # bit t of the mask keeps the t-th of the n(n-1)/2 possible edges
+    n, mask = graph
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    g = OmegaGraph(n, frozenset(e for t, e in enumerate(pairs) if mask >> t & 1))
+    comps = _components(g)
+    assert is_connected(g) == (len(comps) == 1)
+    sides = bipartition(g)
+    assert (sides is None) == (not _two_colourable(g))
+    if sides is not None:
+        a, b = sides
+        assert sorted(a + b) == list(range(1, n + 1))
+        assert not any(g.has_edge(u, v) for side in (a, b) for u in side for v in side)
+        assert all(min(comp) in a for comp in comps)

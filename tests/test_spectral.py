@@ -48,7 +48,6 @@ from penner.spectral import (
     charpoly_bound,
     poly_str,
     root_bound_bits,
-    sign_at,
     strip_unit_root,
     trace_polynomial,
     twist_charpoly,
@@ -523,11 +522,24 @@ def test_root_bound_bits_bounds_every_root(lower, lead):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_exact_scalars, min_size=1, max_size=25),
-       st.integers(-2**80, 2**80), st.integers(0, 120))
-def test_sign_at_matches_fraction_evaluation(coeffs, num, shift):
-    p, x = Poly(coeffs), Fraction(num, 2 ** shift)
-    value = p(x)
-    assert sign_at(p, x) == (value > 0) - (value < 0)
+       st.integers(-2**80, 2**80), st.integers(0, 120),
+       st.integers(0, 2**80), st.integers(0, 120),
+       st.sampled_from([None, Fraction(1, 3), 1]))
+@example([1], -1, 0, 0, 0, None)  # x + 1 at -1: a negative end keeps its sign
+def test_brackets_root_matches_sympy_signs(coeffs, num, shift, err, err_shift, root_at):
+    # dyadic ends, held exactly by mpfs of 100 bits; root_at puts a root of
+    # p inside the enclosure or on its upper end, so both answers occur
+    v, e = sympy.Rational(num, 2 ** shift), sympy.Rational(err, 2 ** err_shift)
+    with mp.workprec(100):
+        value, error = mp.ldexp(num, -shift), mp.ldexp(err, -err_shift)
+    p = Poly(coeffs)
+    if root_at is not None:
+        r = v + e * sympy.Rational(root_at.numerator, root_at.denominator)
+        p = p * Poly([-Fraction(int(r.p), int(r.q)), 1])
+    x = sympy.Symbol("x")
+    q = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                   x, domain=QQ)
+    assert brackets_root(p, value, error) == (q.eval(v - e) * q.eval(v + e) <= 0)
 
 
 def test_pf_eigenvalue_rejects_an_enclosure_without_a_root(monkeypatch):
