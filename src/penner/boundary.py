@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -48,13 +49,13 @@ from .graphs import covers_vertices, graph_of, word_supported
 from .spectral import (
     DEFAULT_DIGITS,
     Poly,
-    _to_mpf,
     all_roots,
     hadamard_charpoly,
     pf_eigenvalue,
+    to_mpf,
     twist_charpoly,
 )
-from .factor import deflated_distance
+from .factor import deflate
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +223,9 @@ def eigenvector_asymptotics(
         # left eigenvector by power iteration inside the invariant cone: the
         # seed 1^T omega M lies in C M and the cone is preserved, so the
         # iteration converges to the leading left eigenvector ray
-        mat = mp.matrix([[_to_mpf(x) for x in row] for row in m])
+        mat = mp.matrix([[to_mpf(x) for x in row] for row in m])
         omega_m = mat_mul(omega_k.entries, m)
-        y = mp.matrix([sum(_to_mpf(omega_m[i][j]) for i in range(n))
+        y = mp.matrix([sum(to_mpf(omega_m[i][j]) for i in range(n))
                        for j in range(n)])
         y = y / max(abs(v) for v in y)
         for _ in range(2000):
@@ -238,8 +239,8 @@ def eigenvector_asymptotics(
         p1 = powers[0]
         inv = Fraction(1) / Fraction(omega_k.entry(i2, i1))
         target = tuple(
-            p1 * _to_mpf(omega_k.entries[i1 - 1][j])
-            + _to_mpf(inv) * _to_mpf(omega_k.entries[i2 - 1][j])
+            p1 * to_mpf(omega_k.entries[i1 - 1][j])
+            + to_mpf(inv) * to_mpf(omega_k.entries[i2 - 1][j])
             for j in range(n)
         )
         # the eigenvector is a ray; choose the representative closest to the
@@ -253,12 +254,12 @@ def eigenvector_asymptotics(
                       for a in range(n) for c in range(a, n)), key=dist)
         lhs = dist(t_best)
         p_max, p_min = max(powers), min(powers)
-        norm_inf = max(_to_mpf(xx) for row in omega_k.entries for xx in row)
+        norm_inf = max(to_mpf(xx) for row in omega_k.entries for xx in row)
         rhs = (
             mp.mpf(2) ** K
             * mp.mpf(p_max) ** (K - 2)
             * norm_inf ** (K - 1)
-            / (mp.mpf(p_min) ** K * _to_mpf(min_gamma) ** K)
+            / (mp.mpf(p_min) ** K * to_mpf(min_gamma) ** K)
         )
         return AsymptoticsResult(lhs=lhs, rhs=rhs)
 
@@ -330,7 +331,10 @@ def ray_convergence_experiment(
         for k in scales:
             u = twist_charpoly(scale(omega, k), word)
             lam = pf_eigenvalue(u, digits).value
-            dist = deflated_distance(u, lam, limit_poly, digits)
+            with mp.workdps(digits + 10):
+                target = limit_poly.mpf_coeffs()[::-1]
+                dist = max(abs(a - b) for a, b in zip_longest(
+                    deflate(u, lam, digits), target, fillvalue=mp.mpf(0)))
             rows.append(RayRow(k, u, lam, dist, None))
         return RayTable(True, tuple(rows), limit_poly, None)
     # divergent branch: fit eigenvalue magnitudes against the scale
@@ -351,7 +355,7 @@ def ray_convergence_experiment(
     exponents = []
     constants = []
     nslots = min(len(m) for m in mags_per_scale)
-    logs_k = [mp.log(_to_mpf(k)) for k in scales]
+    logs_k = [mp.log(to_mpf(k)) for k in scales]
     mean_x = sum(logs_k) / len(logs_k)
     for slot in range(nslots):
         ys = [mp.log(mags_per_scale[t][slot]) for t in range(len(scales))]

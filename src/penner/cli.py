@@ -241,6 +241,11 @@ def cmd_limit(args) -> int:
     return 0
 
 
+#: The largest ``catalog degrees --genus`` and ``--punctures``: the degree
+#: sets list every degree up to the Teichmueller dimension, 1 MB of JSON at 10,000.
+MAX_SURFACE = 10_000
+
+
 def cmd_catalog(args) -> int:
     if args.action == "list":
         payload = {"ids": list(catalog_ids())}
@@ -271,6 +276,8 @@ def cmd_catalog(args) -> int:
         ])
         return 0
     # degrees, the one action left that argparse admits
+    if max(args.genus, args.punctures) > MAX_SURFACE:
+        raise ValidationError(f"genus and punctures must be at most {MAX_SURFACE}")
     surface = SurfaceSpec(
         orientable=(args.kind.upper() == "S"),
         genus=args.genus,
@@ -391,8 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("id", nargs="?", default=None)
     p_catalog.add_argument("--kind", default="S", choices=["S", "N", "s", "n"],
                            help="surface kind for `degrees`")
-    p_catalog.add_argument("--genus", type=int, default=2)
-    p_catalog.add_argument("--punctures", type=int, default=0)
+    p_catalog.add_argument("--genus", type=int, default=2,
+                           help=f"genus or crosscaps for `degrees`, at most {MAX_SURFACE}")
+    p_catalog.add_argument("--punctures", type=int, default=0,
+                           help=f"punctures for `degrees`, at most {MAX_SURFACE}")
     p_catalog.add_argument("--json", action="store_true")
     p_catalog.set_defaults(func=cmd_catalog)
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import mpmath as mp
 
@@ -34,7 +33,6 @@ from .spectral import (
     DEFAULT_DIGITS,
     Poly,
     SpectralReport,
-    _ddf_degrees,
     all_roots,
     brackets_root,
     synthetic_division,
@@ -60,6 +58,94 @@ class Factorization:
         return out
 
 
+# ---------------------------------------------------------------------------
+# the degree-pattern certificate: distinct-degree factorization modulo
+# small primes
+# ---------------------------------------------------------------------------
+# Polynomials modulo ``prime`` are lists of residues in ``[0, prime)``,
+# constant term first, with no trailing zeros; ``[]`` is zero.
+
+def _trim(a: List[int]) -> List[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_mod(a: List[int], b: List[int], prime: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of ``a`` by the nonzero ``b`` modulo ``prime``."""
+    rem, inv = list(a), pow(b[-1], -1, prime)
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
+    low = b[:-1]
+    for shift in range(len(quotient) - 1, -1, -1):
+        c = rem.pop() * inv % prime
+        quotient[shift] = c
+        if c:
+            rem[shift:] = [(u - c * y) % prime for u, y in zip(rem[shift:], low)]
+    return _trim(quotient), _trim(rem)
+
+
+def _gcd_mod(a: List[int], b: List[int], prime: int) -> List[int]:
+    """The monic greatest common divisor of ``a`` and ``b`` modulo ``prime``,
+    not both zero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, prime)[1]
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
+
+
+def _mulmod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
+    """``a b`` modulo the monic ``f`` and ``prime``."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = [u + x * y for u, y in zip(out[i:i + len(b)], b)]
+    return _divmod_mod([c % prime for c in out], f, prime)[1]
+
+
+def _ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
+    """The degrees of the irreducible factors modulo the prime ``prime``
+    of the monic ``f`` (residues, constant term first, degree at least 1),
+    in increasing order; ``None`` when ``f`` is not squarefree modulo
+    ``prime``, that is when ``gcd(f, f')`` is not 1.
+
+    Distinct-degree factorization: ``x^p mod f`` comes by square-and-multiply,
+    and from it the Frobenius matrix, whose row ``i`` is ``x^(i p) mod f``,
+    so that ``h^p = sum_i h_i x^(i p)`` costs one vector-matrix product.  The
+    product of the irreducible factors of degree ``d`` of a squarefree
+    ``f`` is ``gcd(f, x^(p^d) - x)`` once those of lower degree are divided
+    out.  ``d`` runs up to half the degree of what is left, which is then
+    irreducible or 1.
+    """
+    n = len(f) - 1
+    if len(_gcd_mod(f, _trim([i * c % prime for i, c in enumerate(f)][1:]), prime)) > 1:
+        return None
+    power, base, e = [1], [0, 1], prime
+    while e:
+        if e & 1:
+            power = _mulmod(power, base, f, prime)
+        base, e = _mulmod(base, base, f, prime), e >> 1
+    frobenius = [[1]]
+    for _ in range(1, n):
+        frobenius.append(_mulmod(frobenius[-1], power, f, prime))
+    degrees, rest, h, d = [], f, [0, 1], 0
+    while 2 * (d + 1) < len(rest):
+        d += 1
+        image = [0] * n
+        for c, row in zip(h, frobenius):
+            if c:
+                image[:len(row)] = [u + c * y for u, y in zip(image, row)]
+        h = _trim([c % prime for c in image])
+        shifted = h + [0] * (2 - len(h))
+        shifted[1] = (shifted[1] - 1) % prime
+        g = _gcd_mod(rest, _trim(shifted), prime)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            rest = _divmod_mod(rest, g, prime)[0]
+    if len(rest) > 1:
+        degrees.append(len(rest) - 1)
+    return degrees
+
+
 #: The primes of :func:`_proves_irreducible`: the first 40 odd primes, 3 to
 #: 179.  On the spanning-tree tour of every catalog entry from every root,
 #: at k = 1, 2, 3, 27 and 243, the reduced polynomial (or its trace
@@ -82,7 +168,7 @@ def _proves_irreducible(q: Poly) -> bool:
     ``q`` is squarefree modulo ``p``, the irreducible factors of ``g``
     modulo ``p`` are distinct irreducible factors of ``q`` modulo ``p``,
     and ``deg g`` is a sum of a subset of their degrees
-    (:func:`~penner.spectral._ddf_degrees`).  A degree in ``1 .. deg q - 1``
+    (:func:`_ddf_degrees`).  A degree in ``1 .. deg q - 1``
     that no prime admits is the degree of no factor.  Each prime counts
     against the budget, whether it divides a denominator, leaves ``q`` with
     a repeated factor or is used; a polynomial with a repeated factor is
@@ -234,19 +320,6 @@ def deflate(
         inv = 1 / lam
         quotient, _remainder = synthetic_division(p.mpf_coeffs()[::-1], inv)
         return tuple(-inv * c for c in quotient)
-
-
-def deflated_distance(
-    u: Poly, lam: mp.mpf, limit: Poly, digits: int = DEFAULT_DIGITS
-) -> mp.mpf:
-    """The sup-distance between the coefficients of ``u(x) / (x - lam)``
-    (see :func:`deflate`) and those of ``limit``, the shorter list padded
-    with zeros."""
-    defl = deflate(u, lam, digits)
-    with mp.workdps(digits + 10):
-        target = limit.mpf_coeffs()[::-1]
-        return max(abs(a - b)
-                   for a, b in zip_longest(defl, target, fillvalue=mp.mpf(0)))
 
 
 def convergence_diagnostic(

@@ -9,11 +9,9 @@ there; past it sympy's Berkowitz takes over.  Ranks are computed exactly
 in-house, by fraction-free elimination (:func:`rank_exact`).
 The general characteristic polynomial (Berkowitz) is computed exactly by
 sympy's ``DomainMatrix`` over the integers or the rationals; it is the
-oracle of the modular kernel.  :func:`_ddf_degrees` gives the degrees of
-the irreducible factors of a polynomial modulo a small prime, from which
-:mod:`penner.factor` proves irreducibility.  The leading eigenvalue is
-computed numerically to a requested number of digits via mpmath, always
-starting from the exact polynomial.
+oracle of the modular kernel.  The leading eigenvalue is computed
+numerically to a requested number of digits via mpmath, always starting
+from the exact polynomial.
 
 Key structure: for a twist product ``M`` over ``omega`` of rank ``r``, the
 characteristic polynomial splits as ``chi(x) = (x - 1)^(n - r) * p(x)`` with
@@ -101,7 +99,7 @@ class Poly:
 
     def mpf_coeffs(self) -> List[mp.mpf]:
         """The coefficients, leading first, as mpf at the working precision."""
-        return list(map(_to_mpf, reversed(self.coeffs)))
+        return list(map(to_mpf, reversed(self.coeffs)))
 
     def __call__(self, x):
         return synthetic_division(reversed(self.coeffs), x)[1]
@@ -140,7 +138,8 @@ class Poly:
         return poly_str(self)
 
 
-def _to_mpf(c: Scalar) -> mp.mpf:
+def to_mpf(c: Scalar) -> mp.mpf:
+    """The exact scalar ``c`` as an mpf at the working precision."""
     if isinstance(c, Fraction):
         return mp.mpf(c.numerator) / mp.mpf(c.denominator)
     return mp.mpf(c)
@@ -373,93 +372,6 @@ def hadamard_charpoly(m: ExactMatrix) -> Poly:
         root = math.isqrt(square)
         bound *= max(1, root + (root * root < square))
     return _charpoly_lifted(m, max(bound, lcd), [lcd ** (n - j) for j in range(n + 1)])
-
-
-# ---------------------------------------------------------------------------
-# distinct-degree factorization modulo a small prime
-# ---------------------------------------------------------------------------
-# Polynomials modulo ``prime`` are lists of residues in ``[0, prime)``,
-# constant term first, with no trailing zeros; ``[]`` is zero.
-
-def _trim(a: List[int]) -> List[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _divmod_mod(a: List[int], b: List[int], prime: int) -> Tuple[List[int], List[int]]:
-    """Quotient and remainder of ``a`` by the nonzero ``b`` modulo ``prime``."""
-    rem, inv = list(a), pow(b[-1], -1, prime)
-    quotient = [0] * max(len(a) - len(b) + 1, 0)
-    low = b[:-1]
-    for shift in range(len(quotient) - 1, -1, -1):
-        c = rem.pop() * inv % prime
-        quotient[shift] = c
-        if c:
-            rem[shift:] = [(u - c * y) % prime for u, y in zip(rem[shift:], low)]
-    return _trim(quotient), _trim(rem)
-
-
-def _gcd_mod(a: List[int], b: List[int], prime: int) -> List[int]:
-    """The monic greatest common divisor of ``a`` and ``b`` modulo ``prime``,
-    not both zero."""
-    while b:
-        a, b = b, _divmod_mod(a, b, prime)[1]
-    inv = pow(a[-1], -1, prime)
-    return [c * inv % prime for c in a]
-
-
-def _mulmod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
-    """``a b`` modulo the monic ``f`` and ``prime``."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + len(b)] = [u + x * y for u, y in zip(out[i:i + len(b)], b)]
-    return _divmod_mod([c % prime for c in out], f, prime)[1]
-
-
-def _ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
-    """The degrees of the irreducible factors modulo the prime ``prime``
-    of the monic ``f`` (residues, constant term first, degree at least 1),
-    in increasing order; ``None`` when ``f`` is not squarefree modulo
-    ``prime``, that is when ``gcd(f, f')`` is not 1.
-
-    Distinct-degree factorization: ``x^p mod f`` comes by square-and-multiply,
-    and from it the Frobenius matrix, whose row ``i`` is ``x^(i p) mod f``,
-    so that ``h^p = sum_i h_i x^(i p)`` costs one vector-matrix product.  The
-    product of the irreducible factors of degree ``d`` of a squarefree
-    ``f`` is ``gcd(f, x^(p^d) - x)`` once those of lower degree are divided
-    out.  ``d`` runs up to half the degree of what is left, which is then
-    irreducible or 1.
-    """
-    n = len(f) - 1
-    if len(_gcd_mod(f, _trim([i * c % prime for i, c in enumerate(f)][1:]), prime)) > 1:
-        return None
-    power, base, e = [1], [0, 1], prime
-    while e:
-        if e & 1:
-            power = _mulmod(power, base, f, prime)
-        base, e = _mulmod(base, base, f, prime), e >> 1
-    frobenius = [[1]]
-    for _ in range(1, n):
-        frobenius.append(_mulmod(frobenius[-1], power, f, prime))
-    degrees, rest, h, d = [], f, [0, 1], 0
-    while 2 * (d + 1) < len(rest):
-        d += 1
-        image = [0] * n
-        for c, row in zip(h, frobenius):
-            if c:
-                image[:len(row)] = [u + c * y for u, y in zip(image, row)]
-        h = _trim([c % prime for c in image])
-        shifted = h + [0] * (2 - len(h))
-        shifted[1] = (shifted[1] - 1) % prime
-        g = _gcd_mod(rest, _trim(shifted), prime)
-        if len(g) > 1:
-            degrees += [d] * ((len(g) - 1) // d)
-            rest = _divmod_mod(rest, g, prime)[0]
-    if len(rest) > 1:
-        degrees.append(len(rest) - 1)
-    return degrees
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,16 @@ import mpmath as mp
 import pytest
 
 import penner
+import penner.catalog
 import penner.cli
 import penner.recipe
 
 from penner.catalog import catalog_get, catalog_ids
-from penner.cli import MAX_DIGITS, digits_arg, main
+from penner.cli import MAX_DIGITS, MAX_SURFACE, digits_arg, main
 from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import brackets_root
+
+from conftest import count_calls
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -477,11 +480,32 @@ def test_catalog_degrees_no_pa(capsys):
     ["--genus", "-1"],
     ["--kind", "N", "--genus", "0"],
     ["--punctures", "-2"],
+    # these built every degree up to the Teichmueller dimension and ran out
+    # of memory under an 800 MB address-space cap
+    ["--genus", "100000000"],
+    ["--kind", "N", "--genus", "3", "--punctures", "100000000"],
 ])
-def test_catalog_degrees_invalid_surface_exits_2(argv, capsys):
+def test_catalog_degrees_invalid_surface_exits_2(argv, capsys, monkeypatch):
+    built = count_calls(monkeypatch, penner.catalog, "degree_set")
     code, _, err = run(capsys, ["catalog", "degrees", *argv])
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert built == []
+
+
+def test_catalog_degrees_surface_maximum_is_accepted_and_shown_in_help(capsys):
+    assert MAX_SURFACE == 10_000
+    code, out, _ = run(capsys, ["catalog", "degrees", "--genus", str(MAX_SURFACE),
+                                "--punctures", str(MAX_SURFACE), "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["surface"] == "S_{10000,10000}"
+    # the Teichmueller dimension 6g - 6 + 2n is the largest degree
+    assert [max(s) for s in payload["degree_sets"]] == [79_994]
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--help"])
+    assert exc.value.code == 0
+    assert f"at most {MAX_SURFACE}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_selftest(capsys):

@@ -1,4 +1,5 @@
-"""Tests for factorization over the integers and the rationals, degree
+"""Tests for factorization over the integers and the rationals, the
+degree-pattern certificate and its distinct-degree kernel, degree
 certification of the leading eigenvalue, and the convergence diagnostic."""
 
 import random
@@ -18,6 +19,7 @@ from penner import (
     degree_of_pf_root,
     factor_monic,
     pf_eigenvalue,
+    rank_exact,
     ray_convergence_experiment,
     scale,
     spectral_report,
@@ -25,10 +27,10 @@ from penner import (
 )
 import penner.factor
 import penner.spectral
-from penner.catalog import catalog_get
+from penner.catalog import catalog_get, puncture_augment
 from penner.errors import NotPerronFrobenius, NotSupported
 from penner.factor import deflate
-from penner.graphs import graph_of, spanning_tree_tour
+from penner.graphs import graph_of, is_bipartite, spanning_tree_tour
 from penner.spectral import trace_polynomial, unfold
 
 from conftest import count_calls, general_word, random_omega, sympy_is_irreducible
@@ -204,9 +206,42 @@ def test_s43max_is_factored_on_its_trace_polynomial(k, monkeypatch):
     assert fz.factors == ((report.reduced, 1),)
 
 
+@pytest.mark.parametrize("n", [36, 48])
+def test_degree_equals_rank_past_the_catalog(n):
+    # S43-max (n = 24) grown by puncture_augment(., c, "DE") for c = 1, 2, ...,
+    # each move two more curves and two more rank
+    omega, c = catalog_get("S43-max").omega, 0
+    while omega.n < n:
+        c += 1
+        omega = puncture_augment(omega, c, "DE")
+    assert omega.n == n
+    assert is_bipartite(graph_of(omega))
+    assert rank_exact(omega) == n
+    tour = spanning_tree_tour(graph_of(omega), root=1)
+    report = spectral_report(omega, TwistWord(tour, (1,) * len(tour)))
+    degree, minpoly, fz = degree_of_pf_root(report)
+    assert (degree, minpoly) == (n, report.reduced)
+    assert fz.factors == ((report.reduced, 1),)
+    assert sympy_is_irreducible(report.reduced)
+
+
 # ---------------------------------------------------------------------------
 # the degree-pattern certificate, against sympy
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 101, 179]),
+       st.lists(st.integers(0, 178), min_size=1, max_size=14))
+def test_ddf_degrees_match_sympy_modulo_the_prime(prime, low):
+    f = [c % prime for c in low] + [1]
+    spoly = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=prime)
+    factors = spoly.factor_list()[1]
+    if any(e > 1 for _g, e in factors):
+        assert penner.factor._ddf_degrees(f, prime) is None
+    else:
+        expected = sorted(g.degree() for g, _e in factors)
+        assert penner.factor._ddf_degrees(f, prime) == expected
+
 
 _proves_irreducible = penner.factor._proves_irreducible
 

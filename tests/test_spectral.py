@@ -206,24 +206,6 @@ def test_rank_handles_fractions():
 
 
 # ---------------------------------------------------------------------------
-# distinct-degree factorization modulo a small prime
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([3, 5, 7, 11, 101, 179]),
-       st.lists(st.integers(0, 178), min_size=1, max_size=14))
-def test_ddf_degrees_match_sympy_modulo_the_prime(prime, low):
-    f = [c % prime for c in low] + [1]
-    spoly = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=prime)
-    factors = spoly.factor_list()[1]
-    if any(e > 1 for _g, e in factors):
-        assert penner.spectral._ddf_degrees(f, prime) is None
-    else:
-        expected = sorted(g.degree() for g, _e in factors)
-        assert penner.spectral._ddf_degrees(f, prime) == expected
-
-
-# ---------------------------------------------------------------------------
 # characteristic polynomials of twist products modulo one prime
 # ---------------------------------------------------------------------------
 
