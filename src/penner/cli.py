@@ -13,14 +13,15 @@ Subcommands
 * ``catalog`` — inspect the built-in matrix catalog and degree-set formulas.
 * ``selftest``— quick internal consistency checks.
 
-Exit codes: 0 success, 2 invalid input, 3 violated mathematical
-precondition, 4 exhausted search budget.
+Exit codes: 0 success, 1 standard output closed early, 2 invalid input,
+3 violated mathematical precondition, 4 exhausted search budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -414,9 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(command: Callable[[], int]) -> int:
     """``command()``, or, when it raises a package error, that error on one
     stderr line and its exit code: 2 invalid input or an unreadable file, 3
-    violated mathematical precondition, 4 exhausted search budget."""
+    violated mathematical precondition, 4 exhausted search budget.
+
+    A reader that closes standard output early (``penner ... | head``) ends
+    the command with exit code 1 and no message.  Standard output is then
+    pointed at ``os.devnull``, so that the flush at exit, which would raise
+    ``BrokenPipeError`` again, has somewhere to go (the recipe of Python's
+    ``signal`` documentation)."""
     try:
-        return command()
+        code = command()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValidationError, OSError) as e:
         error, code = e, 2
     except PreconditionError as e:

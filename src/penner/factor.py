@@ -35,8 +35,11 @@ from .spectral import (
     SpectralReport,
     all_roots,
     brackets_root,
+    divmod_mod,
+    gcd_mod,
     synthetic_division,
     trace_polynomial,
+    trim_mod,
     unfold,
 )
 
@@ -62,36 +65,8 @@ class Factorization:
 # the degree-pattern certificate: distinct-degree factorization modulo
 # small primes
 # ---------------------------------------------------------------------------
-# Polynomials modulo ``prime`` are lists of residues in ``[0, prime)``,
-# constant term first, with no trailing zeros; ``[]`` is zero.
-
-def _trim(a: List[int]) -> List[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _divmod_mod(a: List[int], b: List[int], prime: int) -> Tuple[List[int], List[int]]:
-    """Quotient and remainder of ``a`` by the nonzero ``b`` modulo ``prime``."""
-    rem, inv = list(a), pow(b[-1], -1, prime)
-    quotient = [0] * max(len(a) - len(b) + 1, 0)
-    low = b[:-1]
-    for shift in range(len(quotient) - 1, -1, -1):
-        c = rem.pop() * inv % prime
-        quotient[shift] = c
-        if c:
-            rem[shift:] = [(u - c * y) % prime for u, y in zip(rem[shift:], low)]
-    return _trim(quotient), _trim(rem)
-
-
-def _gcd_mod(a: List[int], b: List[int], prime: int) -> List[int]:
-    """The monic greatest common divisor of ``a`` and ``b`` modulo ``prime``,
-    not both zero."""
-    while b:
-        a, b = b, _divmod_mod(a, b, prime)[1]
-    inv = pow(a[-1], -1, prime)
-    return [c * inv % prime for c in a]
-
+# Polynomials modulo ``prime`` are residue lists as in
+# :func:`~penner.spectral.divmod_mod`.
 
 def _mulmod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
     """``a b`` modulo the monic ``f`` and ``prime``."""
@@ -99,7 +74,7 @@ def _mulmod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
     for i, x in enumerate(a):
         if x:
             out[i:i + len(b)] = [u + x * y for u, y in zip(out[i:i + len(b)], b)]
-    return _divmod_mod([c % prime for c in out], f, prime)[1]
+    return divmod_mod([c % prime for c in out], f, prime)[1]
 
 
 def _ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
@@ -117,7 +92,7 @@ def _ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
     irreducible or 1.
     """
     n = len(f) - 1
-    if len(_gcd_mod(f, _trim([i * c % prime for i, c in enumerate(f)][1:]), prime)) > 1:
+    if len(gcd_mod(f, trim_mod([i * c % prime for i, c in enumerate(f)][1:]), prime)) > 1:
         return None
     power, base, e = [1], [0, 1], prime
     while e:
@@ -134,13 +109,13 @@ def _ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
         for c, row in zip(h, frobenius):
             if c:
                 image[:len(row)] = [u + c * y for u, y in zip(image, row)]
-        h = _trim([c % prime for c in image])
+        h = trim_mod([c % prime for c in image])
         shifted = h + [0] * (2 - len(h))
         shifted[1] = (shifted[1] - 1) % prime
-        g = _gcd_mod(rest, _trim(shifted), prime)
+        g = gcd_mod(rest, trim_mod(shifted), prime)
         if len(g) > 1:
             degrees += [d] * ((len(g) - 1) // d)
-            rest = _divmod_mod(rest, g, prime)[0]
+            rest = divmod_mod(rest, g, prime)[0]
     if len(rest) > 1:
         degrees.append(len(rest) - 1)
     return degrees

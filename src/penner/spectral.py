@@ -243,6 +243,38 @@ def charpoly_bound(omega: IntersectionMatrix, word: TwistWord) -> int:
 _PRIME_OFFSETS = (13, 51, 133, 297, 27, 231, 211, 75, 243, 115, 327, 183, 637, 993, 1465, 643)
 
 
+# Polynomials modulo ``prime`` are lists of residues in ``[0, prime)``,
+# constant term first, with no trailing zeros; ``[]`` is zero.
+
+def trim_mod(a: List[int]) -> List[int]:
+    """``a`` with its trailing zeros removed, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def divmod_mod(a: List[int], b: List[int], prime: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of ``a`` by the nonzero ``b`` modulo ``prime``."""
+    rem, inv = list(a), pow(b[-1], -1, prime)
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
+    low = b[:-1]
+    for shift in range(len(quotient) - 1, -1, -1):
+        c = rem.pop() * inv % prime
+        quotient[shift] = c
+        if c:
+            rem[shift:] = [(u - c * y) % prime for u, y in zip(rem[shift:], low)]
+    return trim_mod(quotient), trim_mod(rem)
+
+
+def gcd_mod(a: List[int], b: List[int], prime: int) -> List[int]:
+    """The monic greatest common divisor of ``a`` and ``b`` modulo ``prime``,
+    not both zero."""
+    while b:
+        a, b = b, divmod_mod(a, b, prime)[1]
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
+
+
 def _charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
     """``det(x I - H)`` modulo ``prime``, constant term first, for a square
     ``H`` with entries in ``[0, prime)``, which is overwritten.
@@ -544,9 +576,50 @@ def root_bound_bits(p: Poly) -> int:
 
 
 #: Bits of extra precision above the root bound in :func:`all_roots`.  On
-#: the S43-max tours up to k = 256 margins of 0 to 30 bits all converged,
-#: in the same time; 30 leaves room for a polynomial whose bound is tight.
+#: the S43-max tours from all 24 roots at k = 1, 27 and 256, margins of 0 to
+#: 60 bits all converged to the same leading eigenvalues in about the same
+#: time; 30 leaves room for a polynomial whose bound is tight.
 ROOT_BOUND_MARGIN = 30
+
+
+def squarefree_parts(p: Poly) -> List[Tuple[Poly, int]]:
+    """Pairs ``(part, multiplicity)`` with ``p = c * prod part^multiplicity``
+    for a rational constant ``c``, the parts squarefree, pairwise coprime
+    and of degree at least 1, for ``p`` of degree at least 1.
+
+    ``[(p, 1)]`` when one prime proves ``p`` squarefree: the least prime
+    ``P`` above ``2^64`` divides no denominator of ``p`` and not its leading
+    coefficient, and ``gcd(p, p') = 1`` modulo ``P``.  The lemma: if
+    ``p = c g^2 h`` with ``g`` and ``h`` monic and ``deg g >= 1``, Gauss's
+    lemma over ``Z_(P)`` puts ``g`` and ``h`` in ``Z_(P)[x]``, so modulo
+    ``P`` the factor ``g``, of the same degree, divides ``p`` and
+    ``p' = c g (2 g' h + g h')``.  Otherwise (a repeated root, or a ``P``
+    that divides the discriminant or the leading coefficient) the parts are
+    sympy's ``sqf_list``, made monic and certified by exact
+    re-multiplication, with ``c`` the leading coefficient of ``p``; sympy is
+    imported then, on first use, as in :func:`char_poly_exact`.
+    """
+    if p.degree < 1:
+        raise ValueError("squarefree_parts requires degree >= 1")
+    prime = (1 << 64) + _PRIME_OFFSETS[0]
+    if all(c.denominator % prime for c in p.coeffs) and p.coeffs[-1].numerator % prime:
+        f = [c.numerator * pow(c.denominator, -1, prime) % prime for c in p.coeffs]
+        # the degree d < P and the leading residue is nonzero, so f' keeps degree d - 1
+        if len(gcd_mod(f, [i * c % prime for i, c in enumerate(f)][1:], prime)) == 1:
+            return [(p, 1)]
+    import sympy
+
+    spoly = sympy.Poly(list(p.leading_first()), sympy.Symbol("x"), domain="QQ")
+    parts, product = [], Poly([p.coeffs[-1]])
+    for g, mult in spoly.sqf_list()[1]:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+        part = Poly([c / coeffs[-1] for c in coeffs])
+        parts.append((part, int(mult)))
+        for _ in range(mult):
+            product = product * part
+    if product != p:  # pragma: no cover - sympy returned bad parts
+        raise ArithmeticError("squarefree decomposition failed certification")
+    return parts
 
 
 def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
@@ -563,14 +636,16 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
     cancel.  Both are kept, so the fold changes only the cost: a caller
     reads the same roots either way.
 
-    ``mp.polyroots`` (Durand-Kerner) stops only when every correction is
-    below the working ``eps`` in absolute terms, so a root of modulus
-    ``2^b`` needs about ``b`` bits beyond the working precision.  The extra
-    precision is therefore ``4 * (digits + 15)`` bits, or the
-    :func:`root_bound_bits` of the located polynomial plus
-    ``ROOT_BOUND_MARGIN`` bits when that is more.  A fixed extra precision
-    would make the finder run all its steps and fail on roots that outgrow
-    it.
+    The located polynomial is split into its :func:`squarefree_parts`, and
+    the roots of each part, located apart, are repeated by its multiplicity:
+    ``mp.polyroots`` (Durand-Kerner) converges only linearly on a repeated
+    root, and may not reach the working ``eps`` there at all.  It stops only
+    when every correction is below ``eps`` in absolute terms, so a root of
+    modulus ``2^b`` needs about ``b`` bits beyond the working precision.
+    Each part's extra precision is therefore its :func:`root_bound_bits`,
+    or 0 when that is negative (all roots below 1 in modulus), plus
+    ``ROOT_BOUND_MARGIN`` bits.  A fixed extra precision would make the
+    finder run all its steps and fail on roots that outgrow it.
 
     Raises :class:`PreconditionViolated` if the root finder does not converge.
     """
@@ -579,15 +654,16 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
     if reduced.degree == 0:
         return roots
     trace = trace_polynomial(reduced)
-    located = reduced if trace is None else trace
-    dps = digits + 15
-    extraprec = max(4 * dps, root_bound_bits(located) + ROOT_BOUND_MARGIN)
-    with mp.workdps(dps):
-        try:
-            found = mp.polyroots(located.mpf_coeffs(), maxsteps=300,
-                                 extraprec=extraprec)
-        except mp.libmp.libhyper.NoConvergence as e:
-            raise PreconditionViolated(f"root finding failed: {e}") from None
+    found = []
+    with mp.workdps(digits + 15):
+        for part, part_mult in squarefree_parts(reduced if trace is None else trace):
+            extraprec = max(root_bound_bits(part), 0) + ROOT_BOUND_MARGIN
+            try:
+                part_roots = mp.polyroots(part.mpf_coeffs(), maxsteps=300,
+                                          extraprec=extraprec)
+            except mp.libmp.libhyper.NoConvergence as e:
+                raise PreconditionViolated(f"root finding failed: {e}") from None
+            found += [r for r in part_roots for _ in range(part_mult)]
         if trace is None:
             return roots + found
         for y in found:

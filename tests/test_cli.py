@@ -421,6 +421,24 @@ def test_limit_divergent_with_repeated_eigenvalues(entries, gamma, tmp_path, cap
     assert len(json.loads(out)["exponents"]) == len(entries)
 
 
+@pytest.mark.parametrize("pairs", [3, 4])
+def test_limit_on_disjoint_pairs_with_eigenvalues_of_multiplicity_three_and_four(
+        pairs, tmp_path, capsys):
+    # the characteristic polynomial is (x^2 - (k^2 + 2) x + 1)^pairs
+    n = 2 * pairs
+    entries = [[int(i ^ 1 == j) for j in range(n)] for i in range(n)]
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code, out, err = run(capsys, ["limit", "--omega", str(path),
+                                  "--gamma", ",".join(map(str, range(1, n + 1))),
+                                  "--scales", "4,8,16,32", "--json"])
+    assert (code, err) == (0, "")
+    exponents = json.loads(out)["exponents"]
+    assert len(exponents) == n
+    assert all(abs(e - 2) < 0.1 for e in exponents[:pairs])
+    assert all(abs(e + 2) < 0.1 for e in exponents[pairs:])
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, ["catalog", "list"])
     assert code == 0
@@ -612,11 +630,27 @@ def test_digits_option_sets_the_printed_precision(omega_file, capsys):
     assert json.loads(out)["lambda"] == "6.2222625231203986267"
 
 
-def test_python_dash_m_penner():
+def penner_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(penner.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_dash_m_penner():
     done = subprocess.run([sys.executable, "-m", "penner", "catalog", "list"],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=penner_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "S43-max" in done.stdout
+
+
+def test_closed_stdout_exits_1_without_a_message():
+    # as `penner catalog degrees --genus 2000 --json | head -c 10`: the
+    # output, about 140 KB, outgrows the pipe, so printing it meets the
+    # closed read end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "penner", "catalog", "degrees", "--genus", "2000", "--json"],
+        env=penner_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "surfa'
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=120) == 1

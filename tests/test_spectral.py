@@ -43,11 +43,13 @@ from penner.errors import (
 )
 from penner.graphs import graph_of, spanning_tree_tour
 from penner.spectral import (
+    ROOT_BOUND_MARGIN,
     all_roots,
     brackets_root,
     charpoly_bound,
     poly_str,
     root_bound_bits,
+    squarefree_parts,
     strip_unit_root,
     trace_polynomial,
     twist_charpoly,
@@ -456,8 +458,8 @@ def test_s43_enclosure_is_proven_at_k27():
 
 @pytest.mark.parametrize("k", [38, 81, 256])
 def test_s43_lambda_past_the_fixed_extra_precision(k):
-    # log2(lambda) is 263, 314 and 390, past the 4 * (50 + 15) = 260 bits
-    # of extra precision the root finder gets from the digits alone
+    # log2(lambda) is 263, 314 and 390: the root finder's extra precision
+    # must grow with the root bound
     entry = catalog_get("S43-max")
     tour = spanning_tree_tour(graph_of(entry.omega), root=1)
     rep = spectral_report(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour)))
@@ -731,6 +733,118 @@ def test_all_roots_splits_unit_roots_exactly_and_folds_palindromes(monkeypatch):
         assert abs(x - (3 + mp.sqrt(5)) / 2) < 1e-30 and abs(x * inv - 1) < 1e-30
     assert all_roots(unit * unit, 30) == [1, 1] and sizes == [2]
     assert all_roots(Poly([7]), 30) == []
+
+
+# products of one to three squarefree integer factors of degree 1 to 3,
+# each raised to a multiplicity from 1 to 3
+_factor_powers = st.lists(
+    st.tuples(st.lists(st.integers(-5, 5), min_size=2, max_size=4).filter(lambda c: c[-1]),
+              st.integers(1, 3)),
+    min_size=1, max_size=3)
+
+
+def sympy_poly(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in p.leading_first()],
+                      sympy.Symbol("x"), domain=QQ)
+
+
+def from_sympy(g):
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())])
+
+
+def product_of_powers(factor_powers):
+    p = Poly([1])
+    for coeffs, mult in factor_powers:
+        part = from_sympy(sympy_poly(Poly(coeffs)).sqf_part())
+        for _ in range(mult):
+            p = p * part
+    return p
+
+
+def monic(p):
+    return tuple(Fraction(c) / p.coeffs[-1] for c in p.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_powers)
+@example([([-1, 1], 3), ([2, 0, 1], 2)])  # (x - 1)^3 (x^2 + 2)^2
+@example([([1, 1], 2), ([1, 1, 1], 1)])  # palindromic: y + 2 and y + 1
+def test_all_roots_on_repeated_roots_matches_sympy(factor_powers):
+    # the multiset of roots against sympy's exact roots (radicals: every
+    # irreducible factor has degree at most 3), matched greedily; a root of
+    # multiplicity m must come back m times
+    p = product_of_powers(factor_powers)
+    got = all_roots(p)
+    exact_roots = sympy.roots(sympy_poly(p))
+    assert len(got) == sum(exact_roots.values()) == p.degree
+    with mp.workdps(65):
+        want = [mp.mpc(str(sympy.re(v)), str(sympy.im(v)))
+                for r, m in exact_roots.items() for v in [r.evalf(60)] * m]
+        for w in want:
+            nearest = min(got, key=lambda r: abs(r - w))
+            assert abs(nearest - w) <= mp.mpf(10) ** -30 * max(1, abs(w))
+            got.remove(nearest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_powers)
+def test_squarefree_parts_match_sympys_sqf_list(factor_powers):
+    p = product_of_powers(factor_powers)
+    parts = squarefree_parts(p)
+    expected = [(monic(from_sympy(g)), int(e)) for g, e in sympy_poly(p).sqf_list()[1]]
+    assert sorted((monic(part), e) for part, e in parts) == sorted(expected)
+    product = Poly([p.coeffs[-1]])
+    for part, e in parts:
+        for _ in range(e):
+            product = product * Poly(monic(part))
+    assert product == p
+
+
+def test_squarefree_parts_when_the_prime_divides_the_discriminant_or_the_lead():
+    # P = 2^64 + 13 divides the discriminant of the first polynomial and
+    # the leading coefficient of the second; both are squarefree
+    prime = 2 ** 64 + 13
+    for p in (Poly([3, 1]) * Poly([3 + prime, 1]), Poly([-1, 0, prime])):
+        assert [(Poly(monic(part)), e) for part, e in squarefree_parts(p)] == [
+            (Poly(monic(p)), 1)]
+    assert squarefree_parts(Poly([2, -3, 1])) == [(Poly([2, -3, 1]), 1)]
+    with pytest.raises(ValueError):
+        squarefree_parts(Poly([5]))
+
+
+@pytest.mark.parametrize("a", [10, 100, 1000, 10 ** 5])
+@pytest.mark.parametrize("d", [8, 12, 20])
+def test_all_roots_converges_on_mignotte_polynomials(a, d):
+    # x^d - 2 (a x - 1)^2 has two real roots closer than a^-(d+2)/2 near 1/a;
+    # the located roots rebuild its coefficients
+    coeffs = [-2, 4 * a, -2 * a * a] + [0] * (d - 3) + [1]
+    p = Poly(coeffs)
+    roots = all_roots(p)
+    assert len(roots) == d
+    with mp.workdps(65):
+        rebuilt = [mp.mpf(1)]
+        for r in roots:
+            rebuilt = [c - r * b for c, b in zip(rebuilt + [0], [0] + rebuilt)]
+        assert max(abs(u - v) for u, v in zip(rebuilt, p.mpf_coeffs())) <= 2 * a * a * 1e-30
+
+
+def test_tiny_roots_do_not_lower_the_precision(monkeypatch):
+    # (x - 2^-60)(x - 3 * 2^-60): the root bound is negative, and the extra
+    # precision stays at the margin
+    p = Poly([Fraction(3, 2 ** 120), Fraction(-4, 2 ** 60), 1])
+    assert root_bound_bits(p) < 0
+    extraprecs = []
+    real = mp.polyroots
+
+    def recorded(coeffs, **kwargs):
+        extraprecs.append(kwargs["extraprec"])
+        return real(coeffs, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", recorded)
+    roots = sorted(all_roots(p), key=abs)
+    assert extraprecs == [ROOT_BOUND_MARGIN]
+    for r, want in zip(roots, (Fraction(1, 2 ** 60), Fraction(3, 2 ** 60))):
+        assert abs(mpf_fraction(mp.re(r)) - want) <= want * Fraction(1, 10 ** 50)
 
 
 def test_every_root_finding_goes_through_all_roots(monkeypatch, omega3, divergent4):

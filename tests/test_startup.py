@@ -1,7 +1,9 @@
 """Start-up: sympy is imported on first use, not with the package.  The
-limit path (``limit``, ``f_gamma``, ``twist_charpoly``) never uses it, and
-the degree path (``degree``, ``recipe``, ``rank_exact``, ``factor_monic``)
-uses it only for a polynomial the degree patterns cannot prove irreducible.
+limit path (``limit``, ``f_gamma``, ``twist_charpoly``) never uses it on
+these inputs, and the degree path (``degree``, ``recipe``, ``rank_exact``,
+``factor_monic``) uses it only for a polynomial the degree patterns cannot
+prove irreducible.  On both, the root locator ``all_roots`` uses it only for
+a polynomial with a repeated root.
 
 pytest itself imports sympy, so every check here runs in a fresh
 interpreter."""
@@ -110,11 +112,22 @@ S43_MAX_REDUCED_FACTORS = (
     "penner.graph_of(penner.catalog_get('S43-max').omega), r) for r in range(1, 25)]]")
 
 
+# the roots of the reduced polynomial of the S43-max tour from root 1 at
+# scale k, located on its trace polynomial, which one prime proves squarefree
+S43_MAX_ROOTS = (
+    "[penner.spectral.all_roots(penner.structure_split(penner.twist_charpoly("
+    "penner.scale(penner.catalog_get('S43-max').omega, {k}), penner.TwistWord(t, (1,) * len(t))),"
+    " 24)[1]) for t in [penner.graphs.spanning_tree_tour("
+    "penner.graph_of(penner.catalog_get('S43-max').omega), 1)]]")
+
+
 @pytest.mark.parametrize("call", [
     "penner.rank_exact(penner.catalog_get('S43-max').omega)",
     "penner.rank_exact(penner.validate_omega([[0, '1/2', '1/4'], ['1/2', 0, 0], ['1/4', 0, 0]]))",
     *(S43_MAX_REDUCED_FACTORS.format(k=k) for k in (1, 2, 3)),
-], ids=["rank", "rank-QQ", "factor-S43-max-k1", "factor-S43-max-k2", "factor-S43-max-k3"])
+    *(S43_MAX_ROOTS.format(k=k) for k in (1, 27, 243)),
+], ids=["rank", "rank-QQ", "factor-S43-max-k1", "factor-S43-max-k2", "factor-S43-max-k3",
+        "roots-S43-max-k1", "roots-S43-max-k27", "roots-S43-max-k243"])
 def test_degree_path_calls_leave_sympy_unloaded_and_agree(call):
     expected = eval(call, {"penner": penner, "Fraction": Fraction})
     assert fresh_python(NO_SYMPY, call) == repr(expected) + "\n"
