@@ -5,6 +5,7 @@ The package implements, with exact arithmetic throughout:
 * elementary twist matrices ``Q_i = I + D_i * omega`` over an intersection
   matrix and their run-length-encoded products (:mod:`penner.core`);
 * the intersection graph and path combinatorics (:mod:`penner.graphs`);
+* arithmetic modulo a prime, on residue lists (:mod:`penner.modp`);
 * exact characteristic polynomials, ranks, Perron-Frobenius certification
   and high-precision leading eigenvalues (:mod:`penner.spectral`);
 * factorization over the integers or the rationals and degree

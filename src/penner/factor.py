@@ -23,23 +23,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import mpmath as mp
 
 from .core import Scalar
 from .errors import AmbiguousRootAssignment, NotSupported
+from .modp import ddf_degrees, residues
 from .spectral import (
     DEFAULT_DIGITS,
     Poly,
     SpectralReport,
     all_roots,
     brackets_root,
-    divmod_mod,
-    gcd_mod,
+    monic_factors,
     synthetic_division,
     trace_polynomial,
-    trim_mod,
     unfold,
 )
 
@@ -54,72 +53,12 @@ class Factorization:
     factors: Tuple[Tuple[Poly, int], ...]
 
     def product(self) -> Poly:
-        out = Poly([1])
-        for f, e in self.factors:
-            for _ in range(e):
-                out = out * f
-        return out
+        return math.prod((f for f, e in self.factors for _ in range(e)), start=Poly([1]))
 
 
 # ---------------------------------------------------------------------------
-# the degree-pattern certificate: distinct-degree factorization modulo
-# small primes
+# the degree-pattern certificate
 # ---------------------------------------------------------------------------
-# Polynomials modulo ``prime`` are residue lists as in
-# :func:`~penner.spectral.divmod_mod`.
-
-def _mulmod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
-    """``a b`` modulo the monic ``f`` and ``prime``."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + len(b)] = [u + x * y for u, y in zip(out[i:i + len(b)], b)]
-    return divmod_mod([c % prime for c in out], f, prime)[1]
-
-
-def _ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
-    """The degrees of the irreducible factors modulo the prime ``prime``
-    of the monic ``f`` (residues, constant term first, degree at least 1),
-    in increasing order; ``None`` when ``f`` is not squarefree modulo
-    ``prime``, that is when ``gcd(f, f')`` is not 1.
-
-    Distinct-degree factorization: ``x^p mod f`` comes by square-and-multiply,
-    and from it the Frobenius matrix, whose row ``i`` is ``x^(i p) mod f``,
-    so that ``h^p = sum_i h_i x^(i p)`` costs one vector-matrix product.  The
-    product of the irreducible factors of degree ``d`` of a squarefree
-    ``f`` is ``gcd(f, x^(p^d) - x)`` once those of lower degree are divided
-    out.  ``d`` runs up to half the degree of what is left, which is then
-    irreducible or 1.
-    """
-    n = len(f) - 1
-    if len(gcd_mod(f, trim_mod([i * c % prime for i, c in enumerate(f)][1:]), prime)) > 1:
-        return None
-    power, base, e = [1], [0, 1], prime
-    while e:
-        if e & 1:
-            power = _mulmod(power, base, f, prime)
-        base, e = _mulmod(base, base, f, prime), e >> 1
-    frobenius = [[1]]
-    for _ in range(1, n):
-        frobenius.append(_mulmod(frobenius[-1], power, f, prime))
-    degrees, rest, h, d = [], f, [0, 1], 0
-    while 2 * (d + 1) < len(rest):
-        d += 1
-        image = [0] * n
-        for c, row in zip(h, frobenius):
-            if c:
-                image[:len(row)] = [u + c * y for u, y in zip(image, row)]
-        h = trim_mod([c % prime for c in image])
-        shifted = h + [0] * (2 - len(h))
-        shifted[1] = (shifted[1] - 1) % prime
-        g = gcd_mod(rest, trim_mod(shifted), prime)
-        if len(g) > 1:
-            degrees += [d] * ((len(g) - 1) // d)
-            rest = divmod_mod(rest, g, prime)[0]
-    if len(rest) > 1:
-        degrees.append(len(rest) - 1)
-    return degrees
-
 
 #: The primes of :func:`_proves_irreducible`: the first 40 odd primes, 3 to
 #: 179.  On the spanning-tree tour of every catalog entry from every root,
@@ -143,7 +82,7 @@ def _proves_irreducible(q: Poly) -> bool:
     ``q`` is squarefree modulo ``p``, the irreducible factors of ``g``
     modulo ``p`` are distinct irreducible factors of ``q`` modulo ``p``,
     and ``deg g`` is a sum of a subset of their degrees
-    (:func:`_ddf_degrees`).  A degree in ``1 .. deg q - 1``
+    (:func:`~penner.modp.ddf_degrees`).  A degree in ``1 .. deg q - 1``
     that no prime admits is the degree of no factor.  Each prime counts
     against the budget, whether it divides a denominator, leaves ``q`` with
     a repeated factor or is used; a polynomial with a repeated factor is
@@ -153,10 +92,8 @@ def _proves_irreducible(q: Poly) -> bool:
     for prime in PATTERN_PRIMES:
         if not possible:
             break
-        if any(c.denominator % prime == 0 for c in q.coeffs):
-            continue
-        degrees = _ddf_degrees([c.numerator * pow(c.denominator, -1, prime) % prime
-                                for c in q.coeffs], prime)
+        f = residues(q.coeffs, prime)
+        degrees = None if f is None else ddf_degrees(f, prime)
         if degrees is not None:
             sums = 1
             for d in degrees:
@@ -177,11 +114,7 @@ def _irreducible_factors(q: Poly) -> List[Tuple[Poly, int]]:
     integral = all(isinstance(c, int) for c in q.coeffs)
     spoly = sympy.Poly(list(q.leading_first()), sympy.Symbol("x"),
                        domain="ZZ" if integral else "QQ")
-    factors = []
-    for f, e in spoly.factor_list()[1]:
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
-        factors.append((Poly([c / coeffs[-1] for c in coeffs]), int(e)))
-    return factors
+    return monic_factors(spoly.factor_list()[1])
 
 
 def _is_rational_square(q: Scalar) -> bool:

@@ -1,0 +1,165 @@
+"""Arithmetic modulo a prime, on residue lists.
+
+A polynomial modulo ``prime`` is a list of residues in ``[0, prime)``,
+constant term first, with no trailing zeros; ``[]`` is zero.  This module is
+the one place that knows that format.  It imports only the standard library.
+"""
+
+from __future__ import annotations
+
+import operator
+from typing import List, Optional, Sequence, Tuple
+
+#: ``nextprime(2^b)`` for ``b`` = 64, 128, ..., 1024, checked against sympy by the tests.
+TABLE_PRIMES = tuple((1 << 64 * j) + offset for j, offset in enumerate(
+    (13, 51, 133, 297, 27, 231, 211, 75, 243, 115, 327, 183, 637, 993, 1465, 643), 1))
+
+
+def trim_mod(a: List[int]) -> List[int]:
+    """``a`` with its trailing zeros removed, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def residues(coeffs: Sequence, prime: int) -> Optional[List[int]]:
+    """The residues modulo ``prime`` of the rationals ``coeffs``, each ``a / b``
+    taken to ``a b^-1``; ``None`` when ``prime`` divides a denominator.  Of
+    the coefficients of a polynomial, constant term first, they are its
+    residue list unless ``prime`` divides the leading one."""
+    if any(c.denominator % prime == 0 for c in coeffs):
+        return None
+    return [c.numerator * pow(c.denominator, -1, prime) % prime for c in coeffs]
+
+
+def divmod_mod(a: List[int], b: List[int], prime: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of ``a`` by the nonzero ``b`` modulo ``prime``."""
+    rem, inv = list(a), pow(b[-1], -1, prime)
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
+    low = b[:-1]
+    for shift in range(len(quotient) - 1, -1, -1):
+        c = rem.pop() * inv % prime
+        quotient[shift] = c
+        if c:
+            rem[shift:] = [(u - c * y) % prime for u, y in zip(rem[shift:], low)]
+    return trim_mod(quotient), trim_mod(rem)
+
+
+def gcd_mod(a: List[int], b: List[int], prime: int) -> List[int]:
+    """The monic greatest common divisor of ``a`` and ``b`` modulo ``prime``,
+    not both zero."""
+    while b:
+        a, b = b, divmod_mod(a, b, prime)[1]
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
+
+
+def is_squarefree(f: List[int], prime: int) -> bool:
+    """Whether the nonzero ``f`` is squarefree modulo the prime ``prime``:
+    whether ``gcd(f, f') = 1``, as over any perfect field such as ``GF(prime)``."""
+    derivative = trim_mod([i * c % prime for i, c in enumerate(f)][1:])
+    return len(gcd_mod(f, derivative, prime)) == 1
+
+
+def mulmod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
+    """``a b`` modulo the monic ``f`` and ``prime``."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = [u + x * y for u, y in zip(out[i:i + len(b)], b)]
+    return divmod_mod([c % prime for c in out], f, prime)[1]
+
+
+def ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
+    """The degrees of the irreducible factors modulo the prime ``prime``
+    of the monic ``f`` (degree at least 1), in increasing order; ``None``
+    when ``f`` is not squarefree modulo ``prime`` (:func:`is_squarefree`).
+
+    Distinct-degree factorization: ``x^p mod f`` comes by square-and-multiply,
+    and from it the Frobenius matrix, whose row ``i`` is ``x^(i p) mod f``,
+    so that ``h^p = sum_i h_i x^(i p)`` costs one vector-matrix product.  The
+    product of the irreducible factors of degree ``d`` of a squarefree
+    ``f`` is ``gcd(f, x^(p^d) - x)`` once those of lower degree are divided
+    out.  ``d`` runs up to half the degree of what is left, which is then
+    irreducible or 1.
+    """
+    n = len(f) - 1
+    if not is_squarefree(f, prime):
+        return None
+    power, base, e = [1], [0, 1], prime
+    while e:
+        if e & 1:
+            power = mulmod(power, base, f, prime)
+        base, e = mulmod(base, base, f, prime), e >> 1
+    frobenius = [[1]]
+    for _ in range(1, n):
+        frobenius.append(mulmod(frobenius[-1], power, f, prime))
+    degrees, rest, h, d = [], f, [0, 1], 0
+    while 2 * (d + 1) < len(rest):
+        d += 1
+        image = [0] * n
+        for c, row in zip(h, frobenius):
+            if c:
+                image[:len(row)] = [u + c * y for u, y in zip(image, row)]
+        h = trim_mod([c % prime for c in image])
+        shifted = h + [0] * (2 - len(h))
+        shifted[1] = (shifted[1] - 1) % prime
+        g = gcd_mod(rest, trim_mod(shifted), prime)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            rest = divmod_mod(rest, g, prime)[0]
+    if len(rest) > 1:
+        degrees.append(len(rest) - 1)
+    return degrees
+
+
+def charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
+    """``det(x I - H)`` modulo ``prime``, constant term first, for a square
+    ``H`` with entries in ``[0, prime)``, which is overwritten.
+
+    A similarity brings ``H`` to upper Hessenberg form, one column at a
+    time; the characteristic polynomials ``p_m`` of the leading ``m x m``
+    blocks then follow from ``p_(m-1), ..., p_0`` (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Algorithm 2.2.9).  ``O(n^3)``
+    operations modulo ``prime``.
+
+    Exactness never rests on the primality of ``prime``: the similarity and
+    the recurrence are ring operations, valid modulo any integer, so a
+    composite modulus can only make ``pow(pivot, -1, prime)`` raise
+    ``ValueError`` on a pivot that shares a factor with it.
+    """
+    n = len(h)
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[pivot], h[m] = h[m], h[pivot]
+            for row in h:
+                row[pivot], row[m] = row[m], row[pivot]
+        inv = pow(h[m][m - 1], -1, prime)
+        top = h[m][m - 1:]
+        # the row operations row_i -= u_i row_m (i > m) commute, and so do
+        # their inverses col_m += u_i col_i: all rows first, then column m
+        u = [h[i][m - 1] * inv % prime for i in range(m + 1, n)]
+        for i, ui in enumerate(u, m + 1):
+            if ui:
+                h[i][m - 1:] = [(x - ui * y) % prime for x, y in zip(h[i][m - 1:], top)]
+        for row in h:
+            row[m] = (row[m] + sum(map(operator.mul, u, row[m + 1:]))) % prime
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        new = [0] + prev  # x p_(m-1), then minus h_mm p_(m-1)
+        for j, v in enumerate(prev):
+            new[j] -= h[m][m] * v
+        t = 1  # the product of subdiagonal entries h[m][m-1] ... h[m-i+1][m-i]
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i] % prime
+            if not t:
+                break
+            c = t * h[m - i][m] % prime
+            for j, v in enumerate(polys[m - i]):
+                new[j] -= c * v
+        polys.append([v % prime for v in new])
+    return polys[n]

@@ -5,8 +5,9 @@ one prime larger than four times a bound on their coefficients: that of a
 twist product by :func:`twist_charpoly`, with a bound read off the word, and
 that of a limit map by :func:`hadamard_charpoly`, with Hadamard's bound.
 The primes come from a table up to ``2^1024``, so neither loads sympy up to
-there; past it sympy's Berkowitz takes over.  Ranks are computed exactly
-in-house, by fraction-free elimination (:func:`rank_exact`).
+there; past it sympy's Berkowitz takes over.  The arithmetic modulo a prime,
+there and in :func:`squarefree_parts`, is :mod:`penner.modp`'s.  Ranks are
+computed exactly in-house, by fraction-free elimination (:func:`rank_exact`).
 The general characteristic polynomial (Berkowitz) is computed exactly by
 sympy's ``DomainMatrix`` over the integers or the rationals; it is the
 oracle of the modular kernel.  The leading eigenvalue is computed
@@ -22,7 +23,6 @@ the number of eigenvalues different from 1 (the *complexity*) equals ``r``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -44,6 +44,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .graphs import covers_vertices, graph_of, is_connected
+from .modp import TABLE_PRIMES, charpoly_mod, is_squarefree, residues
 
 #: Working precision in decimal digits of every ``digits`` argument left unset.
 DEFAULT_DIGITS = 50
@@ -238,95 +239,6 @@ def charpoly_bound(omega: IntersectionMatrix, word: TwistWord) -> int:
     return bound
 
 
-#: ``nextprime(2^b) - 2^b`` for ``b`` = 64, 128, ..., 1024: the primes of
-#: :func:`_charpoly_lifted`, checked against sympy by the tests.
-_PRIME_OFFSETS = (13, 51, 133, 297, 27, 231, 211, 75, 243, 115, 327, 183, 637, 993, 1465, 643)
-
-
-# Polynomials modulo ``prime`` are lists of residues in ``[0, prime)``,
-# constant term first, with no trailing zeros; ``[]`` is zero.
-
-def trim_mod(a: List[int]) -> List[int]:
-    """``a`` with its trailing zeros removed, in place."""
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def divmod_mod(a: List[int], b: List[int], prime: int) -> Tuple[List[int], List[int]]:
-    """Quotient and remainder of ``a`` by the nonzero ``b`` modulo ``prime``."""
-    rem, inv = list(a), pow(b[-1], -1, prime)
-    quotient = [0] * max(len(a) - len(b) + 1, 0)
-    low = b[:-1]
-    for shift in range(len(quotient) - 1, -1, -1):
-        c = rem.pop() * inv % prime
-        quotient[shift] = c
-        if c:
-            rem[shift:] = [(u - c * y) % prime for u, y in zip(rem[shift:], low)]
-    return trim_mod(quotient), trim_mod(rem)
-
-
-def gcd_mod(a: List[int], b: List[int], prime: int) -> List[int]:
-    """The monic greatest common divisor of ``a`` and ``b`` modulo ``prime``,
-    not both zero."""
-    while b:
-        a, b = b, divmod_mod(a, b, prime)[1]
-    inv = pow(a[-1], -1, prime)
-    return [c * inv % prime for c in a]
-
-
-def _charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
-    """``det(x I - H)`` modulo ``prime``, constant term first, for a square
-    ``H`` with entries in ``[0, prime)``, which is overwritten.
-
-    A similarity brings ``H`` to upper Hessenberg form, one column at a
-    time; the characteristic polynomials ``p_m`` of the leading ``m x m``
-    blocks then follow from ``p_(m-1), ..., p_0`` (Cohen, *A Course in
-    Computational Algebraic Number Theory*, Algorithm 2.2.9).  ``O(n^3)``
-    operations modulo ``prime``.
-
-    Exactness never rests on the primality of ``prime``: the similarity and
-    the recurrence are ring operations, valid modulo any integer, so a
-    composite modulus can only make ``pow(pivot, -1, prime)`` raise
-    ``ValueError`` on a pivot that shares a factor with it.
-    """
-    n = len(h)
-    for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if pivot is None:
-            continue
-        if pivot != m:
-            h[pivot], h[m] = h[m], h[pivot]
-            for row in h:
-                row[pivot], row[m] = row[m], row[pivot]
-        inv = pow(h[m][m - 1], -1, prime)
-        top = h[m][m - 1:]
-        # the row operations row_i -= u_i row_m (i > m) commute, and so do
-        # their inverses col_m += u_i col_i: all rows first, then column m
-        u = [h[i][m - 1] * inv % prime for i in range(m + 1, n)]
-        for i, ui in enumerate(u, m + 1):
-            if ui:
-                h[i][m - 1:] = [(x - ui * y) % prime for x, y in zip(h[i][m - 1:], top)]
-        for row in h:
-            row[m] = (row[m] + sum(map(operator.mul, u, row[m + 1:]))) % prime
-    polys = [[1]]
-    for m in range(n):
-        prev = polys[m]
-        new = [0] + prev  # x p_(m-1), then minus h_mm p_(m-1)
-        for j, v in enumerate(prev):
-            new[j] -= h[m][m] * v
-        t = 1  # the product of subdiagonal entries h[m][m-1] ... h[m-i+1][m-i]
-        for i in range(1, m + 1):
-            t = t * h[m - i + 1][m - i] % prime
-            if not t:
-                break
-            c = t * h[m - i][m] % prime
-            for j, v in enumerate(polys[m - i]):
-                new[j] -= c * v
-        polys.append([v % prime for v in new])
-    return polys[n]
-
-
 def _charpoly_lifted(m: ExactMatrix, bound: int, multipliers: Sequence[int]) -> Poly:
     """The characteristic polynomial of the square exact matrix ``m``, from
     one computation modulo a prime, given for each coefficient ``c_j`` (that
@@ -334,26 +246,22 @@ def _charpoly_lifted(m: ExactMatrix, bound: int, multipliers: Sequence[int]) -> 
     and ``|d_j c_j| <= bound``.  Every prime factor of the entries'
     denominators and of the ``d_j`` must be at most ``bound``.
 
-    The entries reduce modulo the least prime ``P`` above ``2^b``, with
-    ``b`` the least multiple of 64 at which ``2^b > 4 bound``, read off
-    ``_PRIME_OFFSETS``: ``x`` to ``(L x) L^-1``, ``L`` the least common
-    denominator of the entries.  :func:`_charpoly_mod` gives each ``c_j``
+    The entries reduce (:func:`~penner.modp.residues`) modulo ``P``, the
+    least of the :data:`~penner.modp.TABLE_PRIMES` ``nextprime(2^b)`` with
+    ``2^b > 4 bound``.  :func:`~penner.modp.charpoly_mod` gives each ``c_j``
     modulo ``P``, and ``d_j c_j`` is the symmetric residue of
     ``d_j c_j mod P`` in ``(-P/2, P/2)``, which determines it.  Past the
     table, ``b > 1024``, sympy's Berkowitz (:func:`char_poly_exact`) gives
     the polynomial instead; no pipeline bound gets there.
     """
-    bits = -(-(4 * bound).bit_length() // 64) * 64
-    if bits > 64 * len(_PRIME_OFFSETS):
+    bits = (4 * bound).bit_length()
+    prime = next((q for q in TABLE_PRIMES if q.bit_length() > bits), None)
+    if prime is None:
         return char_poly_exact(m)
-    prime = (1 << bits) + _PRIME_OFFSETS[bits // 64 - 1]
-    lcd = math.lcm(*(x.denominator for row in m for x in row))
-    inverse = pow(lcd, -1, prime)
-    residues = _charpoly_mod([[int(x * lcd) * inverse % prime for x in row] for row in m],
-                             prime)
+    found = charpoly_mod([residues(row, prime) for row in m], prime)
     half = prime // 2
     coeffs = []
-    for c, d in zip(residues, multipliers):
+    for c, d in zip(found, multipliers):
         c = c * d % prime
         coeffs.append(Fraction(c - prime if c > half else c, d))
     return Poly(coeffs)
@@ -582,41 +490,41 @@ def root_bound_bits(p: Poly) -> int:
 ROOT_BOUND_MARGIN = 30
 
 
+def monic_factors(factors) -> List[Tuple[Poly, int]]:
+    """sympy's ``(factor, multiplicity)`` pairs, from ``sqf_list`` or
+    ``factor_list``, as pairs of a monic :class:`Poly` and an ``int``."""
+    return [(Poly([Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())]),
+             int(e)) for g, e in factors]
+
+
 def squarefree_parts(p: Poly) -> List[Tuple[Poly, int]]:
     """Pairs ``(part, multiplicity)`` with ``p = c * prod part^multiplicity``
     for a rational constant ``c``, the parts squarefree, pairwise coprime
     and of degree at least 1, for ``p`` of degree at least 1.
 
-    ``[(p, 1)]`` when one prime proves ``p`` squarefree: the least prime
-    ``P`` above ``2^64`` divides no denominator of ``p`` and not its leading
-    coefficient, and ``gcd(p, p') = 1`` modulo ``P``.  The lemma: if
-    ``p = c g^2 h`` with ``g`` and ``h`` monic and ``deg g >= 1``, Gauss's
-    lemma over ``Z_(P)`` puts ``g`` and ``h`` in ``Z_(P)[x]``, so modulo
-    ``P`` the factor ``g``, of the same degree, divides ``p`` and
+    ``[(p, 1)]`` when one prime proves ``p`` squarefree: the least table
+    prime ``P``, above ``2^64``, divides no denominator of ``p`` and not its
+    leading coefficient, and ``gcd(p, p') = 1`` modulo ``P``
+    (:func:`~penner.modp.is_squarefree`).  The lemma: if ``p = c g^2 h``
+    with ``g`` and ``h`` monic and ``deg g >= 1``, Gauss's lemma over
+    ``Z_(P)`` puts ``g`` and ``h`` in ``Z_(P)[x]``, so modulo ``P`` the
+    factor ``g``, of the same degree, divides ``p`` and
     ``p' = c g (2 g' h + g h')``.  Otherwise (a repeated root, or a ``P``
     that divides the discriminant or the leading coefficient) the parts are
-    sympy's ``sqf_list``, made monic and certified by exact
-    re-multiplication, with ``c`` the leading coefficient of ``p``; sympy is
-    imported then, on first use, as in :func:`char_poly_exact`.
+    sympy's ``sqf_list``, made monic (:func:`monic_factors`) and certified
+    by exact re-multiplication, with ``c`` the leading coefficient of ``p``;
+    sympy is imported then, on first use, as in :func:`char_poly_exact`.
     """
     if p.degree < 1:
         raise ValueError("squarefree_parts requires degree >= 1")
-    prime = (1 << 64) + _PRIME_OFFSETS[0]
-    if all(c.denominator % prime for c in p.coeffs) and p.coeffs[-1].numerator % prime:
-        f = [c.numerator * pow(c.denominator, -1, prime) % prime for c in p.coeffs]
-        # the degree d < P and the leading residue is nonzero, so f' keeps degree d - 1
-        if len(gcd_mod(f, [i * c % prime for i, c in enumerate(f)][1:], prime)) == 1:
-            return [(p, 1)]
+    f = residues(p.coeffs, TABLE_PRIMES[0])
+    if f is not None and f[-1] and is_squarefree(f, TABLE_PRIMES[0]):
+        return [(p, 1)]
     import sympy
 
     spoly = sympy.Poly(list(p.leading_first()), sympy.Symbol("x"), domain="QQ")
-    parts, product = [], Poly([p.coeffs[-1]])
-    for g, mult in spoly.sqf_list()[1]:
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
-        part = Poly([c / coeffs[-1] for c in coeffs])
-        parts.append((part, int(mult)))
-        for _ in range(mult):
-            product = product * part
+    parts = monic_factors(spoly.sqf_list()[1])
+    product = math.prod((g for g, e in parts for _ in range(e)), start=Poly([p.coeffs[-1]]))
     if product != p:  # pragma: no cover - sympy returned bad parts
         raise ArithmeticError("squarefree decomposition failed certification")
     return parts
@@ -645,7 +553,8 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
     Each part's extra precision is therefore its :func:`root_bound_bits`,
     or 0 when that is negative (all roots below 1 in modulus), plus
     ``ROOT_BOUND_MARGIN`` bits.  A fixed extra precision would make the
-    finder run all its steps and fail on roots that outgrow it.
+    finder run all its steps and fail on roots that outgrow it.  The exact
+    coefficients are rounded at the raised precision too.
 
     Raises :class:`PreconditionViolated` if the root finder does not converge.
     """
@@ -658,9 +567,10 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
     with mp.workdps(digits + 15):
         for part, part_mult in squarefree_parts(reduced if trace is None else trace):
             extraprec = max(root_bound_bits(part), 0) + ROOT_BOUND_MARGIN
+            with mp.workprec(mp.mp.prec + extraprec):
+                coeffs = part.mpf_coeffs()
             try:
-                part_roots = mp.polyroots(part.mpf_coeffs(), maxsteps=300,
-                                          extraprec=extraprec)
+                part_roots = mp.polyroots(coeffs, maxsteps=300, extraprec=extraprec)
             except mp.libmp.libhyper.NoConvergence as e:
                 raise PreconditionViolated(f"root finding failed: {e}") from None
             found += [r for r in part_roots for _ in range(part_mult)]

@@ -25,6 +25,7 @@ from penner import (
     ray_convergence_experiment,
     scale,
 )
+import penner.modp
 import penner.spectral
 from penner.boundary import insert_spur
 from penner.catalog import catalog_get, catalog_ids
@@ -122,7 +123,7 @@ def test_f_gamma_triangle(omega3):
 
 
 def test_limit_charpoly_matches_sympy_on_every_catalog_tour(monkeypatch):
-    primes = count_calls(monkeypatch, penner.spectral, "_charpoly_mod")
+    primes = count_calls(monkeypatch, penner.modp, "charpoly_mod")
     for cid in catalog_ids():
         omega = catalog_get(cid).omega
         for root in sorted({1, omega.n // 2 + 1, omega.n}):

@@ -26,6 +26,7 @@ from penner import (
     twist_product,
 )
 import penner.factor
+import penner.modp
 import penner.spectral
 from penner.catalog import catalog_get, puncture_augment
 from penner.errors import NotPerronFrobenius, NotSupported
@@ -237,10 +238,10 @@ def test_ddf_degrees_match_sympy_modulo_the_prime(prime, low):
     spoly = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=prime)
     factors = spoly.factor_list()[1]
     if any(e > 1 for _g, e in factors):
-        assert penner.factor._ddf_degrees(f, prime) is None
+        assert penner.modp.ddf_degrees(f, prime) is None
     else:
         expected = sorted(g.degree() for g, _e in factors)
-        assert penner.factor._ddf_degrees(f, prime) == expected
+        assert penner.modp.ddf_degrees(f, prime) == expected
 
 
 _proves_irreducible = penner.factor._proves_irreducible

@@ -1,11 +1,14 @@
 """Each module of the package owns its private helpers: no module imports a
 name that starts with an underscore from another module of the package.
-Tests may still reach private names."""
+Tests may still reach private names.  ``penner.modp`` imports only the
+standard library, so that arithmetic modulo a prime needs nothing else."""
 
 import ast
+import sys
 from pathlib import Path
 
 import penner
+import penner.modp
 
 
 def private_imports(source):
@@ -42,3 +45,36 @@ def test_no_module_imports_another_modules_private_names():
                  for path in modules
                  for module, name in private_imports(path.read_text())]
     assert offenders == []
+
+
+def outside_imports(source):
+    """The modules that ``source`` imports from outside the standard library:
+    relative imports, the package itself and any third-party module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [name for name in names
+                  if name.startswith(".") or name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_outside_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import operator, math\n"
+              "from typing import List\n"
+              "from .spectral import Poly\n"
+              "import sympy\n"
+              "from mpmath import mpf\n"
+              "import penner.core\n"
+              "def f():\n"
+              "    from . import factor\n")
+    assert outside_imports(source) == [".spectral", "sympy", "mpmath", "penner.core", "."]
+
+
+def test_modp_imports_only_the_standard_library():
+    assert outside_imports(Path(penner.modp.__file__).read_text()) == []

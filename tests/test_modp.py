@@ -1,0 +1,42 @@
+"""Residue lists modulo a prime against sympy over GF(p): the reduction of
+rational coefficients and the squarefree test, with primes that divide a
+denominator or the leading coefficient."""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import example, given, settings, strategies as st
+
+from penner.modp import TABLE_PRIMES, is_squarefree, residues
+from penner.spectral import Poly
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 5, 6, 7]))
+factors = st.lists(rationals, min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13, TABLE_PRIMES[0]]), factors, factors, st.integers(1, 3))
+@example(3, Poly([1, 1]), Poly([1]), 3)  # (x + 1)^3 = x^3 + 1 modulo 3: f' = 0
+@example(5, Poly([1, 5]), Poly([Fraction(1, 3), 1]), 1)  # 5 divides the lead
+@example(5, Poly([1, 1]), Poly([Fraction(1, 5), 1]), 1)  # 5 divides a denominator
+def test_residues_and_is_squarefree_match_sympy_modulo_the_prime(prime, g, h, e):
+    # g^e h has a repeated factor when e > 1, and may have one modulo the
+    # prime when e = 1
+    f = h
+    for _ in range(e):
+        f = f * g
+    coeffs = [Fraction(c) for c in f.coeffs]
+    found = residues(f.coeffs, prime)
+    if any(c.denominator % prime == 0 for c in coeffs):
+        assert found is None
+        return
+    field = sympy.GF(prime)
+    assert found == [int(field(c.numerator) / field(c.denominator)) % prime for c in coeffs]
+    # a residue list, with no trailing zero, unless the prime divides the lead
+    assert bool(found[-1]) == (coeffs[-1].numerator % prime != 0)
+    while found and not found[-1]:
+        found.pop()
+    if found:
+        spoly = sympy.Poly(found[::-1], sympy.Symbol("x"), modulus=prime)
+        expected = all(k == 1 for _g, k in spoly.factor_list()[1])
+        assert is_squarefree(found, prime) == expected

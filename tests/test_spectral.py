@@ -34,6 +34,7 @@ from penner import (
     twist_product,
     validate_omega,
 )
+import penner.modp
 import penner.spectral
 from penner.catalog import catalog_get, catalog_ids
 from penner.errors import (
@@ -251,24 +252,24 @@ def test_rational_twist_charpoly_takes_a_prime_of_at_most_256_bits(entries, monk
     # row denominators, which sizes the prime, not D^n
     omega = validate_omega(entries)
     word = next(catalog_tour_words(omega))
-    primes = count_calls(monkeypatch, penner.spectral, "_charpoly_mod")
+    primes = count_calls(monkeypatch, penner.modp, "charpoly_mod")
     assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word)
     assert [prime.bit_length() <= 256 for _h, prime in primes] == [True]
 
 
-def test_prime_offsets_are_sympys_nextprime():
-    offsets = penner.spectral._PRIME_OFFSETS
-    assert len(offsets) == 16
-    for j, offset in enumerate(offsets):
+def test_table_primes_are_sympys_nextprime():
+    primes = penner.modp.TABLE_PRIMES
+    assert len(primes) == 16
+    for j, prime in enumerate(primes):
         bits = 64 * (j + 1)
-        assert 2 ** bits + offset == sympy.nextprime(2 ** bits), bits
+        assert prime == sympy.nextprime(2 ** bits), bits
 
 
 def test_a_bound_past_1024_bits_goes_to_berkowitz(monkeypatch):
     # 4 * bound below 2^1024 takes the last prime of the table, 2^1024 + 643;
     # from 2^1024 on, sympy's Berkowitz gives the polynomial
     m = ((2, Fraction(1, 3)), (-1, 5))
-    primes = count_calls(monkeypatch, penner.spectral, "_charpoly_mod")
+    primes = count_calls(monkeypatch, penner.modp, "charpoly_mod")
     berkowitz = count_calls(monkeypatch, penner.spectral, "char_poly_exact")
     expected = Poly([Fraction(31, 3), -7, 1])
     lifted = penner.spectral._charpoly_lifted
@@ -300,8 +301,8 @@ def test_charpoly_mod_with_a_composite_modulus_is_right_or_raises(seed):
     m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
     expected = [c % modulus for c in char_poly_exact(m).coeffs]
     try:
-        residues = penner.spectral._charpoly_mod([[x % modulus for x in row] for row in m],
-                                                 modulus)
+        residues = penner.modp.charpoly_mod([[x % modulus for x in row] for row in m],
+                                            modulus)
     except ValueError:
         return
     assert residues == expected
@@ -483,6 +484,20 @@ def test_all_roots_finds_roots_past_the_fixed_extra_precision(roots):
     pf = pf_eigenvalue(p)
     assert brackets_root(p, pf.value, pf.error)
     assert abs(mpf_fraction(pf.value) - max(roots)) <= mpf_fraction(pf.error)
+
+
+def test_all_roots_keeps_the_digits_of_coefficients_past_the_working_precision():
+    # at k = 243 the trace polynomial of the S43-max tour has coefficients of
+    # up to 402 bits, more than the 216 bits of 50 + 15 digits; rounded to
+    # those, it would put its unit-modulus roots off by about 1e-11
+    entry = catalog_get("S43-max")
+    tour = spanning_tree_tour(graph_of(entry.omega), root=1)
+    reduced = spectral_report(scale(entry.omega, 243), TwistWord(tour, (1,) * len(tour))).reduced
+    reference = all_roots(reduced, 120)
+    with mp.workdps(135):
+        for r in all_roots(reduced, 50):
+            nearest = min(reference, key=lambda s: abs(s - r))
+            assert abs(r - nearest) <= mp.mpf(10) ** -50 * abs(nearest), r
 
 
 @settings(max_examples=50, deadline=None)
