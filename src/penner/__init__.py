@@ -8,8 +8,8 @@ The package implements, with exact arithmetic throughout:
 * arithmetic modulo a prime, on residue lists (:mod:`penner.modp`);
 * exact characteristic polynomials, ranks, Perron-Frobenius certification
   and high-precision leading eigenvalues (:mod:`penner.spectral`);
-* factorization over the integers or the rationals and degree
-  certification of the stretch factor (:mod:`penner.factor`);
+* factorization over the rationals and degree certification of the
+  stretch factor (:mod:`penner.factor`);
 * the degree-realization recipe, a scan over scales ``k * omega``
   (:mod:`penner.recipe`);
 * limits of twist products along rays of intersection matrices
@@ -34,7 +34,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     is_contractible,
-    reduce_backtracking,
     word_supported,
 )
 from .spectral import (
@@ -85,7 +84,7 @@ __all__ = [
     "IntersectionMatrix", "TwistWord", "generator", "scale", "twist_product",
     "validate_omega", "PennerError",
     "graph_of", "is_bipartite", "is_connected", "is_contractible",
-    "reduce_backtracking", "word_supported",
+    "word_supported",
     "Poly", "SpectralReport", "char_poly_exact", "complexity",
     "is_reciprocal", "pf_certify", "pf_eigenvalue", "rank_exact",
     "spectral_report", "structure_split", "twist_charpoly",

@@ -207,7 +207,7 @@ def eigenvector_asymptotics(
     if not word_supported(word, g):
         raise NotSupported("the word must trace a closed path in the graph")
     if not covers_vertices(word.gamma, omega.n):
-        raise NotGeneral("the path must visit every vertex")
+        raise NotGeneral("the path must visit every curve")
     omega_k = scale(omega, k)
     gamma, powers = word.gamma, word.powers
     n = omega.n
@@ -322,7 +322,7 @@ def ray_convergence_experiment(
     """
     supported = word_supported(word, graph_of(omega))
     if not covers_vertices(word.gamma, omega.n):
-        raise NotGeneral("the word must use every curve")
+        raise NotGeneral("the path must visit every curve")
     if not scales:
         raise ValidationError("need at least one scale")
     rows = []

@@ -1,5 +1,5 @@
-"""Factorization over the integers or the rationals and degree certification
-of the leading eigenvalue.
+"""Factorization over the rationals and degree certification of the leading
+eigenvalue.
 
 ``factor_monic`` factors a monic polynomial with integer or rational
 coefficients into monic irreducible factors and certifies the result by
@@ -12,10 +12,11 @@ degree of every rational factor of ``f`` is a sum of degrees of distinct
 irreducible factors of ``f`` modulo ``p``, so if these subset sums share no
 value in ``1 .. deg f - 1`` over the primes tried, ``f`` is irreducible.
 Only a polynomial the certificate cannot prove irreducible goes to sympy's
-Zassenhaus/LLL machinery: a reducible one, or one such as ``x^4 + 1`` that
-is reducible modulo every prime.  ``degree_of_pf_root`` then identifies the
-unique irreducible factor vanishing at the leading eigenvalue: the
-algebraic degree of the stretch factor is the degree of that factor.
+Zassenhaus/LLL machinery (:func:`~penner.spectral.sympy_factors`): a
+reducible one, or one such as ``x^4 + 1`` that is reducible modulo every
+prime.  ``degree_of_pf_root`` then identifies the unique irreducible factor
+vanishing at the leading eigenvalue: the algebraic degree of the stretch
+factor is the degree of that factor.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .spectral import (
     SpectralReport,
     all_roots,
     brackets_root,
-    monic_factors,
     synthetic_division,
+    sympy_factors,
     trace_polynomial,
     unfold,
 )
@@ -104,17 +105,11 @@ def _proves_irreducible(q: Poly) -> bool:
 
 def _irreducible_factors(q: Poly) -> List[Tuple[Poly, int]]:
     """The irreducible factors of the monic ``q``, made monic: ``[(q, 1)]``
-    when :func:`_proves_irreducible` proves it, else sympy's, over ZZ if
-    every coefficient is an integer and over QQ otherwise (the rule of
-    :func:`~penner.spectral.char_poly_exact`)."""
+    when :func:`_proves_irreducible` proves it, else sympy's
+    (:func:`~penner.spectral.sympy_factors`)."""
     if _proves_irreducible(q):
         return [(q, 1)]
-    import sympy  # on first use, like spectral.char_poly_exact
-
-    integral = all(isinstance(c, int) for c in q.coeffs)
-    spoly = sympy.Poly(list(q.leading_first()), sympy.Symbol("x"),
-                       domain="ZZ" if integral else "QQ")
-    return monic_factors(spoly.factor_list()[1])
+    return sympy_factors(q, squarefree=False)
 
 
 def _is_rational_square(q: Scalar) -> bool:

@@ -117,48 +117,26 @@ def word_supported(word: TwistWord, g: OmegaGraph) -> bool:
     return True
 
 
-def _reduce_open(seq: list) -> list:
-    """Free reduction of an open vertex path: repeatedly delete backtracking
-    subpaths ``(..., a, b, a, ...) -> (..., a, ...)``."""
+def is_contractible(gamma: Sequence[int]) -> bool:
+    """Whether the closed path ``gamma`` is null-homotopic in the graph it
+    traces.  ``gamma`` is read cyclically, with consecutive vertices
+    distinct, the last and the first included, as :func:`word_supported`
+    admits; a single vertex is the constant path.
+
+    A graph's fundamental group is free, so a closed path is freely
+    null-homotopic exactly when the based loop ``gamma + (gamma[0],)``
+    reduces to its base point.  One stack pass cancels each backtrack
+    ``(a, b, a) -> (a)``, in linear time.
+    """
+    if len(gamma) <= 1:
+        return True
     out: list = []
-    for v in seq:
+    for v in (*gamma, gamma[0]):
         if len(out) >= 2 and out[-2] == v:
-            out.pop()  # cancel the spur (a, b, a) -> (a); a may cancel further
+            out.pop()  # a may cancel further
         else:
             out.append(v)
-    return out
-
-
-def reduce_backtracking(gamma: Sequence[int]) -> Tuple[int, ...]:
-    """Remove backtracking ``(..., a, b, a, ...) -> (..., a, ...)`` from a
-    closed path, cyclically: the result is a cyclically reduced
-    representative (a single vertex when the path is contractible).
-
-    One stack pass reduces the path as an open path ``r``.  A spur can then
-    remain only across the seam, as ``r[-1], r[0], r[1]`` with
-    ``r[-1] == r[1]`` or as ``r[-2], r[-1], r[0]`` with ``r[-2] == r[0]``;
-    trimming it from the ends makes no spur inside, so the ends are trimmed
-    until neither holds, in linear time overall.
-    """
-    r = _reduce_open(list(gamma))
-    lo, hi = 0, len(r) - 1
-    while hi - lo >= 2:
-        if r[lo + 1] == r[hi]:
-            lo, hi = lo + 1, hi - 1
-        elif r[hi - 1] == r[lo]:
-            hi -= 2
-        else:
-            break
-    if hi - lo == 1:
-        # a length-2 closed path runs over one edge and straight back
-        return (r[lo],)
-    return tuple(r[lo:hi + 1])
-
-
-def is_contractible(gamma: Sequence[int]) -> bool:
-    """Whether the closed path reduces to a point under cyclic backtracking
-    removal (i.e. is null-homotopic in the graph it traces)."""
-    return len(reduce_backtracking(gamma)) <= 1
+    return len(out) == 1
 
 
 def covers_vertices(gamma: Sequence[int], n: int) -> bool:
@@ -173,20 +151,18 @@ def spanning_tree_tour(g: OmegaGraph, root: int = 1) -> Tuple[int, ...]:
     increasing order: each tree edge is traversed once in each direction, so
     the tour is freely null-homotopic.  The final return to the root is left
     implicit (the path closes up).  A root outside ``1..n`` raises
-    :class:`IndexOutOfRange`.
+    :class:`IndexOutOfRange`, and a disconnected graph ``ValueError``.
     """
     check_curve_index(root, g.n)
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    if g.n == 1:
-        return (root,)
     tour, parent = [root], {}
     for v, w in _tree_edges(g.adjacency(), root, set()):
         while tour[-1] != v:
             tour.append(parent[tour[-1]])  # back up the tree edge
         parent[w] = v
         tour.append(w)
+    if len(parent) != g.n - 1:
+        raise ValueError("graph must be connected")
     while tour[-1] != root:
         tour.append(parent[tour[-1]])
     # drop the final return to the root: the wrap-around pair closes the path
-    return tuple(tour[:-1])
+    return tuple(tour[:-1]) or (root,)

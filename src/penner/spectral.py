@@ -10,9 +10,10 @@ there and in :func:`squarefree_parts`, is :mod:`penner.modp`'s.  Ranks are
 computed exactly in-house, by fraction-free elimination (:func:`rank_exact`).
 The general characteristic polynomial (Berkowitz) is computed exactly by
 sympy's ``DomainMatrix`` over the integers or the rationals; it is the
-oracle of the modular kernel.  The leading eigenvalue is computed
-numerically to a requested number of digits via mpmath, always starting
-from the exact polynomial.
+oracle of the modular kernel.  sympy's square-free and irreducible factor
+lists come through one bridge, :func:`sympy_factors`.  The leading
+eigenvalue is computed numerically to a requested number of digits via
+mpmath, always starting from the exact polynomial.
 
 Key structure: for a twist product ``M`` over ``omega`` of rank ``r``, the
 characteristic polynomial splits as ``chi(x) = (x - 1)^(n - r) * p(x)`` with
@@ -490,9 +491,16 @@ def root_bound_bits(p: Poly) -> int:
 ROOT_BOUND_MARGIN = 30
 
 
-def monic_factors(factors) -> List[Tuple[Poly, int]]:
-    """sympy's ``(factor, multiplicity)`` pairs, from ``sqf_list`` or
-    ``factor_list``, as pairs of a monic :class:`Poly` and an ``int``."""
+def sympy_factors(p: Poly, squarefree: bool) -> List[Tuple[Poly, int]]:
+    """sympy's ``sqf_list`` of ``p`` when ``squarefree``, else its
+    ``factor_list``, over the rationals, as pairs of a monic :class:`Poly`
+    and an ``int`` multiplicity: the package's one bridge to sympy's
+    polynomials.  sympy is imported on first use, as in
+    :func:`char_poly_exact`."""
+    import sympy
+
+    spoly = sympy.Poly(list(p.leading_first()), sympy.Symbol("x"), domain="QQ")
+    _content, factors = spoly.sqf_list() if squarefree else spoly.factor_list()
     return [(Poly([Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())]),
              int(e)) for g, e in factors]
 
@@ -511,19 +519,15 @@ def squarefree_parts(p: Poly) -> List[Tuple[Poly, int]]:
     factor ``g``, of the same degree, divides ``p`` and
     ``p' = c g (2 g' h + g h')``.  Otherwise (a repeated root, or a ``P``
     that divides the discriminant or the leading coefficient) the parts are
-    sympy's ``sqf_list``, made monic (:func:`monic_factors`) and certified
-    by exact re-multiplication, with ``c`` the leading coefficient of ``p``;
-    sympy is imported then, on first use, as in :func:`char_poly_exact`.
+    sympy's ``sqf_list`` (:func:`sympy_factors`), certified by exact
+    re-multiplication, with ``c`` the leading coefficient of ``p``.
     """
     if p.degree < 1:
         raise ValueError("squarefree_parts requires degree >= 1")
     f = residues(p.coeffs, TABLE_PRIMES[0])
     if f is not None and f[-1] and is_squarefree(f, TABLE_PRIMES[0]):
         return [(p, 1)]
-    import sympy
-
-    spoly = sympy.Poly(list(p.leading_first()), sympy.Symbol("x"), domain="QQ")
-    parts = monic_factors(spoly.sqf_list()[1])
+    parts = sympy_factors(p, squarefree=True)
     product = math.prod((g for g, e in parts for _ in range(e)), start=Poly([p.coeffs[-1]]))
     if product != p:  # pragma: no cover - sympy returned bad parts
         raise ArithmeticError("squarefree decomposition failed certification")

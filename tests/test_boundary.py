@@ -270,7 +270,7 @@ def test_eigenvector_estimate_preconditions(omega3):
     word = TwistWord((1, 2, 3), (1, 1, 1))
     with pytest.raises(PreconditionViolated):
         eigenvector_asymptotics(omega3, word, k=Fraction(1, 2))
-    with pytest.raises(NotGeneral):
+    with pytest.raises(NotGeneral, match="^the path must visit every curve$"):
         eigenvector_asymptotics(omega3, TwistWord((1, 2), (1, 1)), k=1)
     om = IntersectionMatrix(((0, 1, 0), (1, 0, 1), (0, 1, 0)))
     with pytest.raises(NotSupported):

@@ -90,6 +90,11 @@ def test_recipe_rejected_word_exits_3(entries, gamma, message, tmp_path, capsys)
     assert err.count("\n") == 1 and message in err
 
 
+def test_limit_word_that_misses_a_curve_exits_3(omega_file, capsys):
+    code, out, err = run(capsys, ["limit", "--omega", omega_file, "--gamma", "1,2"])
+    assert (code, out, err) == (3, "", "error: the path must visit every curve\n")
+
+
 @pytest.mark.parametrize("command, gamma", [("limit", "1,2,3,1"), ("recipe", "1,2,3,2,1")])
 def test_path_that_starts_and_ends_on_one_curve_exits_2(command, gamma, omega_file, capsys):
     # read cyclically, the word twists curve 1 twice in a row
@@ -298,6 +303,12 @@ def test_empty_powers_exit_2(command, omega_file, capsys):
     assert err.count("\n") == 1 and "equal length" in err
 
 
+@pytest.mark.parametrize("command", ["degree", "recipe", "limit"])
+def test_empty_gamma_exits_2(command, omega_file, capsys):
+    code, out, err = run(capsys, [command, "--omega", omega_file, "--gamma", ","])
+    assert (code, out, err) == (2, "", "error: twist word must have at least one letter\n")
+
+
 @pytest.mark.parametrize("option, value", [
     ("--gamma", ",1,,2,3,4,5,4,3,2,"),
     ("--gamma", "1 2,3,4,5,4,3,2"),
@@ -457,6 +468,11 @@ def test_catalog_show_unknown(capsys):
     assert code == 2
 
 
+def test_catalog_show_without_an_id_exits_2(capsys):
+    code, out, err = run(capsys, ["catalog", "show"])
+    assert (code, out, err) == (2, "", "error: catalog show requires an id\n")
+
+
 def test_catalog_degrees(capsys):
     code, out, _ = run(capsys, [
         "catalog", "degrees", "--kind", "S", "--genus", "2", "--json",
@@ -533,6 +549,17 @@ def test_selftest(capsys):
     assert "selftest characteristic polynomial modulo a prime: PASS" in out
 
 
+@pytest.mark.parametrize("broken, line", [
+    (lambda omega, i: None, "selftest elementary twist matrix: FAIL"),
+    (lambda omega, i: 1 / 0, "selftest elementary twist matrix (division by zero): FAIL"),
+])
+def test_selftest_reports_a_failed_check_and_returns_1(broken, line, capsys, monkeypatch):
+    monkeypatch.setattr(penner.cli, "generator", broken)
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert [s for s in out.splitlines() if "FAIL" in s] == [line]
+
+
 def test_selftest_has_no_json_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--json"])
@@ -568,6 +595,7 @@ def test_missing_omega_file(capsys):
     ([[0, 1.0, 1], [1, 0, 1], [1, 1, 0]], "entry at (1,2) is 1.0"),
     ([[0, True, 1], [1, 0, 1], [1, 1, 0]], "entry at (1,2) is True"),
     (["011", "101", "110"], "omega file must be"),
+    ([], "empty matrix"),
 ])
 def test_non_integer_entry_exits_2(entries, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -612,6 +640,15 @@ def test_digits_above_maximum_exits_2(digits, omega_file, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
     assert errors == [f"penner degree: error: argument --digits: value must be at most "
                       f"{MAX_DIGITS}, got {digits}"]
+
+
+def test_digits_not_an_integer_exits_2(omega_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "--omega", omega_file, "--gamma", "1,2,3", "--digits", "abc"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == ["penner degree: error: argument --digits: value must be an integer, "
+                      "got 'abc'"]
 
 
 def test_digits_maximum_is_accepted_and_shown_in_help(capsys):

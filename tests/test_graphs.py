@@ -12,7 +12,6 @@ from penner import (
     is_bipartite,
     is_connected,
     is_contractible,
-    reduce_backtracking,
     word_supported,
 )
 from penner.catalog import catalog_get, catalog_ids
@@ -77,7 +76,9 @@ def test_is_general():
 # ---------------------------------------------------------------------------
 
 def test_reduce_spur():
-    assert reduce_backtracking((1, 2, 1)) == (1,)
+    # out along a path and back: the last spur cancels across the seam
+    assert is_contractible((1, 2, 3, 2))
+    assert is_contractible((2, 1, 2, 3))
 
 
 def rotating_reduction(gamma):
@@ -114,30 +115,25 @@ def rotating_reduction(gamma):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6))
 def test_reduce_backtracking_matches_rotating_reduction(seed):
-    # same contractibility on random closed walks and spurred tours; the
-    # reduced path is the reference's up to rotation, and equal to it when
-    # it is a single vertex
+    # same contractibility on random closed walks and spurred tours
     rng = random.Random(seed)
     om = random_omega(rng, rng.randint(2, 6))
     for gamma in (random_closed_walk(om, rng, rng.randint(2, 12)),
                   tour_path(om, rng, spurs=rng.randint(0, 3))):
         if gamma is None:
             continue
-        want = rotating_reduction(gamma)
-        got = reduce_backtracking(gamma)
-        assert is_contractible(gamma) == (len(want) <= 1)
-        assert got in {want[s:] + want[:s] for s in range(len(want))}
+        assert is_contractible(gamma) == (len(rotating_reduction(gamma)) <= 1)
 
 
 def test_reduce_backtracking_of_long_paths():
+    # linear time and no recursion: 3,200 vertices
     n = 3200
-    cycle = tuple(range(1, n + 1))
-    assert reduce_backtracking(cycle) == cycle
+    assert not is_contractible(tuple(range(1, n + 1)))
     # the triangle 1, 2, 3 with a tail 1, 4, ..., n, walked from the tail's
     # tip: every spur of the tail crosses the seam
     tail = tuple(range(n, 3, -1))
-    assert reduce_backtracking(tail + (1, 2, 3, 1) + tail[:0:-1]) in {
-        (1, 2, 3), (2, 3, 1), (3, 1, 2)}
+    assert not is_contractible(tail + (1, 2, 3, 1) + tail[:0:-1])
+    assert is_contractible(tail + (1, 2, 3, 2, 1) + tail[:0:-1])
 
 
 def test_length_two_closed_path_contractible():
@@ -166,13 +162,13 @@ def test_tour_is_contractible_and_covering(seed):
 def test_spur_insertion_preserves_reduction(seed):
     rng = random.Random(seed)
     om = random_omega(rng, rng.randint(3, 7))
-    gamma = list(tour_path(om, rng))
-    g = graph_of(om)
-    pos = rng.randrange(len(gamma))
-    nbs = g.adjacency()[gamma[pos]]
-    u = rng.choice(nbs)
-    spurred = gamma[: pos + 1] + [u, gamma[pos]] + gamma[pos + 1:]
-    assert reduce_backtracking(spurred) == reduce_backtracking(gamma)
+    adj = graph_of(om).adjacency()
+    for gamma in (random_closed_walk(om, rng, rng.randint(2, 12)), tour_path(om, rng)):
+        if gamma is None:
+            continue
+        pos = rng.randrange(len(gamma))
+        spurred = gamma[: pos + 1] + (rng.choice(adj[gamma[pos]]), gamma[pos]) + gamma[pos + 1:]
+        assert is_contractible(spurred) == is_contractible(gamma)
 
 
 def test_spanning_tree_tour_shape(omega3):
@@ -212,6 +208,12 @@ def test_spanning_tree_tour_of_a_long_path():
     tour = spanning_tree_tour(g)
     assert tour == tuple(range(1, n + 1)) + tuple(range(n - 1, 1, -1))
     assert is_contractible(tour) and covers_vertices(tour, n)
+
+
+def test_spanning_tree_tour_of_one_curve_and_of_a_disconnected_graph():
+    assert spanning_tree_tour(OmegaGraph(1, frozenset())) == (1,)
+    with pytest.raises(ValueError, match="^graph must be connected$"):
+        spanning_tree_tour(OmegaGraph(4, frozenset({(1, 2), (3, 4)})), root=3)
 
 
 def test_spanning_tree_tour_rejects_a_root_outside_the_graph(omega3):

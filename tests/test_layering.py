@@ -1,7 +1,8 @@
 """Each module of the package owns its private helpers: no module imports a
 name that starts with an underscore from another module of the package.
 Tests may still reach private names.  ``penner.modp`` imports only the
-standard library, so that arithmetic modulo a prime needs nothing else."""
+standard library, so that arithmetic modulo a prime needs nothing else, and
+``penner.spectral`` is the one module that imports sympy."""
 
 import ast
 import sys
@@ -78,3 +79,11 @@ def test_outside_imports_are_found():
 
 def test_modp_imports_only_the_standard_library():
     assert outside_imports(Path(penner.modp.__file__).read_text()) == []
+
+
+def test_only_spectral_imports_sympy():
+    modules = sorted(Path(penner.__file__).parent.glob("*.py"))
+    importers = [path.stem for path in modules
+                 if any(name.split(".")[0] == "sympy"
+                        for name in outside_imports(path.read_text()))]
+    assert importers == ["spectral"]

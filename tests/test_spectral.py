@@ -563,6 +563,15 @@ def test_pf_eigenvalue_root_finding_failure(monkeypatch):
         pf_eigenvalue(Poly([-1, 5, -7, 1]), 30)
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ([4, 0, 1], "dominant eigenvalue is not a simple real eigenvalue"),  # +-2i
+    ([-1, 2], "leading eigenvalue 0.5 is not > 1"),
+])
+def test_pf_eigenvalue_refuses_a_dominant_root_that_is_not_real_and_above_1(coeffs, message):
+    with pytest.raises(NotPerronFrobenius, match=f"^{message}"):
+        pf_eigenvalue(Poly(coeffs), 30)
+
+
 def test_pf_rejects_identity():
     with pytest.raises(NotPerronFrobenius):
         pf_eigenvalue(char_poly_exact(((1, 0), (0, 1))))
@@ -784,6 +793,8 @@ def monic(p):
 @given(_factor_powers)
 @example([([-1, 1], 3), ([2, 0, 1], 2)])  # (x - 1)^3 (x^2 + 2)^2
 @example([([1, 1], 2), ([1, 1, 1], 1)])  # palindromic: y + 2 and y + 1
+# palindromic: y + 1 and y + 3, and y = -3 flips the sign of sqrt(y^2 - 4)
+@example([([1, 1, 1], 1), ([1, 3, 1], 1)])
 def test_all_roots_on_repeated_roots_matches_sympy(factor_powers):
     # the multiset of roots against sympy's exact roots (radicals: every
     # irreducible factor has degree at most 3), matched greedily; a root of
