@@ -8,18 +8,17 @@ to the explicit upper bound 2^K p_max^(K-2) ||Omega'||^(K-1) /
 (p_min^K min_gamma^K), for Omega' = k * Omega.
 """
 
-import argparse
 import sys
 
 import mpmath as mp
 
 from penner import IntersectionMatrix, TwistWord, eigenvector_asymptotics
-from penner.cli import attach_list_values, digits_arg, parse_ints, run_command
+from penner.cli import ArgumentParser, attach_list_values, digits_arg, parse_ints, run_command
 from penner.errors import ValidationError
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--scales", default="1,2,4,8,16,32,64")
     ap.add_argument("--digits", type=digits_arg, default=30)
     args = ap.parse_args(attach_list_values(sys.argv[1:]))

@@ -8,7 +8,6 @@ finds the smallest scale k* at which the stretch factor has algebraic
 degree 24 = rank(Omega), stable over a window of consecutive scales.
 """
 
-import argparse
 import sys
 import time
 
@@ -16,12 +15,12 @@ import mpmath as mp
 
 from penner import TwistWord, graph_of, run_recipe
 from penner.catalog import catalog_get
-from penner.cli import digits_arg, run_command
+from penner.cli import ArgumentParser, digits_arg, run_command
 from penner.graphs import spanning_tree_tour
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--id", default="S43-max", help="catalog entry id")
     ap.add_argument("--digits", type=digits_arg, default=50)
     ap.add_argument("--k-max", type=int, default=256, dest="k_max")

@@ -14,7 +14,6 @@ Runs three experiments along rays k * Omega:
    distances to the limit must fall, or the script exits with status 1.
 """
 
-import argparse
 import sys
 
 import mpmath as mp
@@ -26,12 +25,12 @@ from penner import (
     graph_of,
     ray_convergence_experiment,
 )
-from penner.cli import attach_list_values, digits_arg, parse_ints, run_command
+from penner.cli import ArgumentParser, attach_list_values, digits_arg, parse_ints, run_command
 from penner.graphs import spanning_tree_tour
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--scales", default="4,8,16,32,64",
                     help="comma-separated scales for the convergent run")
     ap.add_argument("--digits", type=digits_arg, default=50)

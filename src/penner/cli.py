@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 import mpmath as mp
 
@@ -355,8 +355,18 @@ def _emit(args, payload: dict, lines: Sequence[str]) -> None:
 # argument parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """An ``argparse.ArgumentParser`` that reports a rejected command line
+    as :func:`run_command` reports a package error: one ``error: ...`` line
+    on stderr, exit 2.  ``add_subparsers`` builds the subcommand parsers
+    from this class too, and the experiment scripts use it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="penner",
         description="Exact twist-product linear algebra: stretch factors, "
                     "algebraic degrees, and boundary limits.",

@@ -23,6 +23,10 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
     ("max_degree_recipe.py", ["--id", "nope"], "unknown catalog id 'nope'"),
     ("eigenvector_estimate.py", ["--scales", ","], "need at least one scale"),
     ("eigenvector_estimate.py", ["--scales", "4,0"], "scale factor must be positive, got 0"),
+    # rejected by argparse, which prints the same one line and no usage
+    ("max_degree_recipe.py", ["--digits", "abc"],
+     "error: argument --digits: value must be an integer, got 'abc'"),
+    ("ray_convergence.py", ["--bogus"], "error: unrecognized arguments: --bogus"),
 ])
 def test_bad_script_input_exits_2_with_one_line(script, argv, message):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -892,6 +892,81 @@ def test_every_root_finding_goes_through_all_roots(monkeypatch, omega3, divergen
     assert callers == ["penner.spectral.all_roots"] * 5
 
 
+def unseeded(fn, *args):
+    """``fn(*args)`` with mpmath's own start ``(0.4 + 0.9j)^i`` in place of
+    the product-form Weierstrass start."""
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(penner.spectral, "_weierstrass_start", lambda *_args: None)
+        return fn(*args)
+
+
+def assert_seed_changes_no_root(p, digits):
+    # the roots with and without the seed agree as multisets, each within
+    # 10^-(digits + 10) of its modulus
+    seeded, plain = all_roots(p, digits), unseeded(all_roots, p, digits)
+    assert len(seeded) == len(plain) == p.degree
+    with mp.workdps(digits + 15):
+        for r in plain:
+            nearest = min(seeded, key=lambda s: abs(s - r))
+            assert abs(nearest - r) <= mp.mpf(10) ** -(digits + 10) * abs(r), r
+            seeded.remove(nearest)
+
+
+def pf_outcome(p, digits):
+    try:
+        pf = pf_eigenvalue(p, digits)
+    except (NotPerronFrobenius, PreconditionViolated) as e:
+        return type(e)
+    return pf.value, pf.error
+
+
+@pytest.mark.parametrize("k", [1, 27, 243])
+def test_the_seed_changes_no_root_and_no_bit_of_lambda_on_s43(k):
+    # the trace polynomial's coefficients reach 402 bits at k = 243
+    entry = catalog_get("S43-max")
+    tour = spanning_tree_tour(graph_of(entry.omega), root=1)
+    reduced = spectral_report(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour))).reduced
+    assert_seed_changes_no_root(reduced, 50)
+    pf = pf_eigenvalue(reduced, 50)
+    plain = unseeded(pf_eigenvalue, reduced, 50)
+    assert (pf.value, pf.error) == (plain.value, plain.error)
+    assert brackets_root(reduced, pf.value, pf.error)
+    # mpmath accepts the seed in one step of its own iteration
+    part = trace_polynomial(reduced)
+    extraprec = root_bound_bits(part) + ROOT_BOUND_MARGIN
+    with mp.workdps(65):
+        with mp.workprec(mp.mp.prec + extraprec):
+            coeffs = part.mpf_coeffs()
+        start = penner.spectral._weierstrass_start(coeffs, extraprec)
+        assert len(mp.polyroots(coeffs, maxsteps=1, extraprec=extraprec,
+                                roots_init=start)) == part.degree
+
+
+def is_squarefree_poly(coeffs):
+    p = sympy_poly(Poly(coeffs))
+    return sympy.gcd(p, p.diff()).degree() == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=3, max_size=13)
+       .filter(lambda c: c[-1] and is_squarefree_poly(c)))
+@example([-1, 5, -7, 1])  # the triangle's characteristic polynomial
+@example([2, 0, 0, 1])  # one real root and a complex pair
+def test_the_seed_changes_no_root_and_no_bit_of_lambda(coeffs):
+    p = Poly(coeffs)
+    assert_seed_changes_no_root(p, 30)
+    assert pf_outcome(p, 30) == unseeded(pf_outcome, p, 30)
+
+
+def test_a_seed_mpmath_cannot_separate_still_fails_the_root_finding(monkeypatch):
+    # from equal real points the iteration stays on the real axis, and
+    # x^3 + 2 has a complex pair: mpmath runs its 300 steps and gives up
+    monkeypatch.setattr(penner.spectral, "_weierstrass_start",
+                        lambda coeffs, _extraprec: [mp.mpc(1)] * (len(coeffs) - 1))
+    with pytest.raises(PreconditionViolated, match="^root finding failed: "):
+        all_roots(Poly([2, 0, 0, 1]), 30)
+
+
 # ---------------------------------------------------------------------------
 # height function
 # ---------------------------------------------------------------------------
