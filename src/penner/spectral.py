@@ -123,6 +123,15 @@ class Poly:
         quotient, remainder = synthetic_division(reversed(self.coeffs), r)
         return Poly(quotient[::-1]), exact(remainder)
 
+    def shift(self, c: Scalar) -> "Poly":
+        """``p(x + c)``, exactly: its coefficients are the successive
+        remainders of dividing ``p`` by ``x - c`` (Taylor's shift)."""
+        q, out = self, []
+        while q.degree > 0:
+            q, r = q.divide_linear(c)
+            out.append(r)
+        return Poly(out + [q.coeffs[0]])
+
     # -- comparison / display -----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -410,7 +419,7 @@ def unfold(t: Poly) -> Poly:
 #: curve, or else a disconnected graph or a word that misses a curve.
 SINGLE_CURVE = "the twist product is not Perron-Frobenius: a single curve meets nothing"
 NOT_CERTIFIED = ("twist product is not Perron-Frobenius: the intersection graph "
-                 "must be connected and the word must use every curve")
+                 "must be connected and the path must visit every curve")
 
 
 def pf_certify(omega: IntersectionMatrix, word: TwistWord) -> bool:
@@ -534,18 +543,20 @@ def squarefree_parts(p: Poly) -> List[Tuple[Poly, int]]:
     return parts
 
 
-def _weierstrass_start(coeffs: List, extraprec: int) -> List:
-    """The iterates of ``mp.polyroots(coeffs, maxsteps=300,
-    extraprec=extraprec)``, run with its start ``(0.4 + 0.9j)^i``, its
-    in-place order, its tolerance and its monic scaling, but with each
-    Weierstrass correction taken as ``p(z_i) / prod_(j != i) (z_i - z_j)``:
-    one complex division per root per step where mpmath does ``d - 1``.
-    A zero difference is skipped, as mpmath skips it.  The iterates are
+def _weierstrass_start(part: Poly, c: int, extraprec: int) -> List:
+    """Start points for the roots of ``part``: mpmath's iteration run on
+    ``part(x + c)`` (:meth:`Poly.shift`, rounded at ``extraprec`` extra
+    bits), its iterates plus ``c``.  Its start ``(0.4 + 0.9j)^i``, in-place
+    order, tolerance, monic scaling and 300-step limit are mpmath's, but
+    each Weierstrass correction is ``p(z_i) / prod_(j != i) (z_i - z_j)``:
+    one complex division per root per step where mpmath does ``d - 1``.  A
+    zero difference is skipped, as mpmath skips it.  The iterates are
     returned whether or not they converged."""
     tol = +mp.eps
     with mp.extraprec(extraprec):
-        lead = mp.convert(coeffs[0])
-        monic = [mp.convert(c) for c in coeffs] if lead == 1 else [c / lead for c in coeffs]
+        coeffs = part.shift(c).mpf_coeffs()
+        lead = coeffs[0]
+        monic = coeffs if lead == 1 else [a / lead for a in coeffs]
         roots = [mp.mpc((0.4 + 0.9j) ** i) for i in range(len(coeffs) - 1)]
         err = [mp.mpf(1)] * len(roots)
         for _ in range(300):
@@ -560,7 +571,7 @@ def _weierstrass_start(coeffs: List, extraprec: int) -> List:
                 x = mp.polyval(monic, z) / den
                 roots[i] = z - x
                 err[i] = abs(x)
-    return roots
+        return [z + c for z in roots]
 
 
 def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
@@ -591,7 +602,9 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
 
     Each part's roots are first iterated by :func:`_weierstrass_start`,
     mpmath's own iteration with one complex division per root per step
-    instead of ``d - 1``, and ``mp.polyroots`` starts from its iterates.
+    instead of ``d - 1``, started about ``x = 1`` (``y = 2`` on a trace
+    polynomial), where along a ray ``k * omega`` the roots other than the
+    leading one crowd; ``mp.polyroots`` starts from its iterates.
     mpmath stays the judge: from converged iterates its first step is
     below ``eps`` and it stops; from others it iterates on, up to 300 more
     steps, and raises ``NoConvergence`` itself.
@@ -603,6 +616,7 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
     if reduced.degree == 0:
         return roots
     trace = trace_polynomial(reduced)
+    centre = 1 if trace is None else 2  # x = 1, or its image y = 1 + 1/1
     found = []
     with mp.workdps(digits + 15):
         for part, part_mult in squarefree_parts(reduced if trace is None else trace):
@@ -611,7 +625,7 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
                 coeffs = part.mpf_coeffs()
             try:
                 part_roots = mp.polyroots(coeffs, maxsteps=300, extraprec=extraprec,
-                                          roots_init=_weierstrass_start(coeffs, extraprec))
+                                          roots_init=_weierstrass_start(part, centre, extraprec))
             except mp.libmp.libhyper.NoConvergence as e:
                 raise PreconditionViolated(f"root finding failed: {e}") from None
             found += [r for r in part_roots for _ in range(part_mult)]

@@ -198,7 +198,7 @@ def test_degree_with_disconnected_omega_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, ["degree", "--omega", str(path), "--gamma", "1,2,3"])
     assert (code, out) == (3, "")
     assert err == ("error: twist product is not Perron-Frobenius: the intersection "
-                   "graph must be connected and the word must use every curve\n")
+                   "graph must be connected and the path must visit every curve\n")
 
 
 def test_recipe_with_one_curve_exits_3_before_scanning(

@@ -105,6 +105,18 @@ def test_divide_linear_matches_sympy(coeffs, r):
     assert p(r) == remainder
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exact_scalars, min_size=1, max_size=13),
+       st.one_of(st.integers(-50, 50), st.fractions(max_denominator=100)))
+@example([-1, 0, 1], 1)  # (x + 1)^2 - 1 = x^2 + 2x
+@example([], 2)  # the zero polynomial
+def test_shift_matches_sympy(coeffs, c):
+    # oracle: sympy's Poly.shift, f(x + c), over QQ
+    p = Poly(coeffs)
+    want = sympy_poly(p).shift(sympy.Rational(c.numerator, c.denominator))
+    assert p.shift(c) == Poly([Fraction(int(a.p), int(a.q)) for a in reversed(want.all_coeffs())])
+
+
 def test_poly_mul():
     assert Poly([1, 1]) * Poly([1, 1]) == Poly([1, 2, 1])
     assert Poly([0, 1]) * Poly([1, 1]) == Poly([0, 1, 1])
@@ -610,7 +622,7 @@ def test_uncertified_report_never_computes_lambda(monkeypatch):
 
 
 NOT_CERTIFIED = ("twist product is not Perron-Frobenius: the intersection graph "
-                 "must be connected and the word must use every curve")
+                 "must be connected and the path must visit every curve")
 
 
 @pytest.mark.parametrize("entries, gamma, message", [
@@ -920,26 +932,67 @@ def pf_outcome(p, digits):
     return pf.value, pf.error
 
 
-@pytest.mark.parametrize("k", [1, 27, 243])
-def test_the_seed_changes_no_root_and_no_bit_of_lambda_on_s43(k):
-    # the trace polynomial's coefficients reach 402 bits at k = 243
-    entry = catalog_get("S43-max")
+def catalog_tour_reduced(entry_id, k):
+    """The reduced polynomial of the tour from root 1 of ``entry_id``, all
+    powers 1, over ``k * Omega``."""
+    entry = catalog_get(entry_id)
     tour = spanning_tree_tour(graph_of(entry.omega), root=1)
-    reduced = spectral_report(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour))).reduced
+    return spectral_report(scale(entry.omega, k), TwistWord(tour, (1,) * len(tour))).reduced
+
+
+def assert_seed_changes_no_bit_of_lambda(reduced, centre):
+    # the roots agree with mpmath's own start, lambda and its enclosure to
+    # the bit, and mpmath accepts the seed in one step of its own iteration
     assert_seed_changes_no_root(reduced, 50)
     pf = pf_eigenvalue(reduced, 50)
     plain = unseeded(pf_eigenvalue, reduced, 50)
     assert (pf.value, pf.error) == (plain.value, plain.error)
     assert brackets_root(reduced, pf.value, pf.error)
-    # mpmath accepts the seed in one step of its own iteration
-    part = trace_polynomial(reduced)
+    part = reduced if centre == 1 else trace_polynomial(reduced)
     extraprec = root_bound_bits(part) + ROOT_BOUND_MARGIN
     with mp.workdps(65):
         with mp.workprec(mp.mp.prec + extraprec):
             coeffs = part.mpf_coeffs()
-        start = penner.spectral._weierstrass_start(coeffs, extraprec)
+        start = penner.spectral._weierstrass_start(part, centre, extraprec)
         assert len(mp.polyroots(coeffs, maxsteps=1, extraprec=extraprec,
                                 roots_init=start)) == part.degree
+
+
+@pytest.mark.parametrize("k", [1, 27, 243])
+def test_the_seed_changes_no_root_and_no_bit_of_lambda_on_s43(k):
+    # bipartite: located on the trace polynomial, centred at y = 2, whose
+    # coefficients reach 402 bits at k = 243
+    reduced = catalog_tour_reduced("S43-max", k)
+    assert trace_polynomial(reduced) is not None
+    assert_seed_changes_no_bit_of_lambda(reduced, 2)
+
+
+@pytest.mark.parametrize("k", [1, 27, 243])
+@pytest.mark.parametrize("entry_id", ["N41-rank8", "Mr-12"])
+def test_the_seed_changes_no_root_and_no_bit_of_lambda_unfolded(entry_id, k):
+    # not folded: located on the reduced polynomial itself, centred at x = 1
+    reduced = catalog_tour_reduced(entry_id, k)
+    assert trace_polynomial(reduced) is None
+    assert_seed_changes_no_bit_of_lambda(reduced, 1)
+
+
+@pytest.mark.parametrize("k, most", [(1, 276), (243, 1128)])
+def test_the_seed_starts_at_the_crowd_of_roots_about_1(monkeypatch, k, most):
+    # along k * Omega the roots other than lambda crowd toward x = 1, the
+    # centre of the seed's start; counted are the seed's evaluations of the
+    # degree-12 trace polynomial (mpmath's own step calls mp.mp.polyval).
+    # Started about 0 instead, the seed makes 372 and 1,248.
+    reduced = catalog_tour_reduced("S43-max", k)
+    calls = []
+    real = mp.polyval
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyval", counted)
+    all_roots(reduced, 50)
+    assert len(calls) <= most
 
 
 def is_squarefree_poly(coeffs):
@@ -962,7 +1015,7 @@ def test_a_seed_mpmath_cannot_separate_still_fails_the_root_finding(monkeypatch)
     # from equal real points the iteration stays on the real axis, and
     # x^3 + 2 has a complex pair: mpmath runs its 300 steps and gives up
     monkeypatch.setattr(penner.spectral, "_weierstrass_start",
-                        lambda coeffs, _extraprec: [mp.mpc(1)] * (len(coeffs) - 1))
+                        lambda part, _centre, _extraprec: [mp.mpc(1)] * part.degree)
     with pytest.raises(PreconditionViolated, match="^root finding failed: "):
         all_roots(Poly([2, 0, 0, 1]), 30)
 
