@@ -12,8 +12,10 @@ The general characteristic polynomial (Berkowitz) is computed exactly by
 sympy's ``DomainMatrix`` over the integers or the rationals; it is the
 oracle of the modular kernel.  sympy's square-free and irreducible factor
 lists come through one bridge, :func:`sympy_factors`.  The leading
-eigenvalue is computed numerically to a requested number of digits via
-mpmath, always starting from the exact polynomial.
+eigenvalue is computed to a requested number of digits in mpmath's
+arithmetic from the exact polynomial: located among all roots by one
+Durand-Kerner iteration (:func:`all_roots`), Newton-refined, and bracketed
+exactly.
 
 Key structure: for a twist product ``M`` over ``omega`` of rank ``r``, the
 characteristic polynomial splits as ``chi(x) = (x - 1)^(n - r) * p(x)`` with
@@ -122,15 +124,6 @@ class Poly:
         ``int`` or ``Fraction`` ``r``."""
         quotient, remainder = synthetic_division(reversed(self.coeffs), r)
         return Poly(quotient[::-1]), exact(remainder)
-
-    def shift(self, c: Scalar) -> "Poly":
-        """``p(x + c)``, exactly: its coefficients are the successive
-        remainders of dividing ``p`` by ``x - c`` (Taylor's shift)."""
-        q, out = self, []
-        while q.degree > 0:
-            q, r = q.divide_linear(c)
-            out.append(r)
-        return Poly(out + [q.coeffs[0]])
 
     # -- comparison / display -----------------------------------------------
 
@@ -543,21 +536,21 @@ def squarefree_parts(p: Poly) -> List[Tuple[Poly, int]]:
     return parts
 
 
-def _weierstrass_start(part: Poly, c: int, extraprec: int) -> List:
-    """Start points for the roots of ``part``: mpmath's iteration run on
-    ``part(x + c)`` (:meth:`Poly.shift`, rounded at ``extraprec`` extra
-    bits), its iterates plus ``c``.  Its start ``(0.4 + 0.9j)^i``, in-place
-    order, tolerance, monic scaling and 300-step limit are mpmath's, but
-    each Weierstrass correction is ``p(z_i) / prod_(j != i) (z_i - z_j)``:
-    one complex division per root per step where mpmath does ``d - 1``.  A
-    zero difference is skipped, as mpmath skips it.  The iterates are
-    returned whether or not they converged."""
+def _durand_kerner(part: Poly, c: int, extraprec: int) -> List:
+    """Every root of the squarefree ``part``: the Durand-Kerner (Weierstrass)
+    iteration from ``c + (0.4 + 0.9j)^i``, at ``extraprec`` extra bits.  The
+    correction ``p(z_i) / prod_(j != i) (z_i - z_j)`` (one complex division;
+    a zero difference is skipped) is unchanged when every point and root is
+    translated by ``c``, so this is mpmath's iteration on ``part(x + c)``
+    from its own start, moved by ``c``.  The rules are mpmath's: stop once
+    every correction is below the working ``eps``, raise ``NoConvergence``
+    after 300 steps, zero parts below ``eps`` (a real root is an ``mpf``),
+    sort by ``(|im|, re)`` and round to the working precision."""
     tol = +mp.eps
     with mp.extraprec(extraprec):
-        coeffs = part.shift(c).mpf_coeffs()
-        lead = coeffs[0]
-        monic = coeffs if lead == 1 else [a / lead for a in coeffs]
-        roots = [mp.mpc((0.4 + 0.9j) ** i) for i in range(len(coeffs) - 1)]
+        coeffs = part.mpf_coeffs()
+        monic = [a / coeffs[0] for a in coeffs]
+        roots = [c + mp.mpc((0.4 + 0.9j) ** i) for i in range(part.degree)]
         err = [mp.mpf(1)] * len(roots)
         for _ in range(300):
             if max(err) < tol:
@@ -571,7 +564,17 @@ def _weierstrass_start(part: Poly, c: int, extraprec: int) -> List:
                 x = mp.polyval(monic, z) / den
                 roots[i] = z - x
                 err[i] = abs(x)
-        return [z + c for z in roots]
+        if max(err) >= tol:
+            raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300 steps.")
+        for i, z in enumerate(roots):
+            if abs(z) < tol:
+                roots[i] = mp.mpf(0)
+            elif abs(z.imag) < tol:
+                roots[i] = z.real
+            elif abs(z.real) < tol:
+                roots[i] = z.imag * 1j
+        roots.sort(key=lambda z: (abs(mp.im(z)), mp.re(z)))
+    return [+z for z in roots]
 
 
 def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
@@ -589,27 +592,21 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
     reads the same roots either way.
 
     The located polynomial is split into its :func:`squarefree_parts`, and
-    the roots of each part, located apart, are repeated by its multiplicity:
-    ``mp.polyroots`` (Durand-Kerner) converges only linearly on a repeated
-    root, and may not reach the working ``eps`` there at all.  It stops only
-    when every correction is below ``eps`` in absolute terms, so a root of
-    modulus ``2^b`` needs about ``b`` bits beyond the working precision.
-    Each part's extra precision is therefore its :func:`root_bound_bits`,
-    or 0 when that is negative (all roots below 1 in modulus), plus
-    ``ROOT_BOUND_MARGIN`` bits.  A fixed extra precision would make the
-    finder run all its steps and fail on roots that outgrow it.  The exact
-    coefficients are rounded at the raised precision too.
-
-    Each part's roots are first iterated by :func:`_weierstrass_start`,
-    mpmath's own iteration with one complex division per root per step
-    instead of ``d - 1``, started about ``x = 1`` (``y = 2`` on a trace
+    the roots of each part, located apart by :func:`_durand_kerner`, are
+    repeated by its multiplicity: Durand-Kerner converges only linearly on
+    a repeated root, and may not reach the working ``eps`` there at all.
+    It stops only when every correction is below ``eps`` in absolute terms,
+    so a root of modulus ``2^b`` needs about ``b`` bits beyond the working
+    precision.  Each part's extra precision is therefore its
+    :func:`root_bound_bits`, or 0 when that is negative (all roots below 1
+    in modulus), plus ``ROOT_BOUND_MARGIN`` bits.  A fixed extra precision
+    would make the iteration run all its steps and fail on roots that
+    outgrow it.  The exact coefficients are rounded at the raised precision
+    too.  The iteration starts about ``x = 1`` (``y = 2`` on a trace
     polynomial), where along a ray ``k * omega`` the roots other than the
-    leading one crowd; ``mp.polyroots`` starts from its iterates.
-    mpmath stays the judge: from converged iterates its first step is
-    below ``eps`` and it stops; from others it iterates on, up to 300 more
-    steps, and raises ``NoConvergence`` itself.
+    leading one crowd.
 
-    Raises :class:`PreconditionViolated` if the root finder does not converge.
+    Raises :class:`PreconditionViolated` if the iteration does not converge.
     """
     mult, reduced = strip_unit_root(p)
     roots = [mp.mpf(1)] * mult
@@ -621,11 +618,8 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
     with mp.workdps(digits + 15):
         for part, part_mult in squarefree_parts(reduced if trace is None else trace):
             extraprec = max(root_bound_bits(part), 0) + ROOT_BOUND_MARGIN
-            with mp.workprec(mp.mp.prec + extraprec):
-                coeffs = part.mpf_coeffs()
             try:
-                part_roots = mp.polyroots(coeffs, maxsteps=300, extraprec=extraprec,
-                                          roots_init=_weierstrass_start(part, centre, extraprec))
+                part_roots = _durand_kerner(part, centre, extraprec)
             except mp.libmp.libhyper.NoConvergence as e:
                 raise PreconditionViolated(f"root finding failed: {e}") from None
             found += [r for r in part_roots for _ in range(part_mult)]

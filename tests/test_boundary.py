@@ -329,7 +329,7 @@ def test_ray_experiment_divergent_root_finding_failure(divergent4, monkeypatch):
     def fail(*_args, **_kwargs):
         raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
 
-    monkeypatch.setattr(mp, "polyroots", fail)
+    monkeypatch.setattr(penner.spectral, "_durand_kerner", fail)
     word = TwistWord((1, 2, 3, 4), (1, 1, 1, 1))
     with pytest.raises(PreconditionViolated, match="at k = 4: root finding failed"):
         ray_convergence_experiment(divergent4, word, (4, 8), digits=50)

@@ -13,6 +13,7 @@ import penner
 import penner.catalog
 import penner.cli
 import penner.recipe
+import penner.spectral
 
 from penner.catalog import catalog_get, catalog_ids
 from penner.cli import MAX_DIGITS, MAX_SURFACE, digits_arg, main
@@ -216,7 +217,7 @@ def test_degree_root_finding_failure_exits_3(omega_file, capsys, monkeypatch):
     def fail(*_args, **_kwargs):
         raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
 
-    monkeypatch.setattr(mp, "polyroots", fail)
+    monkeypatch.setattr(penner.spectral, "_durand_kerner", fail)
     code, out, err = run(capsys, ["degree", "--omega", omega_file, "--gamma", "1,2,3", "--json"])
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "root finding failed" in err
@@ -383,7 +384,7 @@ def test_limit_divergent_one_scale_exits_2_before_root_finding(
     def refuse(*_args, **_kwargs):
         raise AssertionError("roots found before the scales were checked")
 
-    monkeypatch.setattr(mp, "polyroots", refuse)
+    monkeypatch.setattr(penner.spectral, "_durand_kerner", refuse)
     code, _, err = run(capsys, [
         "limit", "--omega", div4_file, "--gamma", "1,2,3,4", "--scales", "4",
     ])
@@ -410,7 +411,7 @@ def test_limit_divergent_root_finding_failure_exits_3(div4_file, capsys, monkeyp
     def fail(*_args, **_kwargs):
         raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
 
-    monkeypatch.setattr(mp, "polyroots", fail)
+    monkeypatch.setattr(penner.spectral, "_durand_kerner", fail)
     code, out, err = run(capsys, ["limit", "--omega", div4_file, "--gamma", "1,2,3,4"])
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "k = 4: root finding failed" in err

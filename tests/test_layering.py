@@ -1,8 +1,10 @@
 """Each module of the package owns its private helpers: no module imports a
 name that starts with an underscore from another module of the package.
 Tests may still reach private names.  ``penner.modp`` imports only the
-standard library, so that arithmetic modulo a prime needs nothing else, and
-``penner.spectral`` is the one module that imports sympy."""
+standard library, so that arithmetic modulo a prime needs nothing else,
+``penner.spectral`` is the one module that imports sympy, and no module names
+mpmath's ``polyroots``: ``spectral.all_roots`` locates roots by its own
+Durand-Kerner iteration."""
 
 import ast
 import sys
@@ -87,3 +89,31 @@ def test_only_spectral_imports_sympy():
                  if any(name.split(".")[0] == "sympy"
                         for name in outside_imports(path.read_text()))]
     assert importers == ["spectral"]
+
+
+def names_used(source):
+    """Every variable and module name in ``source``, and every attribute it
+    reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_names_used_are_found():
+    source = ("import mpmath as mp\n"
+              "from mpmath import polyval\n"
+              "def f(p):\n"
+              "    return mp.polyroots(p), roots_init\n")
+    assert names_used(source) == {"mpmath", "polyval", "mp", "polyroots", "p", "roots_init"}
+
+
+def test_no_module_names_polyroots():
+    modules = sorted(Path(penner.__file__).parent.glob("*.py"))
+    assert [path.stem for path in modules
+            if "polyroots" in names_used(path.read_text())] == []

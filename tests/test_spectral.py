@@ -105,18 +105,6 @@ def test_divide_linear_matches_sympy(coeffs, r):
     assert p(r) == remainder
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_exact_scalars, min_size=1, max_size=13),
-       st.one_of(st.integers(-50, 50), st.fractions(max_denominator=100)))
-@example([-1, 0, 1], 1)  # (x + 1)^2 - 1 = x^2 + 2x
-@example([], 2)  # the zero polynomial
-def test_shift_matches_sympy(coeffs, c):
-    # oracle: sympy's Poly.shift, f(x + c), over QQ
-    p = Poly(coeffs)
-    want = sympy_poly(p).shift(sympy.Rational(c.numerator, c.denominator))
-    assert p.shift(c) == Poly([Fraction(int(a.p), int(a.q)) for a in reversed(want.all_coeffs())])
-
-
 def test_poly_mul():
     assert Poly([1, 1]) * Poly([1, 1]) == Poly([1, 2, 1])
     assert Poly([0, 1]) * Poly([1, 1]) == Poly([0, 1, 1])
@@ -569,7 +557,7 @@ def test_pf_eigenvalue_root_finding_failure(monkeypatch):
     def fail(*_args, **_kwargs):
         raise mp.libmp.libhyper.NoConvergence("Didn't converge in maxsteps=300")
 
-    monkeypatch.setattr(mp, "polyroots", fail)
+    monkeypatch.setattr(penner.spectral, "_durand_kerner", fail)
     # a failed root finder proves nothing about Perron-Frobenius
     with pytest.raises(PreconditionViolated, match="root finding failed"):
         pf_eigenvalue(Poly([-1, 5, -7, 1]), 30)
@@ -732,14 +720,14 @@ def test_pf_eigenvalue_locates_palindromes_on_the_trace_polynomial(seed):
     _exponent, reduced = structure_split(
         char_poly_exact(twist_product(om, general_word(om, rng))), rank_exact(om))
     sizes = []
-    real = mp.polyroots
+    real = penner.spectral._durand_kerner
 
-    def counted(coeffs, **kwargs):
-        sizes.append(len(coeffs))
-        return real(coeffs, **kwargs)
+    def counted(part, *args):
+        sizes.append(len(part.coeffs))
+        return real(part, *args)
 
     with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(mp, "polyroots", counted)
+        mpatch.setattr(penner.spectral, "_durand_kerner", counted)
         folded = pf_eigenvalue(reduced, 30)
         mpatch.setattr(penner.spectral, "trace_polynomial", lambda p: None)
         unfolded = pf_eigenvalue(reduced, 30)
@@ -754,13 +742,13 @@ def test_all_roots_splits_unit_roots_exactly_and_folds_palindromes(monkeypatch):
     unit = Poly([-1, 1])
     p = unit * unit * unit * Poly([1, -3, 1])
     sizes = []
-    real = mp.polyroots
+    real = penner.spectral._durand_kerner
 
-    def counted(coeffs, **kwargs):
-        sizes.append(len(coeffs))
-        return real(coeffs, **kwargs)
+    def counted(part, *args):
+        sizes.append(len(part.coeffs))
+        return real(part, *args)
 
-    monkeypatch.setattr(mp, "polyroots", counted)
+    monkeypatch.setattr(penner.spectral, "_durand_kerner", counted)
     roots = all_roots(p, 30)
     assert sizes == [2]
     assert roots[:3] == [1, 1, 1] and all(isinstance(r, mp.mpf) for r in roots[:3])
@@ -769,6 +757,12 @@ def test_all_roots_splits_unit_roots_exactly_and_folds_palindromes(monkeypatch):
         assert abs(x - (3 + mp.sqrt(5)) / 2) < 1e-30 and abs(x * inv - 1) < 1e-30
     assert all_roots(unit * unit, 30) == [1, 1] and sizes == [2]
     assert all_roots(Poly([7]), 30) == []
+    # parts below eps are zeroed and the roots sorted by (|im|, re): the
+    # real root of x^3 + 2 comes first, as an mpf
+    real_root, *pair = all_roots(Poly([2, 0, 0, 1]), 20)
+    assert isinstance(real_root, mp.mpf) and all(isinstance(z, mp.mpc) for z in pair)
+    with mp.workdps(35):
+        assert abs(real_root + mp.cbrt(2)) < 1e-30
 
 
 # products of one to three squarefree integer factors of degree 1 to 3,
@@ -852,13 +846,25 @@ def test_squarefree_parts_when_the_prime_divides_the_discriminant_or_the_lead():
 
 @pytest.mark.parametrize("a", [10, 100, 1000, 10 ** 5])
 @pytest.mark.parametrize("d", [8, 12, 20])
-def test_all_roots_converges_on_mignotte_polynomials(a, d):
+def test_all_roots_converges_on_mignotte_polynomials(monkeypatch, a, d):
     # x^d - 2 (a x - 1)^2 has two real roots closer than a^-(d+2)/2 near 1/a;
-    # the located roots rebuild its coefficients
+    # the located roots rebuild its coefficients.  Each sweep evaluates the
+    # polynomial d times; at d = 20 the iteration takes 35 to 173 sweeps.
+    # The bound fails an iteration run on part(x + 1), whose larger
+    # coefficients make it run all 300 sweeps at a = 10, 100 and 10^5
     coeffs = [-2, 4 * a, -2 * a * a] + [0] * (d - 3) + [1]
     p = Poly(coeffs)
+    calls = []
+    real = mp.polyval
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyval", counted)
     roots = all_roots(p)
     assert len(roots) == d
+    assert len(calls) <= 200 * d
     with mp.workdps(65):
         rebuilt = [mp.mpf(1)]
         for r in roots:
@@ -872,13 +878,13 @@ def test_tiny_roots_do_not_lower_the_precision(monkeypatch):
     p = Poly([Fraction(3, 2 ** 120), Fraction(-4, 2 ** 60), 1])
     assert root_bound_bits(p) < 0
     extraprecs = []
-    real = mp.polyroots
+    real = penner.spectral._durand_kerner
 
-    def recorded(coeffs, **kwargs):
-        extraprecs.append(kwargs["extraprec"])
-        return real(coeffs, **kwargs)
+    def recorded(part, centre, extraprec):
+        extraprecs.append(extraprec)
+        return real(part, centre, extraprec)
 
-    monkeypatch.setattr(mp, "polyroots", recorded)
+    monkeypatch.setattr(penner.spectral, "_durand_kerner", recorded)
     roots = sorted(all_roots(p), key=abs)
     assert extraprecs == [ROOT_BOUND_MARGIN]
     for r, want in zip(roots, (Fraction(1, 2 ** 60), Fraction(3, 2 ** 60))):
@@ -887,14 +893,14 @@ def test_tiny_roots_do_not_lower_the_precision(monkeypatch):
 
 def test_every_root_finding_goes_through_all_roots(monkeypatch, omega3, divergent4):
     callers = []
-    real = mp.polyroots
+    real = penner.spectral._durand_kerner
 
-    def recorded(*args, **kwargs):
+    def recorded(*args):
         frame = sys._getframe(1)
         callers.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(mp, "polyroots", recorded)
+    monkeypatch.setattr(penner.spectral, "_durand_kerner", recorded)
     word = TwistWord((1, 2, 3), (1, 1, 1))
     convergence_diagnostic(ray_convergence_experiment(omega3, word, (4,), digits=30),
                            digits=30)
@@ -904,24 +910,32 @@ def test_every_root_finding_goes_through_all_roots(monkeypatch, omega3, divergen
     assert callers == ["penner.spectral.all_roots"] * 5
 
 
-def unseeded(fn, *args):
-    """``fn(*args)`` with mpmath's own start ``(0.4 + 0.9j)^i`` in place of
-    the product-form Weierstrass start."""
+def mpmath_polyroots(part, _centre, extraprec):
+    """The reference root finder: mpmath's ``polyroots`` from its own start
+    ``(0.4 + 0.9j)^i``, on coefficients rounded at ``extraprec`` extra bits."""
+    with mp.workprec(mp.mp.prec + extraprec):
+        coeffs = part.mpf_coeffs()
+    return mp.polyroots(coeffs, maxsteps=300, extraprec=extraprec)
+
+
+def by_mpmath(fn, *args):
+    """``fn(*args)`` with :func:`mpmath_polyroots` in place of the package's
+    Durand-Kerner iteration."""
     with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(penner.spectral, "_weierstrass_start", lambda *_args: None)
+        mpatch.setattr(penner.spectral, "_durand_kerner", mpmath_polyroots)
         return fn(*args)
 
 
-def assert_seed_changes_no_root(p, digits):
-    # the roots with and without the seed agree as multisets, each within
+def assert_roots_match_mpmath(p, digits):
+    # the roots and mpmath's agree as multisets, each within
     # 10^-(digits + 10) of its modulus
-    seeded, plain = all_roots(p, digits), unseeded(all_roots, p, digits)
-    assert len(seeded) == len(plain) == p.degree
+    ours, theirs = all_roots(p, digits), by_mpmath(all_roots, p, digits)
+    assert len(ours) == len(theirs) == p.degree
     with mp.workdps(digits + 15):
-        for r in plain:
-            nearest = min(seeded, key=lambda s: abs(s - r))
+        for r in theirs:
+            nearest = min(ours, key=lambda s: abs(s - r))
             assert abs(nearest - r) <= mp.mpf(10) ** -(digits + 10) * abs(r), r
-            seeded.remove(nearest)
+            ours.remove(nearest)
 
 
 def pf_outcome(p, digits):
@@ -941,21 +955,23 @@ def catalog_tour_reduced(entry_id, k):
 
 
 def assert_seed_changes_no_bit_of_lambda(reduced, centre):
-    # the roots agree with mpmath's own start, lambda and its enclosure to
-    # the bit, and mpmath accepts the seed in one step of its own iteration
-    assert_seed_changes_no_root(reduced, 50)
-    pf = pf_eigenvalue(reduced, 50)
-    plain = unseeded(pf_eigenvalue, reduced, 50)
+    # the roots agree with mpmath's from its own start, lambda and its
+    # enclosure to the bit, and the iteration starts about ``centre``
+    assert_roots_match_mpmath(reduced, 50)
+    centres = []
+    real = penner.spectral._durand_kerner
+
+    def recorded(part, c, extraprec):
+        centres.append(c)
+        return real(part, c, extraprec)
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(penner.spectral, "_durand_kerner", recorded)
+        pf = pf_eigenvalue(reduced, 50)
+    plain = by_mpmath(pf_eigenvalue, reduced, 50)
     assert (pf.value, pf.error) == (plain.value, plain.error)
     assert brackets_root(reduced, pf.value, pf.error)
-    part = reduced if centre == 1 else trace_polynomial(reduced)
-    extraprec = root_bound_bits(part) + ROOT_BOUND_MARGIN
-    with mp.workdps(65):
-        with mp.workprec(mp.mp.prec + extraprec):
-            coeffs = part.mpf_coeffs()
-        start = penner.spectral._weierstrass_start(part, centre, extraprec)
-        assert len(mp.polyroots(coeffs, maxsteps=1, extraprec=extraprec,
-                                roots_init=start)) == part.degree
+    assert centres == [centre]
 
 
 @pytest.mark.parametrize("k", [1, 27, 243])
@@ -979,9 +995,9 @@ def test_the_seed_changes_no_root_and_no_bit_of_lambda_unfolded(entry_id, k):
 @pytest.mark.parametrize("k, most", [(1, 276), (243, 1128)])
 def test_the_seed_starts_at_the_crowd_of_roots_about_1(monkeypatch, k, most):
     # along k * Omega the roots other than lambda crowd toward x = 1, the
-    # centre of the seed's start; counted are the seed's evaluations of the
-    # degree-12 trace polynomial (mpmath's own step calls mp.mp.polyval).
-    # Started about 0 instead, the seed makes 372 and 1,248.
+    # centre of the iteration's start; counted are its evaluations of the
+    # degree-12 trace polynomial.  Started about 0 instead, it makes 372 and
+    # 1,248.
     reduced = catalog_tour_reduced("S43-max", k)
     calls = []
     real = mp.polyval
@@ -1007,15 +1023,15 @@ def is_squarefree_poly(coeffs):
 @example([2, 0, 0, 1])  # one real root and a complex pair
 def test_the_seed_changes_no_root_and_no_bit_of_lambda(coeffs):
     p = Poly(coeffs)
-    assert_seed_changes_no_root(p, 30)
-    assert pf_outcome(p, 30) == unseeded(pf_outcome, p, 30)
+    assert_roots_match_mpmath(p, 30)
+    assert pf_outcome(p, 30) == by_mpmath(pf_outcome, p, 30)
 
 
 def test_a_seed_mpmath_cannot_separate_still_fails_the_root_finding(monkeypatch):
-    # from equal real points the iteration stays on the real axis, and
-    # x^3 + 2 has a complex pair: mpmath runs its 300 steps and gives up
-    monkeypatch.setattr(penner.spectral, "_weierstrass_start",
-                        lambda part, _centre, _extraprec: [mp.mpc(1)] * part.degree)
+    # with the complex start (0.4 + 0.9j)^i made real zeros, every point
+    # starts at the centre x = 1 and the iteration stays on the real axis;
+    # x^3 + 2 has a complex pair, so the loop runs its 300 steps and gives up
+    monkeypatch.setattr(mp, "mpc", lambda _z: mp.mpf(0))
     with pytest.raises(PreconditionViolated, match="^root finding failed: "):
         all_roots(Poly([2, 0, 0, 1]), 30)
 
