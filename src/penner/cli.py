@@ -183,7 +183,9 @@ def cmd_recipe(args) -> int:
     word = word_from_args(args)
     result = run_recipe(omega, word, k_max=args.k_max, window=args.window,
                         digits=args.digits)
-    word_str = " ".join(f"T{i}^{p}" for i, p in result.word)
+    scaled_word = [(i, result.k_star * p)  # leftmost factor first
+                   for i, p in zip(reversed(word.gamma), reversed(word.powers))]
+    word_str = " ".join(f"T{i}^{p}" for i, p in scaled_word)
     payload = {
         "k_star": result.k_star,
         "rank": result.rank,
@@ -191,7 +193,7 @@ def cmd_recipe(args) -> int:
         "lambda": _nstr(result.lam, args.digits),
         "minpoly": poly_str(result.minpoly),
         "window": result.window,
-        "word": [[i, p] for i, p in result.word],
+        "word": [[i, p] for i, p in scaled_word],
     }
     _emit(args, payload, [
         f"k* = {result.k_star} (stable over {result.window} consecutive scales)",

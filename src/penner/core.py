@@ -19,9 +19,10 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
     IndexOutOfRange,
@@ -237,3 +238,43 @@ def twist_product(omega: IntersectionMatrix, word: TwistWord) -> ExactMatrix:
     for i, p in zip(word.gamma, word.powers):
         letter_update(m, i - 1, p, omega.entries[i - 1])
     return tuple(map(tuple, m))
+
+
+#: Steps of :func:`collatz_wielandt` before it gives up.  The iteration
+#: converges at the rate ``|lambda_2| / lambda``: at 50 digits it stops within
+#: 45 steps (8 in the median) on the 160 certified catalog products (20
+#: entries, tours from roots 1 and 2, k = 1, 3, 27, 243), while on the product
+#: of the word ``1, 2`` over ``[[0, e], [e, 0]]`` with ``e = 10^-10``, a rate
+#: of about ``1 - 2e``, 200 steps reach a relative width of only ``10^-20``.
+COLLATZ_WIELANDT_STEPS = 200
+
+
+def collatz_wielandt(m: ExactMatrix, digits: int) -> Optional[Tuple[Fraction, Fraction]]:
+    """Exact bounds ``(lo, hi)`` on the spectral radius of ``m``, a square
+    nonnegative matrix with positive diagonal, such as a twist product, with
+    ``hi - lo <= 10^-(digits+6) lo``; ``None`` when
+    :data:`COLLATZ_WIELANDT_STEPS` power steps do not get that close.
+
+    For a nonnegative ``A`` and a positive vector ``v``,
+    ``min_i (Av)_i / v_i <= rho(A) <= max_i (Av)_i / v_i`` (Collatz 1942,
+    Wielandt 1950).  The iteration runs on the integer matrix ``A = D m``,
+    ``D`` the least common denominator of the entries, from ``v = 1``; each
+    step takes ``w = A v``, reads the bounds off the ratios ``w_i / v_i`` as
+    fractions and goes on from ``w`` shifted right until its smallest
+    component has ``3.33 digits + 40`` bits.  The shift only slows the
+    iteration, never the bounds, which hold for every positive ``v``; ``v``
+    stays positive, since the diagonal of ``A`` is at least 1.
+    """
+    lcd = math.lcm(*(x.denominator for row in m for x in row))
+    a = [[int(x * lcd) for x in row] for row in m]
+    keep = int(3.33 * digits) + 40
+    v = [1] * len(a)
+    for _ in range(COLLATZ_WIELANDT_STEPS):
+        w = [sum(x * y for x, y in zip(row, v)) for row in a]
+        ratios = [Fraction(x, y) for x, y in zip(w, v)]
+        lo, hi = min(ratios), max(ratios)
+        if (hi - lo) * 10 ** (digits + 6) <= lo:
+            return lo / lcd, hi / lcd
+        shift = max(min(w).bit_length() - keep, 0)
+        v = [x >> shift for x in w]
+    return None

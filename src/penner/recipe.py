@@ -9,7 +9,7 @@ from typing import List, Tuple
 
 import mpmath as mp
 
-from .core import IntersectionMatrix, TwistWord, scale
+from .core import IntersectionMatrix, TwistWord, scale, twist_product
 from .errors import (
     KBudgetExhausted,
     NotContractible,
@@ -42,7 +42,6 @@ class RecipeResult:
     minpoly: Poly
     charpoly: Poly
     window: int
-    word: Tuple[Tuple[int, int], ...]  # (curve, exponent), leftmost factor first
 
 
 def run_recipe(
@@ -69,7 +68,10 @@ def run_recipe(
     polynomial is irreducible gets its degree from the exact factorization
     alone, so the eigenvalue is found only at ``k*`` and at scales whose
     reduced polynomial factors.  A scale whose eigenvalue is not needed
-    raises nothing, even where the root finder would fail.
+    raises nothing, even where the root finder would fail.  Each scale
+    builds its twist product once, for its characteristic polynomial and
+    for its report, which reads the eigenvalue from the product's exact
+    bounds (:func:`~penner.spectral.product_pf_eigenvalue`).
 
     Raises :class:`ValidationError` for a ``k_max`` or ``window`` below 1
     or a ``window`` above ``k_max``,
@@ -79,8 +81,8 @@ def run_recipe(
     :class:`NotContractible`, :class:`NotPerronFrobenius` when the product
     is not certified Perron-Frobenius (a single curve), or
     :class:`KBudgetExhausted`.  Reading the eigenvalue may raise what
-    :func:`~penner.spectral.pf_eigenvalue` raises, a root-finder failure
-    as :class:`~penner.errors.PreconditionViolated`.
+    :func:`~penner.spectral.pf_eigenvalue` raises where the bounds stall,
+    a root-finder failure as :class:`~penner.errors.PreconditionViolated`.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be at least 1, got {k_max}")
@@ -101,8 +103,10 @@ def run_recipe(
     rank = rank_exact(omega)
     streak: List[Tuple[int, SpectralReport, Poly]] = []  # (k, report, minpoly)
     for k in range(1, k_max + 1):
-        chi = twist_charpoly(scale(omega, k), word)
-        report = SpectralReport.from_charpoly(chi, rank, digits)
+        scaled = scale(omega, k)
+        product = twist_product(scaled, word)
+        report = SpectralReport.from_charpoly(twist_charpoly(scaled, word, product),
+                                              rank, digits, product)
         degree, minpoly, _fz = degree_of_pf_root(report)
         if degree == rank:
             streak.append((k, report, minpoly))
@@ -118,10 +122,6 @@ def run_recipe(
                 minpoly=mpoly,
                 charpoly=rep.charpoly,
                 window=window,
-                word=tuple(
-                    (i, k_star * p)
-                    for i, p in zip(reversed(word.gamma), reversed(word.powers))
-                ),
             )
     raise KBudgetExhausted(
         f"no stable window of {window} scales with degree == rank within k <= {k_max}"

@@ -13,9 +13,11 @@ sympy's ``DomainMatrix`` over the integers or the rationals; it is the
 oracle of the modular kernel.  sympy's square-free and irreducible factor
 lists come through one bridge, :func:`sympy_factors`.  The leading
 eigenvalue is computed to a requested number of digits in mpmath's
-arithmetic from the exact polynomial: located among all roots by one
-Durand-Kerner iteration (:func:`all_roots`), Newton-refined, and bracketed
-exactly.
+arithmetic, Newton-refined on the exact polynomial and bracketed exactly.
+Newton starts from the exact Collatz-Wielandt bounds of the twist product
+(:func:`product_pf_eigenvalue`) when the caller keeps the product, as
+:func:`~penner.recipe.run_recipe` does, and otherwise from the root that one
+Durand-Kerner iteration locates among all roots (:func:`all_roots`).
 
 Key structure: for a twist product ``M`` over ``omega`` of rank ``r``, the
 characteristic polynomial splits as ``chi(x) = (x - 1)^(n - r) * p(x)`` with
@@ -26,7 +28,7 @@ the number of eigenvalues different from 1 (the *complexity*) equals ``r``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -38,6 +40,7 @@ from .core import (
     IntersectionMatrix,
     Scalar,
     TwistWord,
+    collatz_wielandt,
     exact,
     twist_product,
 )
@@ -270,9 +273,11 @@ def _charpoly_lifted(m: ExactMatrix, bound: int, multipliers: Sequence[int]) -> 
     return Poly(coeffs)
 
 
-def twist_charpoly(omega: IntersectionMatrix, word: TwistWord) -> Poly:
+def twist_charpoly(omega: IntersectionMatrix, word: TwistWord,
+                   product: Optional[ExactMatrix] = None) -> Poly:
     """The characteristic polynomial of ``M = twist_product(omega, word)``,
     exactly, from one computation modulo a prime (:func:`_charpoly_lifted`).
+    A caller that has built ``M`` already passes it as ``product``.
 
     Its coefficients have denominators dividing ``E`` (1 for an integral
     ``omega``), the product over the letters ``(g_j, p_j)`` of the least
@@ -286,8 +291,9 @@ def twist_charpoly(omega: IntersectionMatrix, word: TwistWord) -> Poly:
     """
     mult = math.prod(math.lcm(*(x.denominator for x in omega.entries[g - 1]))
                      for g in word.gamma)
-    return _charpoly_lifted(twist_product(omega, word), mult * charpoly_bound(omega, word),
-                            [mult] * (omega.n + 1))
+    if product is None:
+        product = twist_product(omega, word)
+    return _charpoly_lifted(product, mult * charpoly_bound(omega, word), [mult] * (omega.n + 1))
 
 
 def hadamard_charpoly(m: ExactMatrix) -> Poly:
@@ -675,6 +681,36 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
     return pf
 
 
+def product_pf_eigenvalue(m: ExactMatrix, reduced: Poly,
+                          digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
+    """The leading eigenvalue of the certified twist product ``m``, whose
+    reduced characteristic polynomial is ``reduced``, as
+    :func:`pf_eigenvalue` gives it, but with no roots located.
+
+    ``m`` is nonnegative and Perron-Frobenius, so its leading eigenvalue is
+    its spectral radius, which :func:`~penner.core.collatz_wielandt` bounds
+    exactly by ``[lo, hi]``.  Newton (:func:`refine_real_root`) starts at the
+    midpoint, and the answer is kept when two exact checks pass:
+    :func:`brackets_root`, and ``[lo, hi]`` inside
+    ``[value - error, value + error]``, which the bounds' width, at most
+    ``10^-(digits+6) lo`` against an error of at least
+    ``10^-(digits+5) value``, leaves room for.  Otherwise, or when the
+    bounds do not converge, the answer is :func:`pf_eigenvalue`'s, with its
+    failures.
+    """
+    bounds = collatz_wielandt(m, digits)
+    if bounds is not None:
+        lo, hi = bounds
+        with mp.workdps(digits + 15):
+            midpoint = to_mpf((lo + hi) / 2)
+        pf = refine_real_root(reduced, midpoint, digits)
+        value, error = _mpf_to_fraction(pf.value), _mpf_to_fraction(pf.error)
+        if (value - error <= lo and hi <= value + error
+                and brackets_root(reduced, pf.value, pf.error)):
+            return pf
+    return pf_eigenvalue(reduced, digits)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -686,8 +722,10 @@ class SpectralReport:
 
     Build it with :func:`spectral_report`, or with :meth:`from_charpoly` once
     the product is certified.  The leading eigenvalue ``pf_value`` and its
-    error bound ``pf_error`` are computed from ``reduced`` at ``digits``
-    digits on first access, by :func:`pf_eigenvalue`, and cached.
+    error bound ``pf_error`` are computed at ``digits`` digits on first
+    access and cached: by :func:`product_pf_eigenvalue` when the report
+    holds the twist ``product``, else from ``reduced`` by
+    :func:`pf_eigenvalue`.
     ``reduced`` changes sign on ``[pf_value - pf_error, pf_value + pf_error]``
     (see :func:`brackets_root`).  Reading them may raise
     :class:`NotPerronFrobenius` when the dominance test or the sign-change
@@ -699,14 +737,16 @@ class SpectralReport:
     rank: int
     reduced: Poly
     digits: int
+    product: Optional[ExactMatrix] = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_charpoly(cls, charpoly: Poly, rank: int,
-                      digits: int = DEFAULT_DIGITS) -> "SpectralReport":
+    def from_charpoly(cls, charpoly: Poly, rank: int, digits: int = DEFAULT_DIGITS,
+                      product: Optional[ExactMatrix] = None) -> "SpectralReport":
         """The report on a certified product with characteristic polynomial
-        ``charpoly`` over an ``omega`` of rank ``rank``."""
+        ``charpoly`` over an ``omega`` of rank ``rank``; the product itself
+        may come along as ``product``."""
         _exponent, reduced = structure_split(charpoly, rank)
-        return cls(charpoly, rank, reduced, digits)
+        return cls(charpoly, rank, reduced, digits, product)
 
     @property
     def unit_exponent(self) -> int:
@@ -715,7 +755,9 @@ class SpectralReport:
 
     @cached_property
     def _pf(self) -> PFEigenvalue:
-        return pf_eigenvalue(self.reduced, self.digits)
+        if self.product is None:
+            return pf_eigenvalue(self.reduced, self.digits)
+        return product_pf_eigenvalue(self.product, self.reduced, self.digits)
 
     @property
     def pf_value(self) -> mp.mpf:

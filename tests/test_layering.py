@@ -2,6 +2,8 @@
 name that starts with an underscore from another module of the package.
 Tests may still reach private names.  ``penner.modp`` imports only the
 standard library, so that arithmetic modulo a prime needs nothing else,
+``penner.core`` imports neither mpmath nor sympy, so that its arithmetic,
+the Collatz-Wielandt enclosure among it, stays exact,
 ``penner.spectral`` is the one module that imports sympy, and no module names
 mpmath's ``polyroots``: ``spectral.all_roots`` locates roots by its own
 Durand-Kerner iteration."""
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import penner
+import penner.core
 import penner.modp
 
 
@@ -81,6 +84,11 @@ def test_outside_imports_are_found():
 
 def test_modp_imports_only_the_standard_library():
     assert outside_imports(Path(penner.modp.__file__).read_text()) == []
+
+
+def test_core_imports_neither_mpmath_nor_sympy():
+    imported = {name.split(".")[0] for name in outside_imports(Path(penner.core.__file__).read_text())}
+    assert imported & {"mpmath", "sympy"} == set()
 
 
 def test_only_spectral_imports_sympy():
