@@ -40,12 +40,11 @@ from .core import (
 )
 from .errors import (
     NotAnEdge,
-    NotGeneral,
     NotSupported,
     PreconditionViolated,
     ValidationError,
 )
-from .graphs import covers_vertices, graph_of, word_supported
+from .graphs import check_covers, graph_of, word_supported
 from .spectral import (
     DEFAULT_DIGITS,
     Poly,
@@ -206,8 +205,7 @@ def eigenvector_asymptotics(
     g = graph_of(omega)
     if not word_supported(word, g):
         raise NotSupported("the word must trace a closed path in the graph")
-    if not covers_vertices(word.gamma, omega.n):
-        raise NotGeneral("the path must visit every curve")
+    check_covers(word.gamma, omega.n)
     omega_k = scale(omega, k)
     gamma, powers = word.gamma, word.powers
     n = omega.n
@@ -304,7 +302,11 @@ def ray_convergence_experiment(
     When the word is supported on a closed path of the intersection graph,
     the deflated polynomials ``u_k(x) / (x - lambda_k)`` converge to the
     characteristic polynomial of the restricted limit map ``f_gamma``; the
-    table reports the sup-distance at each scale.
+    table reports the sup-distance at each scale.  The path visits every
+    curve, so the graph is connected and each twist product is certified
+    Perron-Frobenius: it is built once per scale, for ``u_k`` and for
+    :func:`~penner.spectral.pf_eigenvalue`, which reads ``lambda_k`` from
+    its exact bounds.
 
     When the path is *not* supported, the spectrum splits along different
     powers of ``k`` instead: each eigenvalue magnitude, as located by
@@ -321,16 +323,17 @@ def ray_convergence_experiment(
     what :func:`~penner.spectral.pf_eigenvalue` raises.
     """
     supported = word_supported(word, graph_of(omega))
-    if not covers_vertices(word.gamma, omega.n):
-        raise NotGeneral("the path must visit every curve")
+    check_covers(word.gamma, omega.n)
     if not scales:
         raise ValidationError("need at least one scale")
     rows = []
     if supported:
         limit_poly = f_gamma(omega, word.gamma).charpoly
         for k in scales:
-            u = twist_charpoly(scale(omega, k), word)
-            lam = pf_eigenvalue(u, digits).value
+            scaled = scale(omega, k)
+            product = twist_product(scaled, word)
+            u = twist_charpoly(scaled, word, product)
+            lam = pf_eigenvalue(u, digits, product).value
             with mp.workdps(digits + 10):
                 target = limit_poly.mpf_coeffs()[::-1]
                 dist = max(abs(a - b) for a, b in zip_longest(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .core import IntersectionMatrix, TwistWord, check_curve_index
-from .errors import InvalidWord
+from .errors import InvalidWord, NotGeneral
 
 Edge = Tuple[int, int]  # always stored with first < second
 
@@ -142,6 +142,12 @@ def is_contractible(gamma: Sequence[int]) -> bool:
 def covers_vertices(gamma: Sequence[int], n: int) -> bool:
     """Whether the path visits every vertex ``1..n``."""
     return set(gamma) == set(range(1, n + 1))
+
+
+def check_covers(gamma: Sequence[int], n: int) -> None:
+    """Raise :class:`NotGeneral` unless the path visits every curve ``1..n``."""
+    if not covers_vertices(gamma, n):
+        raise NotGeneral("the path must visit every curve")
 
 
 def spanning_tree_tour(g: OmegaGraph, root: int = 1) -> Tuple[int, ...]:

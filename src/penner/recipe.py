@@ -13,13 +13,12 @@ from .core import IntersectionMatrix, TwistWord, scale, twist_product
 from .errors import (
     KBudgetExhausted,
     NotContractible,
-    NotGeneral,
     NotPerronFrobenius,
     NotSupported,
     ValidationError,
 )
 from .factor import degree_of_pf_root
-from .graphs import covers_vertices, graph_of, is_contractible, word_supported
+from .graphs import check_covers, graph_of, is_contractible, word_supported
 from .spectral import (
     DEFAULT_DIGITS,
     SINGLE_CURVE,
@@ -70,8 +69,8 @@ def run_recipe(
     reduced polynomial factors.  A scale whose eigenvalue is not needed
     raises nothing, even where the root finder would fail.  Each scale
     builds its twist product once, for its characteristic polynomial and
-    for its report, which reads the eigenvalue from the product's exact
-    bounds (:func:`~penner.spectral.product_pf_eigenvalue`).
+    for its report, whose :func:`~penner.spectral.pf_eigenvalue` reads the
+    eigenvalue from the product's exact bounds.
 
     Raises :class:`ValidationError` for a ``k_max`` or ``window`` below 1
     or a ``window`` above ``k_max``,
@@ -94,8 +93,7 @@ def run_recipe(
     g = graph_of(omega)
     if not word_supported(word, g):
         raise NotSupported("the word must trace a closed path in the graph")
-    if not covers_vertices(word.gamma, omega.n):
-        raise NotGeneral("the path must visit every curve")
+    check_covers(word.gamma, omega.n)
     if not is_contractible(word.gamma):
         raise NotContractible("the path must be contractible in the graph")
     if not pf_certify(omega, word):

@@ -14,10 +14,12 @@ oracle of the modular kernel.  sympy's square-free and irreducible factor
 lists come through one bridge, :func:`sympy_factors`.  The leading
 eigenvalue is computed to a requested number of digits in mpmath's
 arithmetic, Newton-refined on the exact polynomial and bracketed exactly.
-Newton starts from the exact Collatz-Wielandt bounds of the twist product
-(:func:`product_pf_eigenvalue`) when the caller keeps the product, as
-:func:`~penner.recipe.run_recipe` does, and otherwise from the root that one
-Durand-Kerner iteration locates among all roots (:func:`all_roots`).
+One step, :func:`pf_eigenvalue`, computes it: Newton starts from the exact
+Collatz-Wielandt bounds of the twist product when the caller passes the
+product, as :func:`~penner.recipe.run_recipe` and the limit path's rays
+(:func:`~penner.boundary.ray_convergence_experiment`) do, and otherwise
+from the root that one Durand-Kerner iteration locates among all roots
+(:func:`all_roots`).
 
 Key structure: for a twist product ``M`` over ``omega`` of rank ``r``, the
 characteristic polynomial splits as ``chi(x) = (x - 1)^(n - r) * p(x)`` with
@@ -640,12 +642,21 @@ def all_roots(p: Poly, digits: int = DEFAULT_DIGITS) -> List:
     return roots
 
 
-def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
+def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS,
+                  product: Optional[ExactMatrix] = None) -> PFEigenvalue:
     """The leading (Perron-Frobenius) root of the exact characteristic
-    polynomial ``chi``, to ``digits`` digits.
+    polynomial ``chi``, to ``digits`` digits: the package's one eigenvalue
+    step.
 
     Eigenvalue 1 is stripped off exactly first (it may occur with high
-    multiplicity), then the remaining roots are located by
+    multiplicity).  A caller holding the certified twist ``product`` of
+    ``chi`` passes it: its leading eigenvalue is its spectral radius, which
+    :func:`~penner.core.collatz_wielandt` bounds exactly by ``[lo, hi]``,
+    and Newton (:func:`refine_real_root`) starts at their midpoint.  That
+    answer stands when ``[lo, hi]`` lies in ``[value - error, value +
+    error]`` (their width is at most ``10^-(digits+6) lo``, the error at
+    least ``10^-(digits+5) value``) and the sign-change check below passes.
+    Otherwise the remaining roots are located by
     :func:`all_roots` and the dominant one Newton-refined on the exact
     reduced polynomial.  The returned ``error`` is proven: the reduced
     polynomial changes sign on ``[value - error, value + error]``, checked
@@ -659,6 +670,16 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
     _mult, reduced = strip_unit_root(chi)
     if reduced.degree == 0:
         raise NotPerronFrobenius("all eigenvalues equal 1")
+    bounds = None if product is None else collatz_wielandt(product, digits)
+    if bounds is not None:
+        lo, hi = bounds
+        with mp.workdps(digits + 15):
+            midpoint = to_mpf((lo + hi) / 2)
+        pf = refine_real_root(reduced, midpoint, digits)
+        value, error = _mpf_to_fraction(pf.value), _mpf_to_fraction(pf.error)
+        if (value - error <= lo and hi <= value + error
+                and brackets_root(reduced, pf.value, pf.error)):
+            return pf
     roots = all_roots(reduced, digits)
     with mp.workdps(digits + 15):
         radius = max(abs(r) for r in roots)
@@ -681,36 +702,6 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
     return pf
 
 
-def product_pf_eigenvalue(m: ExactMatrix, reduced: Poly,
-                          digits: int = DEFAULT_DIGITS) -> PFEigenvalue:
-    """The leading eigenvalue of the certified twist product ``m``, whose
-    reduced characteristic polynomial is ``reduced``, as
-    :func:`pf_eigenvalue` gives it, but with no roots located.
-
-    ``m`` is nonnegative and Perron-Frobenius, so its leading eigenvalue is
-    its spectral radius, which :func:`~penner.core.collatz_wielandt` bounds
-    exactly by ``[lo, hi]``.  Newton (:func:`refine_real_root`) starts at the
-    midpoint, and the answer is kept when two exact checks pass:
-    :func:`brackets_root`, and ``[lo, hi]`` inside
-    ``[value - error, value + error]``, which the bounds' width, at most
-    ``10^-(digits+6) lo`` against an error of at least
-    ``10^-(digits+5) value``, leaves room for.  Otherwise, or when the
-    bounds do not converge, the answer is :func:`pf_eigenvalue`'s, with its
-    failures.
-    """
-    bounds = collatz_wielandt(m, digits)
-    if bounds is not None:
-        lo, hi = bounds
-        with mp.workdps(digits + 15):
-            midpoint = to_mpf((lo + hi) / 2)
-        pf = refine_real_root(reduced, midpoint, digits)
-        value, error = _mpf_to_fraction(pf.value), _mpf_to_fraction(pf.error)
-        if (value - error <= lo and hi <= value + error
-                and brackets_root(reduced, pf.value, pf.error)):
-            return pf
-    return pf_eigenvalue(reduced, digits)
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -723,9 +714,8 @@ class SpectralReport:
     Build it with :func:`spectral_report`, or with :meth:`from_charpoly` once
     the product is certified.  The leading eigenvalue ``pf_value`` and its
     error bound ``pf_error`` are computed at ``digits`` digits on first
-    access and cached: by :func:`product_pf_eigenvalue` when the report
-    holds the twist ``product``, else from ``reduced`` by
-    :func:`pf_eigenvalue`.
+    access and cached, by :func:`pf_eigenvalue` from ``reduced`` and, when
+    the report holds it, the twist ``product``.
     ``reduced`` changes sign on ``[pf_value - pf_error, pf_value + pf_error]``
     (see :func:`brackets_root`).  Reading them may raise
     :class:`NotPerronFrobenius` when the dominance test or the sign-change
@@ -755,9 +745,7 @@ class SpectralReport:
 
     @cached_property
     def _pf(self) -> PFEigenvalue:
-        if self.product is None:
-            return pf_eigenvalue(self.reduced, self.digits)
-        return product_pf_eigenvalue(self.product, self.reduced, self.digits)
+        return pf_eigenvalue(self.reduced, self.digits, self.product)
 
     @property
     def pf_value(self) -> mp.mpf:

@@ -1,6 +1,7 @@
 """Tests for the projection matrices, limit maps along closed paths,
 their invariances, and the quantitative eigenvector estimate."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,12 +20,15 @@ from penner import (
     f_gamma,
     homotopy_invariance_check,
     p_gamma,
+    pf_eigenvalue,
     puncture_augment,
     q_arrow,
     rank_exact,
     ray_convergence_experiment,
+    run_recipe,
     scale,
 )
+import penner.boundary
 import penner.modp
 import penner.spectral
 from penner.boundary import insert_spur
@@ -35,6 +39,7 @@ from penner.errors import (
     IndexOutOfRange,
     NotAnEdge,
     NotGeneral,
+    NotPerronFrobenius,
     NotSupported,
     PreconditionViolated,
     ValidationError,
@@ -287,6 +292,45 @@ def test_ray_experiment_supported(omega3):
     assert tab.supported and tab.limit == Poly([0, 1, 1])
     dists = [row.distance for row in tab.rows]
     assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
+def ray_rows(table):
+    """The eigenvalue and distance of each row, bit for bit."""
+    return [(row.lam._mpf_, row.distance._mpf_) for row in table.rows]
+
+
+def located_ray_rows(omega, word, scales):
+    """:func:`ray_rows` of the ray with each eigenvalue located among all
+    roots of its characteristic polynomial, not read from its product."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(penner.boundary, "pf_eigenvalue",
+                      lambda chi, digits, _product: pf_eigenvalue(chi, digits))
+        return ray_rows(ray_convergence_experiment(omega, word, scales, digits=50))
+
+
+def test_ray_eigenvalues_from_the_product_are_bit_identical(omega3):
+    rays = [(omega3, TwistWord((1, 2, 3), powers), [k0 << j for j in range(4)])
+            for powers in itertools.product((1, 3), repeat=3) for k0 in (2, 5, 8)]
+    for cid in catalog_ids():
+        omega = catalog_get(cid).omega
+        gamma = spanning_tree_tour(graph_of(omega))  # the root-1 tour
+        rays.append((omega, TwistWord(gamma, (1,) * len(gamma)), (1, 27)))
+    for omega, word, scales in rays:
+        ours = ray_rows(ray_convergence_experiment(omega, word, scales, digits=50))
+        assert ours == located_ray_rows(omega, word, scales), (omega, word)
+
+
+def test_ray_eigenvalue_is_the_recipes_where_the_roots_crowd():
+    # lambda and 1 / lambda differ by about 2 epsilon, far below the
+    # dominance test's tolerance, so located among all roots they do not
+    # part; the product's exact bounds hold lambda alone
+    epsilon = Fraction(1, 10**40)
+    omega = IntersectionMatrix(((0, epsilon), (epsilon, 0)))
+    word = TwistWord((1, 2), (1, 1))
+    (row,) = ray_convergence_experiment(omega, word, (1,), digits=50).rows
+    assert row.lam._mpf_ == run_recipe(omega, word, digits=50).lam._mpf_
+    with pytest.raises(NotPerronFrobenius, match="not a simple real eigenvalue"):
+        located_ray_rows(omega, word, (1,))
 
 
 def test_ray_experiment_needs_a_scale(omega3, divergent4):

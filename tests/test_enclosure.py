@@ -1,9 +1,9 @@
 """Tests for the Collatz-Wielandt enclosure of the leading eigenvalue of a
-twist product (``core.collatz_wielandt``) and for the eigenvalue read from
-it (``spectral.product_pf_eigenvalue``): the exact bounds hold the leading
-eigenvalue by sympy's exact arithmetic, the eigenvalue is bit-identical to
-the one located among all roots, and where the iteration stalls the answer
-and the failure are those of ``pf_eigenvalue``."""
+twist product (``core.collatz_wielandt``) and for the eigenvalue that
+``spectral.pf_eigenvalue`` reads from it when it is given the product: the
+exact bounds hold the leading eigenvalue by sympy's exact arithmetic, the
+eigenvalue is bit-identical to the one located among all roots, and where
+the iteration stalls the answer and the failure are those of the roots."""
 
 from fractions import Fraction
 
@@ -26,7 +26,7 @@ from penner.catalog import catalog_get, catalog_ids
 from penner.core import collatz_wielandt
 from penner.errors import NotPerronFrobenius
 from penner.graphs import spanning_tree_tour
-from penner.spectral import product_pf_eigenvalue, strip_unit_root, twist_charpoly
+from penner.spectral import strip_unit_root, twist_charpoly
 
 X = sympy.Symbol("x")
 
@@ -109,9 +109,9 @@ def test_enclosure_and_lambda_hold_the_leading_root(case):
     m, reduced = product_and_reduced(omega, word)
     p = sympy_poly(reduced)
     bounds = collatz_wielandt(m, 50)
-    if bounds is not None:  # else the step cap was hit, and pf_eigenvalue answers
+    if bounds is not None:  # else the step cap was hit, and λ is located among all roots
         assert_holds_the_largest_root(p, *bounds)
-    pf = product_pf_eigenvalue(m, reduced, 50)
+    pf = pf_eigenvalue(reduced, 50, m)
     value, error = map(penner.spectral._mpf_to_fraction, pf)
     assert_holds_the_largest_root(p, value - error, value + error)
 
@@ -123,7 +123,7 @@ def test_lambda_from_the_product_is_bit_identical_on_the_catalog(k):
         for root in (1, 2):
             m, reduced = product_and_reduced(omega, tour_word(omega, root))
             assert collatz_wielandt(m, 50) is not None, (cid, root)  # no fallback
-            ours, located = product_pf_eigenvalue(m, reduced, 50), pf_eigenvalue(reduced, 50)
+            ours, located = pf_eigenvalue(reduced, 50, m), pf_eigenvalue(reduced, 50)
             assert ours.value._mpf_ == located.value._mpf_, (cid, root)
             assert ours.error._mpf_ == located.error._mpf_, (cid, root)
 
@@ -139,7 +139,7 @@ def test_an_answer_the_checks_reject_falls_back(omega3, monkeypatch):
 
     monkeypatch.setattr(penner.spectral, "refine_real_root", overconfident_first)
     m, reduced = product_and_reduced(omega3, TwistWord((1, 2, 3), (1, 1, 1)))
-    pf = product_pf_eigenvalue(m, reduced, 50)
+    pf = pf_eigenvalue(reduced, 50, m)
     assert len(starts) == 2  # the second from the root that all_roots located
     assert pf == pf_eigenvalue(reduced, 50)
 

@@ -4,9 +4,10 @@ Tests may still reach private names.  ``penner.modp`` imports only the
 standard library, so that arithmetic modulo a prime needs nothing else,
 ``penner.core`` imports neither mpmath nor sympy, so that its arithmetic,
 the Collatz-Wielandt enclosure among it, stays exact,
-``penner.spectral`` is the one module that imports sympy, and no module names
+``penner.spectral`` is the one module that imports sympy, no module names
 mpmath's ``polyroots``: ``spectral.all_roots`` locates roots by its own
-Durand-Kerner iteration."""
+Durand-Kerner iteration, and ``spectral.pf_eigenvalue`` is the one
+eigenvalue step: it alone calls ``core.collatz_wielandt``."""
 
 import ast
 import sys
@@ -125,3 +126,48 @@ def test_no_module_names_polyroots():
     modules = sorted(Path(penner.__file__).parent.glob("*.py"))
     assert [path.stem for path in modules
             if "polyroots" in names_used(path.read_text())] == []
+
+
+def callers(source, name):
+    """The scope, as dotted names of its enclosing classes and functions, of
+    each call of ``name`` in ``source``, called by its name or as an
+    attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_callers_are_found():
+    source = ("from .core import collatz_wielandt\n"
+              "import penner.core as core\n"
+              "bounds = collatz_wielandt(m, 50)\n"
+              "class Report:\n"
+              "    def _pf(self):\n"
+              "        return f(core.collatz_wielandt(self.m, 1))\n"
+              "def g():\n"
+              "    def h():\n"
+              "        return collatz_wielandt\n"
+              "    return collatz_wielandt(h(), 2)\n")
+    assert callers(source, "collatz_wielandt") == ["", "Report._pf", "g"]
+
+
+def test_pf_eigenvalue_is_the_one_eigenvalue_step():
+    modules = sorted(Path(penner.__file__).parent.glob("*.py"))
+    assert [f"{path.stem}.{scope}" for path in modules
+            for scope in callers(path.read_text(), "collatz_wielandt")] == [
+        "spectral.pf_eigenvalue"]
+    assert [path.stem for path in modules
+            if any(isinstance(node, ast.FunctionDef) and node.name == "product_pf_eigenvalue"
+                   for node in ast.walk(ast.parse(path.read_text())))] == []

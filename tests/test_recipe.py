@@ -24,12 +24,12 @@ from conftest import count_calls
 @pytest.fixture(scope="module")
 def s43_recipe():
     """``(result, calls)`` of the recipe on the S43-max tour, with ``calls``
-    the number of calls of ``product_pf_eigenvalue``, ``pf_eigenvalue``,
-    ``rank_exact`` and ``pf_certify``."""
+    the number of calls of ``pf_eigenvalue``, ``_durand_kerner`` (the root
+    locator's iteration), ``rank_exact`` and ``pf_certify``."""
     omega = catalog_get("S43-max").omega
     gamma = spanning_tree_tour(graph_of(omega))
     word = TwistWord(gamma, (1,) * len(gamma))
-    names = ("product_pf_eigenvalue", "pf_eigenvalue", "rank_exact", "pf_certify")
+    names = ("pf_eigenvalue", "_durand_kerner", "rank_exact", "pf_certify")
     with pytest.MonkeyPatch.context() as patch:
         calls = {name: count_calls(patch, penner.spectral, name) for name in names}
         result = run_recipe(omega, word, k_max=256, window=3, digits=50)
@@ -40,7 +40,7 @@ def test_recipe_computes_lambda_once(s43_recipe):
     result, calls = s43_recipe
     assert result.degree == result.rank == 24
     # once, from the twist product; no roots are located
-    assert calls["product_pf_eigenvalue"] == 1 and calls["pf_eigenvalue"] == 0
+    assert calls["pf_eigenvalue"] == 1 and calls["_durand_kerner"] == 0
 
 
 def test_recipe_computes_rank_and_certificate_once(s43_recipe):
