@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -207,9 +208,12 @@ def letter_update(m: list, r: int, c: Scalar, v: Sequence[Scalar]) -> None:
     """Left-multiply the row-list matrix ``m`` by ``I + c e_r v^T`` in place:
     row ``r`` (0-based) gains ``c`` times ``v^T m``.  Twist letters and the
     limit projections of :mod:`penner.boundary` are both of this form."""
-    terms = [(w, m[t]) for t, w in enumerate(v) if w != 0]
-    m[r] = [exact(x + c * sum(w * row[col] for w, row in terms))
-            for col, x in enumerate(m[r])]
+    sums = [0] * len(m[r])
+    for w, row in zip(v, m):
+        if w:
+            sums = [s + w * y for s, y in zip(sums, row)]
+    new = [x + c * s for x, s in zip(m[r], sums)]
+    m[r] = new if all(type(x) is int for x in new) else list(map(exact, new))
 
 
 def generator(omega: IntersectionMatrix, i: int) -> ExactMatrix:
@@ -259,22 +263,29 @@ def collatz_wielandt(m: ExactMatrix, digits: int) -> Optional[Tuple[Fraction, Fr
     ``min_i (Av)_i / v_i <= rho(A) <= max_i (Av)_i / v_i`` (Collatz 1942,
     Wielandt 1950).  The iteration runs on the integer matrix ``A = D m``,
     ``D`` the least common denominator of the entries, from ``v = 1``; each
-    step takes ``w = A v``, reads the bounds off the ratios ``w_i / v_i`` as
-    fractions and goes on from ``w`` shifted right until its smallest
-    component has ``3.33 digits + 40`` bits.  The shift only slows the
-    iteration, never the bounds, which hold for every positive ``v``; ``v``
-    stays positive, since the diagonal of ``A`` is at least 1.
+    step takes ``w = A v``, finds the least and the greatest ratio
+    ``w_i / v_i`` by integer cross-multiplication, builds the two bounds as
+    fractions once they are close enough and otherwise goes on from ``w``
+    shifted right until its smallest component has ``3.33 digits + 40``
+    bits.  The shift only slows the iteration, never the bounds, which hold
+    for every positive ``v``; ``v`` stays positive, since the diagonal of
+    ``A`` is at least 1.
     """
     lcd = math.lcm(*(x.denominator for row in m for x in row))
-    a = [[int(x * lcd) for x in row] for row in m]
+    a = [[x.numerator * (lcd // x.denominator) for x in row] for row in m]
     keep = int(3.33 * digits) + 40
     v = [1] * len(a)
+    ten = 10 ** (digits + 6)
     for _ in range(COLLATZ_WIELANDT_STEPS):
-        w = [sum(x * y for x, y in zip(row, v)) for row in a]
-        ratios = [Fraction(x, y) for x, y in zip(w, v)]
-        lo, hi = min(ratios), max(ratios)
-        if (hi - lo) * 10 ** (digits + 6) <= lo:
-            return lo / lcd, hi / lcd
+        w = [sum(map(operator.mul, row, v)) for row in a]
+        lo = hi = 0  # the indices of the least and the greatest w_i / v_i
+        for i in range(1, len(w)):
+            if w[i] * v[lo] < w[lo] * v[i]:
+                lo = i
+            elif w[i] * v[hi] > w[hi] * v[i]:
+                hi = i
+        if (w[hi] * v[lo] - w[lo] * v[hi]) * ten <= w[lo] * v[hi]:
+            return Fraction(w[lo], v[lo] * lcd), Fraction(w[hi], v[hi] * lcd)
         shift = max(min(w).bit_length() - keep, 0)
         v = [x >> shift for x in w]
     return None

@@ -61,13 +61,18 @@ def is_squarefree(f: List[int], prime: int) -> bool:
     return len(gcd_mod(f, derivative, prime)) == 1
 
 
-def mulmod(a: List[int], b: List[int], f: List[int], prime: int) -> List[int]:
-    """``a b`` modulo the monic ``f`` and ``prime``."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + len(b)] = [u + x * y for u, y in zip(out[i:i + len(b)], b)]
-    return divmod_mod([c % prime for c in out], f, prime)[1]
+def _pack(a: Sequence[int], width: int) -> int:
+    """The nonnegative ``a`` as one int, ``a[i]`` in the ``width`` bytes from
+    byte ``i width`` on (Kronecker substitution at ``x = 2^(8 width)``)."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+
+
+def _unpack(x: int, count: int, width: int, prime: int) -> List[int]:
+    """The first ``count`` fields of the packed ``x`` (:func:`_pack`), each
+    reduced modulo ``prime``."""
+    raw = x.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") % prime
+            for i in range(0, count * width, width)]
 
 
 def ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
@@ -82,26 +87,48 @@ def ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
     ``f`` is ``gcd(f, x^(p^d) - x)`` once those of lower degree are divided
     out.  ``d`` runs up to half the degree of what is left, which is then
     irreducible or 1.
+
+    Products modulo ``f`` run on packed ints (:func:`_pack`), one field per
+    coefficient, ``2 bits(p) + bits(n) + 1`` bits wide and byte-aligned, for
+    ``f`` of degree ``n``: a product of two residue lists of length ``n``
+    is one int product whose fields, sums of at most ``n`` products of
+    residues, stay below ``n p^2`` and so never carry into the next.  It is
+    reduced modulo ``f`` by adding its high coefficients, reduced modulo
+    ``p``, times the packed ``x^n, ..., x^(2n-2) mod f``, which keeps each
+    field below ``2 n p^2``; the Frobenius rows stay packed, so ``h^p`` is
+    one sum of scalar multiples.
     """
     n = len(f) - 1
     if not is_squarefree(f, prime):
         return None
-    power, base, e = [1], [0, 1], prime
+    if n == 1:
+        return [1]
+    width = (2 * prime.bit_length() + n.bit_length() + 8) // 8
+    table, t = [], [(-c) % prime for c in f[:-1]]  # x^n mod f
+    for _ in range(n - 1):
+        table.append(_pack(t, width))
+        top = t[-1]
+        t = [(u - top * c) % prime for u, c in zip([0] + t[:-1], f)]
+    low = (1 << 8 * width * n) - 1
+
+    def reduced(x: int) -> int:
+        """The packed residues of the packed product ``x`` modulo ``f``."""
+        high = _unpack(x >> 8 * width * n, n - 1, width, prime)
+        x = (x & low) + sum(c * row for c, row in zip(high, table))
+        return _pack(_unpack(x, n, width, prime), width)
+
+    power, base, e = 1, 1 << 8 * width, prime
     while e:
         if e & 1:
-            power = mulmod(power, base, f, prime)
-        base, e = mulmod(base, base, f, prime), e >> 1
-    frobenius = [[1]]
+            power = reduced(power * base)
+        base, e = reduced(base * base), e >> 1
+    frobenius = [1]
     for _ in range(1, n):
-        frobenius.append(mulmod(frobenius[-1], power, f, prime))
+        frobenius.append(reduced(frobenius[-1] * power))
     degrees, rest, h, d = [], f, [0, 1], 0
     while 2 * (d + 1) < len(rest):
         d += 1
-        image = [0] * n
-        for c, row in zip(h, frobenius):
-            if c:
-                image[:len(row)] = [u + c * y for u, y in zip(image, row)]
-        h = trim_mod([c % prime for c in image])
+        h = trim_mod(_unpack(sum(c * row for c, row in zip(h, frobenius)), n, width, prime))
         shifted = h + [0] * (2 - len(h))
         shifted[1] = (shifted[1] - 1) % prime
         g = gcd_mod(rest, trim_mod(shifted), prime)
@@ -123,6 +150,15 @@ def charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
     Computational Algebraic Number Theory*, Algorithm 2.2.9).  ``O(n^3)``
     operations modulo ``prime``.
 
+    The row updates ``x - u y`` are not reduced: an entry is reduced only
+    where it is read as a residue, in the pivot column before its zero
+    test, in the pivot row before it is used, in the column update and,
+    all of them, before the recurrence.  A row update adds less than
+    ``p^2`` in size, with ``u`` and ``y`` residues, and a row takes at most
+    ``n - 2`` of them, so the entries stay below ``n p^2`` in size.  Each value
+    read is the residue it would be with every update reduced, so the
+    pivots, and the result, are the same.
+
     Exactness never rests on the primality of ``prime``: the similarity and
     the recurrence are ring operations, valid modulo any integer, so a
     composite modulus can only make ``pow(pivot, -1, prime)`` raise
@@ -130,6 +166,8 @@ def charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
     """
     n = len(h)
     for m in range(1, n - 1):
+        for row in h[m:]:
+            row[m - 1] %= prime
         pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
         if pivot is None:
             continue
@@ -138,15 +176,17 @@ def charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
             for row in h:
                 row[pivot], row[m] = row[m], row[pivot]
         inv = pow(h[m][m - 1], -1, prime)
-        top = h[m][m - 1:]
+        top = [y % prime for y in h[m][m - 1:]]
         # the row operations row_i -= u_i row_m (i > m) commute, and so do
         # their inverses col_m += u_i col_i: all rows first, then column m
         u = [h[i][m - 1] * inv % prime for i in range(m + 1, n)]
         for i, ui in enumerate(u, m + 1):
             if ui:
-                h[i][m - 1:] = [(x - ui * y) % prime for x, y in zip(h[i][m - 1:], top)]
+                h[i][m - 1:] = [x - ui * y for x, y in zip(h[i][m - 1:], top)]
         for row in h:
             row[m] = (row[m] + sum(map(operator.mul, u, row[m + 1:]))) % prime
+    for row in h:
+        row[:] = [x % prime for x in row]
     polys = [[1]]
     for m in range(n):
         prev = polys[m]

@@ -447,9 +447,22 @@ def _mpf_to_fraction(x: mp.mpf) -> Fraction:
 def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
     """Whether the exact polynomial ``p`` has a root in
     ``[value - error, value + error]``: its values at the two ends, checked
-    exactly, by rational evaluation, are of opposite sign or zero."""
+    exactly, are of opposite sign or zero.  At an end ``a / b`` the value
+    has the sign of the integer ``D b^d p(a / b)``, ``D`` the least common
+    denominator of the coefficients ``c_i`` and ``d`` the degree, which
+    :func:`synthetic_division` evaluates at ``a`` on the integer
+    coefficients ``D c_i b^(d-i)``."""
     v, e = _mpf_to_fraction(value), _mpf_to_fraction(error)
-    return p(v - e) * p(v + e) <= 0
+    lcd = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (lcd // c.denominator) for c in p.leading_first()]
+    signs = []
+    for end in (v - e, v + e):
+        coeffs, power = [], 1
+        for c in ints:
+            coeffs.append(c * power)
+            power *= end.denominator
+        signs.append(synthetic_division(coeffs, end.numerator)[1])
+    return signs[0] * signs[1] <= 0
 
 
 def refine_real_root(p: Poly, x0: mp.mpf, digits: int) -> PFEigenvalue:
@@ -656,7 +669,11 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS,
     answer stands when ``[lo, hi]`` lies in ``[value - error, value +
     error]`` (their width is at most ``10^-(digits+6) lo``, the error at
     least ``10^-(digits+5) value``) and the sign-change check below passes.
-    Otherwise the remaining roots are located by
+    Where it fails, as when ``lambda`` and another root lie closer than
+    Newton's error, the bounds answer alone: the value is their midpoint at
+    ``digits + 15`` digits, the error its largest distance to ``lo`` or
+    ``hi``, rounded up, and the answer stands when the sign-change check
+    passes.  Otherwise the remaining roots are located by
     :func:`all_roots` and the dominant one Newton-refined on the exact
     reduced polynomial.  The returned ``error`` is proven: the reduced
     polynomial changes sign on ``[value - error, value + error]``, checked
@@ -679,6 +696,13 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS,
         value, error = _mpf_to_fraction(pf.value), _mpf_to_fraction(pf.error)
         if (value - error <= lo and hi <= value + error
                 and brackets_root(reduced, pf.value, pf.error)):
+            return pf
+        centre = _mpf_to_fraction(midpoint)
+        distance = max(centre - lo, hi - centre)
+        with mp.workdps(digits + 15):
+            pf = PFEigenvalue(midpoint, mp.fdiv(distance.numerator, distance.denominator,
+                                                rounding="u"))
+        if brackets_root(reduced, pf.value, pf.error):
             return pf
     roots = all_roots(reduced, digits)
     with mp.workdps(digits + 15):

@@ -139,8 +139,28 @@ def test_an_answer_the_checks_reject_falls_back(omega3, monkeypatch):
 
     monkeypatch.setattr(penner.spectral, "refine_real_root", overconfident_first)
     m, reduced = product_and_reduced(omega3, TwistWord((1, 2, 3), (1, 1, 1)))
+    lo, hi = collatz_wielandt(m, 50)
+    # Newton's answer no longer holds [lo, hi], so the bounds answer alone:
+    # their midpoint, with an error that reaches both of them
     pf = pf_eigenvalue(reduced, 50, m)
-    assert len(starts) == 2  # the second from the root that all_roots located
+    assert len(starts) == 1
+    value, error = map(penner.spectral._mpf_to_fraction, pf)
+    assert value == penner.spectral._mpf_to_fraction(starts[0])
+    assert value - error <= lo and hi <= value + error
+    # where the sign-change check rejects that answer too, λ is located
+    # among all roots, and Newton starts a second time
+    real_check = penner.spectral.brackets_root
+    checks = []
+
+    def reject_first(p, value, error):
+        checks.append(value)
+        return len(checks) > 1 and real_check(p, value, error)
+
+    monkeypatch.setattr(penner.spectral, "brackets_root", reject_first)
+    starts.clear()
+    pf = pf_eigenvalue(reduced, 50, m)
+    assert len(starts) == 2 and len(checks) == 2  # the second from all_roots
+    monkeypatch.setattr(penner.spectral, "brackets_root", real_check)
     assert pf == pf_eigenvalue(reduced, 50)
 
 
