@@ -155,9 +155,9 @@ def charpoly_mod(h: List[List[int]], prime: int) -> List[int]:
     test, in the pivot row before it is used, in the column update and,
     all of them, before the recurrence.  A row update adds less than
     ``p^2`` in size, with ``u`` and ``y`` residues, and a row takes at most
-    ``n - 2`` of them, so the entries stay below ``n p^2`` in size.  Each value
-    read is the residue it would be with every update reduced, so the
-    pivots, and the result, are the same.
+    ``n - 2`` of them, so the entries stay below ``n p^2`` in size.  Each
+    value read is the residue it would be with every update reduced, so
+    the pivots, and the result, are the same.
 
     Exactness never rests on the primality of ``prime``: the similarity and
     the recurrence are ring operations, valid modulo any integer, so a

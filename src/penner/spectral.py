@@ -455,14 +455,10 @@ def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
     v, e = _mpf_to_fraction(value), _mpf_to_fraction(error)
     lcd = math.lcm(*(c.denominator for c in p.coeffs))
     ints = [c.numerator * (lcd // c.denominator) for c in p.leading_first()]
-    signs = []
-    for end in (v - e, v + e):
-        coeffs, power = [], 1
-        for c in ints:
-            coeffs.append(c * power)
-            power *= end.denominator
-        signs.append(synthetic_division(coeffs, end.numerator)[1])
-    return signs[0] * signs[1] <= 0
+    low, high = (synthetic_division([c << i * (end.denominator.bit_length() - 1)
+                                     for i, c in enumerate(ints)], end.numerator)[1]
+                 for end in (v - e, v + e))  # b = 2^(bits - 1): the ends are dyadic
+    return low * high <= 0
 
 
 def refine_real_root(p: Poly, x0: mp.mpf, digits: int) -> PFEigenvalue:

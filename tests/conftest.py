@@ -155,6 +155,29 @@ def mr_inverse(r):
     return sympy.Matrix(r, r, lambda i, j: sympy.Rational(-(r - 2) if i == j else 1, r - 1))
 
 
+def collatz_wielandt_reference(m, digits):
+    """``core.collatz_wielandt``'s iteration with each step's ratios
+    ``w_i / v_i`` kept as a list of fractions, the bounds read off by
+    ``min`` and ``max``."""
+    import math
+
+    from penner.core import COLLATZ_WIELANDT_STEPS
+
+    lcd = math.lcm(*(Fraction(x).denominator for row in m for x in row))
+    a = [[int(x * lcd) for x in row] for row in m]
+    keep = int(3.33 * digits) + 40
+    v = [1] * len(a)
+    for _ in range(COLLATZ_WIELANDT_STEPS):
+        w = [sum(x * y for x, y in zip(row, v)) for row in a]
+        ratios = [Fraction(x, y) for x, y in zip(w, v)]
+        lo, hi = min(ratios), max(ratios)
+        if (hi - lo) * 10 ** (digits + 6) <= lo:
+            return lo / lcd, hi / lcd
+        shift = max(min(w).bit_length() - keep, 0)
+        v = [x >> shift for x in w]
+    return None
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` through ``monkeypatch`` (a ``pytest.MonkeyPatch``)
     in every ``penner`` module that binds it; returns the list its calls are

@@ -1,15 +1,20 @@
 """Tests for the Collatz-Wielandt enclosure of the leading eigenvalue of a
 twist product (``core.collatz_wielandt``) and for the eigenvalue that
 ``spectral.pf_eigenvalue`` reads from it when it is given the product: the
-exact bounds hold the leading eigenvalue by sympy's exact arithmetic, the
-eigenvalue is bit-identical to the one located among all roots, and where
-the iteration stalls the answer and the failure are those of the roots."""
+exact bounds hold the leading eigenvalue by sympy's exact arithmetic and
+match a reference that keeps the ratios as fractions, the eigenvalue is
+bit-identical to the one located among all roots, the bounds answer alone
+where Newton's answer fails, and where the iteration stalls the answer and
+the failure are those of the roots.  The integer sign-change check
+``brackets_root`` is checked against rational evaluation."""
 
+import json
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+import mpmath as mp
+from hypothesis import example, given, settings, strategies as st
 
 import penner.spectral
 from penner import (
@@ -23,10 +28,13 @@ from penner import (
     validate_omega,
 )
 from penner.catalog import catalog_get, catalog_ids
+from penner.cli import main
 from penner.core import collatz_wielandt
 from penner.errors import NotPerronFrobenius
 from penner.graphs import spanning_tree_tour
-from penner.spectral import strip_unit_root, twist_charpoly
+from penner.spectral import Poly, brackets_root, strip_unit_root, twist_charpoly
+
+from conftest import collatz_wielandt_reference, count_calls
 
 X = sympy.Symbol("x")
 
@@ -189,3 +197,90 @@ def test_the_recipe_keeps_the_root_locators_failure_where_the_enclosure_stalls()
     with pytest.raises(NotPerronFrobenius) as info:
         run_recipe(omega, word, digits=50)
     assert str(info.value) == "leading eigenvalue 1.0 +- 1.0e-55 does not enclose a root"
+
+
+def holds_the_larger_root(t, a, b):
+    """Whether ``[a, b]`` holds the larger root of ``x^2 - t x + 1`` (``t >
+    2``), checked exactly: the root lies right of the vertex ``t / 2``,
+    where the quadratic rises through zero."""
+    def p(x):
+        return x * x - t * x + 1
+
+    return (a <= t / 2 or p(a) <= 0) and b >= t / 2 and p(b) >= 0
+
+
+def printed_interval(text):
+    """The decimal ``text`` plus or minus one unit in its last place."""
+    unit = Fraction(1, 10 ** len(text.split(".")[1]))
+    return Fraction(text) - unit, Fraction(text) + unit
+
+
+@pytest.mark.parametrize("exponent", [33, 56, 60])
+def test_the_bounds_answer_where_newtons_answer_fails(exponent, tmp_path, capsys, monkeypatch):
+    # At 10^-56 and 10^-60 Newton's error is wider than lambda - 1/lambda,
+    # about 2 epsilon, so its interval holds both roots; at 10^-33 Newton
+    # ends outside [lo, hi].  The bounds then answer alone, without
+    # locating a root, through the library and both commands.
+    located = count_calls(monkeypatch, penner.spectral, "_durand_kerner")
+    epsilon = Fraction(1, 10**exponent)
+    omega, word = tiny_edge(epsilon)
+    result = run_recipe(omega, word, digits=50)
+    assert (result.k_star, result.degree) == (1, 2)
+    pf = pf_eigenvalue(result.charpoly, 50, twist_product(omega, word))
+    assert pf.value == result.lam
+    value, error = map(penner.spectral._mpf_to_fraction, pf)
+    assert holds_the_larger_root(2 + epsilon**2, value - error, value + error)
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"entries": [[0, str(epsilon)], [str(epsilon), 0]]}))
+    assert main(["recipe", "--omega", str(path), "--gamma", "1,2", "--json"]) == 0
+    recipe = json.loads(capsys.readouterr().out)
+    assert recipe["degree"] == 2
+    assert holds_the_larger_root(2 + epsilon**2, *printed_interval(recipe["lambda"]))
+    assert main(["limit", "--omega", str(path), "--gamma", "1,2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows
+    for row in rows:
+        assert holds_the_larger_root(2 + (row["k"] * epsilon) ** 2,
+                                     *printed_interval(row["lambda"]))
+    assert located == []
+
+
+def test_collatz_wielandt_matches_the_fraction_reference_on_the_catalog():
+    for cid in catalog_ids():
+        for k in (1, 3, 27, 243):
+            omega = scale(catalog_get(cid).omega, k)
+            for root in (1, 2):
+                m = twist_product(omega, tour_word(omega, root))
+                assert collatz_wielandt(m, 50) == collatz_wielandt_reference(m, 50), (cid, k, root)
+
+
+@st.composite
+def positive_diagonal_matrices(draw):
+    """A square nonnegative rational matrix on at most six rows with a
+    positive diagonal."""
+    n = draw(st.integers(1, 6))
+    return tuple(tuple(draw(_weights) if i == j or draw(st.booleans()) else 0
+                       for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_diagonal_matrices(), st.sampled_from([5, 15, 50]))
+def test_collatz_wielandt_matches_the_fraction_reference(m, digits):
+    assert collatz_wielandt(m, digits) == collatz_wielandt_reference(m, digits)
+
+
+_coefficients = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 1, 2, 3, 4, 6, 7]))
+_dyadics = st.builds(lambda man, exp: mp.mpf((man, exp)),
+                     st.integers(-2**20, 2**20), st.integers(-30, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_coefficients, min_size=1, max_size=8), _dyadics,
+       _dyadics.map(abs))
+@example([Fraction(-3, 2), Fraction(5, 2), Fraction(1)], mp.mpf(1), mp.mpf(0.5))  # 1/2 a root
+@example([Fraction(-1, 4), Fraction(1)], mp.mpf(0.25), mp.mpf(0))  # a zero error at the root
+@example([Fraction(-1, 3), Fraction(1)], mp.mpf(0.25), mp.mpf(0))  # a zero error off it
+def test_brackets_root_matches_rational_evaluation(coeffs, value, error):
+    p = Poly(coeffs)
+    v, e = map(penner.spectral._mpf_to_fraction, (value, error))
+    assert brackets_root(p, value, error) == (p(v - e) * p(v + e) <= 0)

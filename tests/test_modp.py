@@ -1,14 +1,15 @@
 """Residue lists modulo a prime against sympy over GF(p): the reduction of
 rational coefficients and the squarefree test, with primes that divide a
-denominator or the leading coefficient."""
+denominator or the leading coefficient; and the modular characteristic
+polynomial against the exact one reduced."""
 
 from fractions import Fraction
 
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from penner.modp import TABLE_PRIMES, is_squarefree, residues
-from penner.spectral import Poly
+from penner.modp import TABLE_PRIMES, charpoly_mod, is_squarefree, residues
+from penner.spectral import Poly, char_poly_exact
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 5, 6, 7]))
 factors = st.lists(rationals, min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0).map(Poly)
@@ -40,3 +41,21 @@ def test_residues_and_is_squarefree_match_sympy_modulo_the_prime(prime, g, h, e)
         spoly = sympy.Poly(found[::-1], sympy.Symbol("x"), modulus=prime)
         expected = all(k == 1 for _g, k in spoly.factor_list()[1])
         assert is_squarefree(found, prime) == expected
+
+
+# mostly zeros and small entries, so that the lazily reduced pivot column
+# meets nonzero multiples of the prime
+entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-1000, 1000))
+square_matrices = st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, TABLE_PRIMES[0]]), square_matrices)
+# left unreduced, a pivot column here would offer 2, a multiple of the
+# prime, as its pivot
+@example(2, [[0, 1, 1, 0, 0, 1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 1, 1],
+             [1, 0, 1, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]])
+def test_charpoly_mod_is_the_exact_characteristic_polynomial_reduced(prime, rows):
+    expected = [c % prime for c in char_poly_exact(tuple(map(tuple, rows))).coeffs]
+    assert charpoly_mod([[x % prime for x in row] for row in rows], prime) == expected
