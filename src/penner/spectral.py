@@ -447,9 +447,10 @@ def _mpf_to_fraction(x: mp.mpf) -> Fraction:
 def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
     """Whether the exact polynomial ``p`` has a root in
     ``[value - error, value + error]``: its values at the two ends, checked
-    exactly, are of opposite sign or zero.  At an end ``a / b`` the value
-    has the sign of the integer ``D b^d p(a / b)``, ``D`` the least common
-    denominator of the coefficients ``c_i`` and ``d`` the degree, which
+    exactly, are of opposite sign or zero.  An end is dyadic, ``a / b``
+    with ``b`` a power of 2, and the value there has the sign of the
+    integer ``D b^d p(a / b)``, ``D`` the least common denominator of the
+    coefficients ``c_i`` and ``d`` the degree, which
     :func:`synthetic_division` evaluates at ``a`` on the integer
     coefficients ``D c_i b^(d-i)``."""
     v, e = _mpf_to_fraction(value), _mpf_to_fraction(error)
@@ -457,7 +458,7 @@ def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
     ints = [c.numerator * (lcd // c.denominator) for c in p.leading_first()]
     low, high = (synthetic_division([c << i * (end.denominator.bit_length() - 1)
                                      for i, c in enumerate(ints)], end.numerator)[1]
-                 for end in (v - e, v + e))  # b = 2^(bits - 1): the ends are dyadic
+                 for end in (v - e, v + e))
     return low * high <= 0
 
 
