@@ -11,9 +11,9 @@ the failure are those of the roots.  The integer sign-change check
 import json
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 import sympy
-import mpmath as mp
 from hypothesis import example, given, settings, strategies as st
 
 import penner.spectral
@@ -148,8 +148,8 @@ def test_an_answer_the_checks_reject_falls_back(omega3, monkeypatch):
     monkeypatch.setattr(penner.spectral, "refine_real_root", overconfident_first)
     m, reduced = product_and_reduced(omega3, TwistWord((1, 2, 3), (1, 1, 1)))
     lo, hi = collatz_wielandt(m, 50)
-    # Newton's answer no longer holds [lo, hi], so the bounds answer alone:
-    # their midpoint, with an error that reaches both of them
+    # the overconfident Newton interval misses [lo, hi], so the bounds
+    # answer alone: their midpoint, with an error that reaches both of them
     pf = pf_eigenvalue(reduced, 50, m)
     assert len(starts) == 1
     value, error = map(penner.spectral._mpf_to_fraction, pf)
