@@ -219,12 +219,12 @@ def eigenvector_asymptotics(
     m = twist_product(omega_k, word)
     with mp.workdps(digits + 20):
         # left eigenvector by power iteration inside the invariant cone: the
-        # seed 1^T omega M lies in C M and the cone is preserved, so the
-        # iteration converges to the leading left eigenvector ray
+        # seed, the exact row (1^T omega) M rounded once, lies in C M and the
+        # cone is preserved, so y converges to the leading left eigenvector
         mat = mp.matrix([[to_mpf(x) for x in row] for row in m])
-        omega_m = mat_mul(omega_k.entries, m)
-        y = mp.matrix([sum(to_mpf(omega_m[i][j]) for i in range(n))
-                       for j in range(n)])
+        ones_omega = [sum(column) for column in zip(*omega_k.entries)]
+        y = mp.matrix([to_mpf(sum(c * x for c, x in zip(ones_omega, column)))
+                       for column in zip(*m)])
         y = y / max(abs(v) for v in y)
         for _ in range(2000):
             z = (y.T * mat).T

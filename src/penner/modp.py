@@ -8,7 +8,7 @@ the one place that knows that format.  It imports only the standard library.
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 #: ``nextprime(2^b)`` for ``b`` = 64, 128, ..., 1024, checked against sympy by the tests.
 TABLE_PRIMES = tuple((1 << 64 * j) + offset for j, offset in enumerate(
@@ -32,24 +32,22 @@ def residues(coeffs: Sequence, prime: int) -> Optional[List[int]]:
     return [c.numerator * pow(c.denominator, -1, prime) % prime for c in coeffs]
 
 
-def divmod_mod(a: List[int], b: List[int], prime: int) -> Tuple[List[int], List[int]]:
-    """Quotient and remainder of ``a`` by the nonzero ``b`` modulo ``prime``."""
-    rem, inv = list(a), pow(b[-1], -1, prime)
-    quotient = [0] * max(len(a) - len(b) + 1, 0)
-    low = b[:-1]
-    for shift in range(len(quotient) - 1, -1, -1):
+def rem_mod(a: List[int], b: List[int], prime: int) -> List[int]:
+    """The remainder of ``a`` by the nonzero ``b`` modulo ``prime``."""
+    rem, inv, low = list(a), pow(b[-1], -1, prime), b[:-1]
+    for shift in range(len(a) - len(b), -1, -1):
         c = rem.pop() * inv % prime
-        quotient[shift] = c
         if c:
             rem[shift:] = [(u - c * y) % prime for u, y in zip(rem[shift:], low)]
-    return trim_mod(quotient), trim_mod(rem)
+    return trim_mod(rem)
 
 
 def gcd_mod(a: List[int], b: List[int], prime: int) -> List[int]:
     """The monic greatest common divisor of ``a`` and ``b`` modulo ``prime``,
-    not both zero."""
+    not both zero: Euclid's algorithm, which reads only remainders
+    (:func:`rem_mod`)."""
     while b:
-        a, b = b, divmod_mod(a, b, prime)[1]
+        a, b = b, rem_mod(a, b, prime)
     inv = pow(a[-1], -1, prime)
     return [c * inv % prime for c in a]
 
@@ -82,11 +80,12 @@ def ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
 
     Distinct-degree factorization: ``x^p mod f`` comes by square-and-multiply,
     and from it the Frobenius matrix, whose row ``i`` is ``x^(i p) mod f``,
-    so that ``h^p = sum_i h_i x^(i p)`` costs one vector-matrix product.  The
-    product of the irreducible factors of degree ``d`` of a squarefree
-    ``f`` is ``gcd(f, x^(p^d) - x)`` once those of lower degree are divided
-    out.  ``d`` runs up to half the degree of what is left, which is then
-    irreducible or 1.
+    so that ``h^p = sum_i h_i x^(i p)`` costs one vector-matrix product.  For
+    a squarefree ``f``, ``gcd(f, x^(p^d) - x)`` is the product of the
+    irreducible factors whose degrees divide ``d``, so its degree, less the
+    degrees already found that divide ``d``, counts the factors of degree
+    ``d``; no factor is divided out.  ``d`` runs up to half the degree not
+    yet accounted for, which is then that of one irreducible factor, or 0.
 
     Products modulo ``f`` run on packed ints (:func:`_pack`), one field per
     coefficient, ``2 bits(p) + bits(n) + 1`` bits wide and byte-aligned, for
@@ -125,18 +124,16 @@ def ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
     frobenius = [1]
     for _ in range(1, n):
         frobenius.append(reduced(frobenius[-1] * power))
-    degrees, rest, h, d = [], f, [0, 1], 0
-    while 2 * (d + 1) < len(rest):
+    degrees, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= n - sum(degrees):
         d += 1
         h = trim_mod(_unpack(sum(c * row for c, row in zip(h, frobenius)), n, width, prime))
         shifted = h + [0] * (2 - len(h))
         shifted[1] = (shifted[1] - 1) % prime
-        g = gcd_mod(rest, trim_mod(shifted), prime)
-        if len(g) > 1:
-            degrees += [d] * ((len(g) - 1) // d)
-            rest = divmod_mod(rest, g, prime)[0]
-    if len(rest) > 1:
-        degrees.append(len(rest) - 1)
+        found = len(gcd_mod(f, trim_mod(shifted), prime)) - 1
+        degrees += [d] * ((found - sum(e for e in degrees if d % e == 0)) // d)
+    if sum(degrees) < n:
+        degrees.append(n - sum(degrees))
     return degrees
 
 

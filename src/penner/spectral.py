@@ -465,10 +465,10 @@ def brackets_root(p: Poly, value: mp.mpf, error: mp.mpf) -> bool:
 def refine_real_root(p: Poly, x0: mp.mpf, digits: int) -> PFEigenvalue:
     """Newton-refine a simple real root of an exact polynomial from ``x0``.
 
-    Returns the root to roughly ``digits`` significant digits together with
-    an error estimate: the residual-based ``2 |p(x)/p'(x)|``, but never less
-    than the stopping tolerance ``10^-(digits+5) * max(1, |x|)``, below which
-    the residual is rounding noise.
+    Returns the last iterate, at ``digits + 15`` digits, with the stopping
+    tolerance ``10^-(digits+5) * max(1, |x|)`` as its error: a claim that
+    the caller checks exactly (:func:`brackets_root`), since the iteration
+    may stop on a zero derivative or after 200 steps.
     """
     with mp.workdps(digits + 15):
         x = mp.mpf(x0)
@@ -482,9 +482,7 @@ def refine_real_root(p: Poly, x0: mp.mpf, digits: int) -> PFEigenvalue:
             x = x - dx
             if abs(dx) <= tol * max(1, abs(x)):
                 break
-        fx, dfx = mp.polyval(f, x, derivative=True)
-        err = max(2 * abs(fx / dfx), tol * max(1, abs(x)))
-        return PFEigenvalue(mp.mpf(x), mp.mpf(err))
+        return PFEigenvalue(x, tol * max(1, abs(x)))
 
 
 def root_bound_bits(p: Poly) -> int:
@@ -664,8 +662,8 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS,
     :func:`~penner.core.collatz_wielandt` bounds exactly by ``[lo, hi]``,
     and Newton (:func:`refine_real_root`) starts at their midpoint.  That
     answer stands when ``[lo, hi]`` lies in ``[value - error, value +
-    error]`` (their width is at most ``10^-(digits+6) lo``, the error at
-    least ``10^-(digits+5) value``) and the sign-change check below passes.
+    error]`` (their width is at most ``10^-(digits+6) lo``, the error is
+    ``10^-(digits+5) value``) and the sign-change check below passes.
     Where it fails, as when ``lambda`` and another root lie closer than
     Newton's error, the bounds answer alone: the value is their midpoint at
     ``digits + 15`` digits, the error its largest distance to ``lo`` or
@@ -736,7 +734,8 @@ class SpectralReport:
     the product is certified.  The leading eigenvalue ``pf_value`` and its
     error bound ``pf_error`` are computed at ``digits`` digits on first
     access and cached, by :func:`pf_eigenvalue` from ``reduced`` and, when
-    the report holds it, the twist ``product``.
+    the report holds it, the twist ``product``: ``pf_error`` is Newton's
+    stopping tolerance, or the bounds' half-width where they answer alone.
     ``reduced`` changes sign on ``[pf_value - pf_error, pf_value + pf_error]``
     (see :func:`brackets_root`).  Reading them may raise
     :class:`NotPerronFrobenius` when the dominance test or the sign-change

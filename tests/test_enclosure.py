@@ -5,8 +5,9 @@ exact bounds hold the leading eigenvalue by sympy's exact arithmetic and
 match a reference that keeps the ratios as fractions, the eigenvalue is
 bit-identical to the one located among all roots, the bounds answer alone
 where Newton's answer fails, and where the iteration stalls the answer and
-the failure are those of the roots.  The integer sign-change check
-``brackets_root`` is checked against rational evaluation."""
+the failure are those of the roots, also where a derivative rounds to 0.
+The integer sign-change check ``brackets_root`` is checked against rational
+evaluation."""
 
 import json
 from fractions import Fraction
@@ -189,14 +190,32 @@ def test_the_recipe_falls_back_where_the_enclosure_stalls():
 
 
 def test_the_recipe_keeps_the_root_locators_failure_where_the_enclosure_stalls():
-    # A known defect: pf_eigenvalue's Newton error estimate ignores the
-    # rounding of p(x), and the exact bracket then fails on this certified
-    # product.  The fallback keeps that failure as it is.
+    # A known defect: Newton's error is its stopping tolerance, which the
+    # rounding of p(x) outruns here, and the exact bracket then fails on
+    # this certified product.  The fallback keeps that failure as it is.
     omega, word = tiny_edge(Fraction(1, 10**20))
     assert collatz_wielandt(twist_product(omega, word), 50) is None
     with pytest.raises(NotPerronFrobenius) as info:
         run_recipe(omega, word, digits=50)
     assert str(info.value) == "leading eigenvalue 1.0 +- 1.0e-55 does not enclose a root"
+
+
+@pytest.mark.parametrize("exponent", [66, 67, 68, 70])
+def test_a_derivative_that_rounds_to_zero_is_no_crash(exponent, tmp_path, capsys):
+    # A known defect (ROADMAP item 19), pinned as it stands: Newton's first
+    # run meets a derivative that rounds to 0, where an error estimate once
+    # divided by it and crashed.  The root locator's failure now stands,
+    # one line and exit 3; item 19 turns these into success tests.
+    message = "dominant eigenvalue is not a simple real eigenvalue"
+    epsilon = Fraction(1, 10**exponent)
+    omega, word = tiny_edge(epsilon)
+    with pytest.raises(NotPerronFrobenius, match=f"^{message}$"):
+        run_recipe(omega, word, digits=50)
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"entries": [[0, str(epsilon)], [str(epsilon), 0]]}))
+    for command in ["recipe"] + (["limit"] if exponent > 66 else []):
+        assert main([command, "--omega", str(path), "--gamma", "1,2", "--json"]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def holds_the_larger_root(t, a, b):

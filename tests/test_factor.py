@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from penner import (
     IntersectionMatrix,
@@ -233,6 +233,11 @@ def test_degree_equals_rank_past_the_catalog(n):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([3, 5, 7, 11, 101, 179]),
        st.lists(st.integers(0, 178), min_size=1, max_size=14))
+# factor degrees that divide one another, each counted once
+@example(3, [0, 2, 1, 0, 1, 1, 2, 1, 0, 1])  # degrees 1, 1, 2, 2, 4
+@example(7, [4, 4, 1, 5, 6, 0, 1, 2, 4, 5, 1, 2, 4, 5, 3])  # degrees 1, 1, 1, 3, 3, 6
+# one factor of more than half the degree, left over when the scan stops
+@example(5, [3, 3, 0, 0, 2, 4, 3, 4, 4, 1])  # degrees 1, 9
 def test_ddf_degrees_match_sympy_modulo_the_prime(prime, low):
     f = [c % prime for c in low] + [1]
     spoly = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=prime)

@@ -1,14 +1,14 @@
 """Residue lists modulo a prime against sympy over GF(p): the reduction of
 rational coefficients and the squarefree test, with primes that divide a
-denominator or the leading coefficient; and the modular characteristic
-polynomial against the exact one reduced."""
+denominator or the leading coefficient, and the remainder; and the modular
+characteristic polynomial against the exact one reduced."""
 
 from fractions import Fraction
 
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from penner.modp import TABLE_PRIMES, charpoly_mod, is_squarefree, residues
+from penner.modp import TABLE_PRIMES, charpoly_mod, is_squarefree, rem_mod, residues, trim_mod
 from penner.spectral import Poly, char_poly_exact
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 5, 6, 7]))
@@ -41,6 +41,28 @@ def test_residues_and_is_squarefree_match_sympy_modulo_the_prime(prime, g, h, e)
         spoly = sympy.Poly(found[::-1], sympy.Symbol("x"), modulus=prime)
         expected = all(k == 1 for _g, k in spoly.factor_list()[1])
         assert is_squarefree(found, prime) == expected
+
+
+@st.composite
+def residue_pairs(draw):
+    """A prime, a residue list and a nonzero residue list modulo it."""
+    prime = draw(st.sampled_from([2, 3, 5, 7, 13, TABLE_PRIMES[0]]))
+    residue = st.integers(0, prime - 1)
+    a = trim_mod(draw(st.lists(residue, max_size=12)))
+    b = draw(st.lists(residue, max_size=6)) + [draw(st.integers(1, prime - 1))]
+    return prime, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_pairs())
+@example((7, [], [3]))  # zero by a constant
+@example((5, [1, 2], [0, 4, 1]))  # a divisor of higher degree
+def test_rem_mod_matches_sympy_modulo_the_prime(case):
+    prime, a, b = case
+    x = sympy.Symbol("x")
+    expected = sympy.Poly(a[::-1] or [0], x, modulus=prime).rem(
+        sympy.Poly(b[::-1], x, modulus=prime))
+    assert rem_mod(a, b, prime) == trim_mod([int(c) % prime for c in expected.all_coeffs()[::-1]])
 
 
 # mostly zeros and small entries, so that the lazily reduced pivot column

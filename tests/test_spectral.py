@@ -49,6 +49,7 @@ from penner.spectral import (
     brackets_root,
     charpoly_bound,
     poly_str,
+    refine_real_root,
     root_bound_bits,
     squarefree_parts,
     strip_unit_root,
@@ -539,6 +540,19 @@ def test_brackets_root_matches_sympy_signs(coeffs, num, shift, err, err_shift, r
     q = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
                    x, domain=QQ)
     assert brackets_root(p, value, error) == (q.eval(v - e) * q.eval(v + e) <= 0)
+
+
+@pytest.mark.parametrize("start", ["0", "0.5"])
+def test_refine_real_roots_error_is_its_stopping_tolerance(start):
+    # x^2 + 1 has no real root: from 0 the derivative is 0 at once, and from
+    # 0.5 Newton wanders for its 200 steps; either way the error is the
+    # tolerance 10^-(digits+5) max(1, |x|), here with |x| <= 1, and the
+    # exact check rejects the answer
+    p = Poly([1, 0, 1])
+    pf = refine_real_root(p, mp.mpf(start), 20)
+    with mp.workdps(35):
+        assert pf.error == mp.mpf(10) ** -25
+    assert not brackets_root(p, pf.value, pf.error)
 
 
 def test_pf_eigenvalue_rejects_an_enclosure_without_a_root(monkeypatch):
