@@ -203,9 +203,9 @@ def test_the_recipe_keeps_the_root_locators_failure_where_the_enclosure_stalls()
 @pytest.mark.parametrize("exponent", [66, 67, 68, 70])
 def test_a_derivative_that_rounds_to_zero_is_no_crash(exponent, tmp_path, capsys):
     # A known defect (ROADMAP item 19), pinned as it stands: Newton's first
-    # run meets a derivative that rounds to 0, where an error estimate once
-    # divided by it and crashed.  The root locator's failure now stands,
-    # one line and exit 3; item 19 turns these into success tests.
+    # run meets a derivative that rounds to 0, which must not crash, and the
+    # root locator's failure stands, one line and exit 3.  Item 19 turns
+    # these into success tests.
     message = "dominant eigenvalue is not a simple real eigenvalue"
     epsilon = Fraction(1, 10**exponent)
     omega, word = tiny_edge(epsilon)
