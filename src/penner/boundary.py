@@ -304,9 +304,9 @@ def ray_convergence_experiment(
     characteristic polynomial of the restricted limit map ``f_gamma``; the
     table reports the sup-distance at each scale.  The path visits every
     curve, so the graph is connected and each twist product is certified
-    Perron-Frobenius: it is built once per scale, for ``u_k`` and for
+    Perron-Frobenius: it is built once per scale, for
     :func:`~penner.spectral.pf_eigenvalue`, which reads ``lambda_k`` from
-    its exact bounds.
+    its exact bounds; ``u_k`` comes from the word's letters without it.
 
     When the path is *not* supported, the spectrum splits along different
     powers of ``k`` instead: each eigenvalue magnitude, as located by
@@ -332,7 +332,7 @@ def ray_convergence_experiment(
         for k in scales:
             scaled = scale(omega, k)
             product = twist_product(scaled, word)
-            u = twist_charpoly(scaled, word, product)
+            u = twist_charpoly(scaled, word)
             lam = pf_eigenvalue(u, digits, product).value
             with mp.workdps(digits + 10):
                 target = limit_poly.mpf_coeffs()[::-1]

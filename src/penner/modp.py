@@ -8,7 +8,7 @@ the one place that knows that format.  It imports only the standard library.
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 #: ``nextprime(2^b)`` for ``b`` = 64, 128, ..., 1024, checked against sympy by the tests.
 TABLE_PRIMES = tuple((1 << 64 * j) + offset for j, offset in enumerate(
@@ -135,6 +135,56 @@ def ddf_degrees(f: List[int], prime: int) -> Optional[List[int]]:
     if sum(degrees) < n:
         degrees.append(n - sum(degrees))
     return degrees
+
+
+def krylov_charpoly_mod(rows: Sequence[Sequence], letters: Sequence[Tuple[int, int]],
+                        prime: int) -> Optional[List[int]]:
+    """``det(x I - M)`` modulo ``prime``, constant term first, for
+    ``M = L_K ... L_1``, ``L_j = I + p_j e_g w^T`` with ``w`` row ``g = g_j``
+    (1-based) of the rationals ``rows``, zero on the diagonal, from the
+    ``letters`` ``(g_j, p_j)``; ``None`` when ``v = (1, ..., 1)``,
+    ``M v, ..., M^(n-1) v`` are dependent modulo ``prime``, which divides no
+    denominator of the rows read.
+
+    Each ``M x`` applies the letters in turn, ``x_g += p w^T x``.  The
+    ``c_j`` of ``sum_(j<n) c_j M^j v = -M^n v`` come from one forward
+    elimination, about ``n^3 / 3`` operations with the row updates left
+    unreduced as in :func:`charpoly_mod`, and a back substitution.  With the
+    ``M^j v`` independent the relation is unique, and ``det(x I - M)``
+    satisfies it (Cayley-Hamilton) modulo any integer: a composite modulus
+    can only make ``pow`` raise ``ValueError`` on a pivot that shares a
+    factor with it, or give ``None``.
+    """
+    support = {g: [(i, w) for i, w in enumerate(residues(rows[g - 1], prime)) if w]
+               for g in {g for g, _p in letters}}
+    steps = [(g - 1, [(i, p * w) for i, w in support[g]]) for g, p in letters]
+    n = len(rows)
+    x, columns = [1] * n, []
+    while True:
+        columns.append(x)
+        if len(columns) > n:
+            break
+        x = list(x)
+        for g, pairs in steps:
+            x[g] = (x[g] + sum([w * x[i] for i, w in pairs])) % prime
+    a = [list(row) for row in zip(*columns)]  # row i: entry i of each M^j v
+    for j in range(n):
+        for row in a[j:]:
+            row[j] %= prime
+        pivot = next((i for i in range(j, n) if a[i][j]), None)
+        if pivot is None:
+            return None
+        a[j], a[pivot] = a[pivot], a[j]
+        inv = pow(a[j][j], -1, prime)
+        top = a[j][j:] = [y * inv % prime for y in a[j][j:]]
+        for row in a[j + 1:]:
+            u = row[j]
+            if u:
+                row[j:] = [y - u * t for y, t in zip(row[j:], top)]
+    coeffs = [0] * n + [1]
+    for j in range(n - 1, -1, -1):
+        coeffs[j] = -sum(map(operator.mul, a[j][j + 1:], coeffs[j + 1:])) % prime
+    return coeffs
 
 
 def charpoly_mod(h: List[List[int]], prime: int) -> List[int]:

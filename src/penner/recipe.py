@@ -68,9 +68,10 @@ def run_recipe(
     alone, so the eigenvalue is found only at ``k*`` and at scales whose
     reduced polynomial factors.  A scale whose eigenvalue is not needed
     raises nothing, even where the root finder would fail.  Each scale
-    builds its twist product once, for its characteristic polynomial and
-    for its report, whose :func:`~penner.spectral.pf_eigenvalue` reads the
-    eigenvalue from the product's exact bounds.
+    builds its twist product once, for its report, whose
+    :func:`~penner.spectral.pf_eigenvalue` reads the eigenvalue from the
+    product's exact bounds; its characteristic polynomial comes from the
+    word's letters without it.
 
     Raises :class:`ValidationError` for a ``k_max`` or ``window`` below 1
     or a ``window`` above ``k_max``,
@@ -103,7 +104,7 @@ def run_recipe(
     for k in range(1, k_max + 1):
         scaled = scale(omega, k)
         product = twist_product(scaled, word)
-        report = SpectralReport.from_charpoly(twist_charpoly(scaled, word, product),
+        report = SpectralReport.from_charpoly(twist_charpoly(scaled, word),
                                               rank, digits, product)
         degree, minpoly, _fz = degree_of_pf_root(report)
         if degree == rank:

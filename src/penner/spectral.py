@@ -4,6 +4,9 @@ The characteristic polynomials of the pipeline are computed exactly modulo
 one prime larger than four times a bound on their coefficients: that of a
 twist product by :func:`twist_charpoly`, with a bound read off the word, and
 that of a limit map by :func:`hadamard_charpoly`, with Hadamard's bound.
+Modulo the prime, a twist product's comes from a Krylov solve on the word's
+letters, which never forms the product, and a limit map's, or a twist
+product's where the Krylov vectors are dependent, by Hessenberg reduction.
 The primes come from a table up to ``2^1024``, so neither loads sympy up to
 there; past it sympy's Berkowitz takes over.  The arithmetic modulo a prime,
 there and in :func:`squarefree_parts`, is :mod:`penner.modp`'s.  Ranks are
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
 
@@ -52,7 +55,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .graphs import covers_vertices, graph_of, is_connected
-from .modp import TABLE_PRIMES, charpoly_mod, is_squarefree, residues
+from .modp import TABLE_PRIMES, charpoly_mod, is_squarefree, krylov_charpoly_mod, residues
 
 #: Working precision in decimal digits of every ``digits`` argument left unset.
 DEFAULT_DIGITS = 50
@@ -247,26 +250,33 @@ def charpoly_bound(omega: IntersectionMatrix, word: TwistWord) -> int:
     return bound
 
 
-def _charpoly_lifted(m: ExactMatrix, bound: int, multipliers: Sequence[int]) -> Poly:
-    """The characteristic polynomial of the square exact matrix ``m``, from
-    one computation modulo a prime, given for each coefficient ``c_j`` (that
-    of ``x^j``) an integer ``d_j = multipliers[j]`` with ``d_j c_j`` integral
-    and ``|d_j c_j| <= bound``.  Every prime factor of the entries'
+def _charpoly_lifted(m, bound: int, multipliers: Sequence[int],
+                     krylov: Optional[Callable[[int], Optional[List[int]]]] = None) -> Poly:
+    """The characteristic polynomial of the square exact matrix ``m``, or of
+    the one a callable ``m`` builds, from one computation modulo a prime,
+    given for each coefficient ``c_j`` (that of ``x^j``) an integer
+    ``d_j = multipliers[j]`` with ``d_j c_j`` integral and
+    ``|d_j c_j| <= bound``.  Every prime factor of the entries'
     denominators and of the ``d_j`` must be at most ``bound``.
 
-    The entries reduce (:func:`~penner.modp.residues`) modulo ``P``, the
-    least of the :data:`~penner.modp.TABLE_PRIMES` ``nextprime(2^b)`` with
-    ``2^b > 4 bound``.  :func:`~penner.modp.charpoly_mod` gives each ``c_j``
-    modulo ``P``, and ``d_j c_j`` is the symmetric residue of
-    ``d_j c_j mod P`` in ``(-P/2, P/2)``, which determines it.  Past the
-    table, ``b > 1024``, sympy's Berkowitz (:func:`char_poly_exact`) gives
-    the polynomial instead; no pipeline bound gets there.
+    The modulus ``P`` is the least of the :data:`~penner.modp.TABLE_PRIMES`
+    ``nextprime(2^b)`` with ``2^b > 4 bound``.  ``krylov(P)``, when given,
+    gives each ``c_j`` modulo ``P``, or ``None``; then the matrix is built,
+    its entries reduce (:func:`~penner.modp.residues`) modulo ``P`` and
+    :func:`~penner.modp.charpoly_mod` gives them.  ``d_j c_j`` is the
+    symmetric residue of ``d_j c_j mod P`` in ``(-P/2, P/2)``, which
+    determines it.  Past the table, ``b > 1024``, sympy's Berkowitz
+    (:func:`char_poly_exact`) gives the polynomial instead; no pipeline
+    bound gets there.
     """
     bits = (4 * bound).bit_length()
     prime = next((q for q in TABLE_PRIMES if q.bit_length() > bits), None)
-    if prime is None:
-        return char_poly_exact(m)
-    found = charpoly_mod([residues(row, prime) for row in m], prime)
+    found = krylov(prime) if krylov and prime else None
+    if found is None:
+        m = m() if callable(m) else m
+        if prime is None:
+            return char_poly_exact(m)
+        found = charpoly_mod([residues(row, prime) for row in m], prime)
     half = prime // 2
     coeffs = []
     for c, d in zip(found, multipliers):
@@ -275,11 +285,20 @@ def _charpoly_lifted(m: ExactMatrix, bound: int, multipliers: Sequence[int]) -> 
     return Poly(coeffs)
 
 
-def twist_charpoly(omega: IntersectionMatrix, word: TwistWord,
-                   product: Optional[ExactMatrix] = None) -> Poly:
+def twist_charpoly(omega: IntersectionMatrix, word: TwistWord) -> Poly:
     """The characteristic polynomial of ``M = twist_product(omega, word)``,
     exactly, from one computation modulo a prime (:func:`_charpoly_lifted`).
-    A caller that has built ``M`` already passes it as ``product``.
+
+    Modulo the prime, :func:`~penner.modp.krylov_charpoly_mod` applies the
+    word's letters to ``v = (1, ..., 1)``, without forming ``M``, and solves
+    for the relation among ``v, M v, ..., M^n v``.  When
+    ``v, ..., M^(n-1) v`` are independent modulo the prime, the minimal
+    polynomial of ``v`` has degree ``n`` and divides ``chi``, so the
+    relation is ``chi``.  Otherwise ``M`` is formed and reduced to
+    Hessenberg form (:func:`~penner.modp.charpoly_mod`); over ``omega`` of
+    rank ``r <= n - 2`` always, since every letter fixes ``ker omega``, so
+    eigenvalue 1 has ``n - r >= 2`` independent eigenvectors and no ``v``
+    has ``n`` independent Krylov vectors.
 
     Its coefficients have denominators dividing ``E`` (1 for an integral
     ``omega``), the product over the letters ``(g_j, p_j)`` of the least
@@ -293,9 +312,10 @@ def twist_charpoly(omega: IntersectionMatrix, word: TwistWord,
     """
     mult = math.prod(math.lcm(*(x.denominator for x in omega.entries[g - 1]))
                      for g in word.gamma)
-    if product is None:
-        product = twist_product(omega, word)
-    return _charpoly_lifted(product, mult * charpoly_bound(omega, word), [mult] * (omega.n + 1))
+    letters = list(zip(word.gamma, word.powers))
+    return _charpoly_lifted(lambda: twist_product(omega, word), mult * charpoly_bound(omega, word),
+                            [mult] * (omega.n + 1),
+                            lambda prime: krylov_charpoly_mod(omega.entries, letters, prime))
 
 
 def hadamard_charpoly(m: ExactMatrix) -> Poly:

@@ -52,7 +52,7 @@ def tour_word(omega, root):
 def product_and_reduced(omega, word):
     """The twist product and its reduced characteristic polynomial."""
     m = twist_product(omega, word)
-    return m, strip_unit_root(twist_charpoly(omega, word, m))[1]
+    return m, strip_unit_root(twist_charpoly(omega, word))[1]
 
 
 def sympy_poly(p):

@@ -171,3 +171,10 @@ def test_pf_eigenvalue_is_the_one_eigenvalue_step():
     assert [path.stem for path in modules
             if any(isinstance(node, ast.FunctionDef) and node.name == "product_pf_eigenvalue"
                    for node in ast.walk(ast.parse(path.read_text())))] == []
+
+
+def test_twist_charpoly_is_the_krylov_kernels_one_caller():
+    modules = sorted(Path(penner.__file__).parent.glob("*.py"))
+    assert [f"{path.stem}.{scope}" for path in modules
+            for scope in callers(path.read_text(), "krylov_charpoly_mod")] == [
+        "spectral.twist_charpoly"]

@@ -42,7 +42,8 @@ from penner.errors import (
     NotPerronFrobenius,
     PreconditionViolated,
 )
-from penner.graphs import graph_of, spanning_tree_tour
+from penner.graphs import graph_of, is_connected, spanning_tree_tour
+from penner.modp import TABLE_PRIMES, charpoly_mod, krylov_charpoly_mod, residues
 from penner.spectral import (
     ROOT_BOUND_MARGIN,
     all_roots,
@@ -64,6 +65,7 @@ from conftest import (
     general_word,
     height,
     random_omega,
+    random_rational_omega,
     sympy_mat_vec,
     sympy_preserves_form,
 )
@@ -250,12 +252,15 @@ def test_twist_charpoly_matches_sympy_on_a_rational_omega():
 ], ids=["S43-max/3", "half"])
 def test_rational_twist_charpoly_takes_a_prime_of_at_most_256_bits(entries, monkeypatch):
     # the denominators of the coefficients divide the product of the letters'
-    # row denominators, which sizes the prime, not D^n
+    # row denominators, which sizes the prime, not D^n; the prime is the last
+    # argument of whichever modular kernel runs
     omega = validate_omega(entries)
     word = next(catalog_tour_words(omega))
-    primes = count_calls(monkeypatch, penner.modp, "charpoly_mod")
+    krylov = count_calls(monkeypatch, penner.modp, "krylov_charpoly_mod")
+    hessenberg = count_calls(monkeypatch, penner.modp, "charpoly_mod")
     assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word)
-    assert [prime.bit_length() <= 256 for _h, prime in primes] == [True]
+    primes = [args[-1] for args in krylov + hessenberg]
+    assert [prime.bit_length() <= 256 for prime in primes] == [True]
 
 
 def test_table_primes_are_sympys_nextprime():
@@ -351,6 +356,88 @@ def test_twist_charpoly_matches_sympy_on_long_words_over_rational_omegas():
         beyond_gcd += e > math.gcd(e, d ** n)
         assert twist_charpoly(omega, word) == char_poly_exact(m), seed
     assert beyond_gcd > 0
+
+
+def krylov_determinant(m):
+    """``det(v, M v, ..., M^(n-1) v)`` for ``v = (1, ..., 1)``, by sympy."""
+    columns = [sympy.ones(len(m), 1)]
+    for _ in range(len(m) - 1):
+        columns.append(sympy.Matrix(m) * columns[-1])
+    return Fraction(str(sympy.Matrix.hstack(*columns).det()))
+
+
+def letters(word):
+    return list(zip(word.gamma, word.powers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_krylov_charpoly_mod_is_hessenbergs_on_random_words(seed, rational):
+    # modulo each prime that divides no denominator of omega: the kernel's
+    # residues where v, ..., M^(n-1) v are independent, None where they are not
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    omega = random_rational_omega(rng, n) if rational else random_omega(rng, n)
+    while not is_connected(graph_of(omega)):
+        omega = random_rational_omega(rng, n)
+    word = random_word(rng, n)
+    m = twist_product(omega, word)
+    det = krylov_determinant(m)
+    for prime in (2, 3, 5, 7, 11, 13, TABLE_PRIMES[0], TABLE_PRIMES[-1]):
+        if any(x.denominator % prime == 0 for row in omega.entries for x in row):
+            continue
+        found = krylov_charpoly_mod(omega.entries, letters(word), prime)
+        assert (found is None) == (residues([det], prime) == [0]), prime
+        if found is not None:
+            assert found == charpoly_mod([residues(row, prime) for row in m], prime), prime
+    assert twist_charpoly(omega, word) == char_poly_exact(m)
+
+
+def test_a_word_over_the_star_falls_back_to_hessenberg(monkeypatch):
+    # K_(1,3) has rank 2 = n - 2: M fixes the plane ker omega, so no vector
+    # has four independent Krylov vectors
+    omega = validate_omega([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    tour = spanning_tree_tour(graph_of(omega), root=1)
+    word = TwistWord(tour, (1,) * len(tour))
+    assert rank_exact(omega) == 2
+    for prime in (5, TABLE_PRIMES[0]):
+        assert krylov_charpoly_mod(omega.entries, letters(word), prime) is None
+    hessenberg = count_calls(monkeypatch, penner.modp, "charpoly_mod")
+    assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word)
+    assert len(hessenberg) == 1
+
+
+def test_the_fallback_is_sympys_on_the_catalog(monkeypatch):
+    monkeypatch.setattr(penner.spectral, "krylov_charpoly_mod", lambda *args: None)
+    hessenberg = count_calls(monkeypatch, penner.modp, "charpoly_mod")
+    for cid in catalog_ids():
+        omega = catalog_get(cid).omega
+        tour = spanning_tree_tour(graph_of(omega), root=1)
+        word = TwistWord(tour, (1,) * len(tour))
+        assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word), cid
+    assert len(hessenberg) == len(catalog_ids())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_krylov_charpoly_mod_with_a_composite_modulus_is_right_or_raises(seed):
+    # as for charpoly_mod: right modulo any integer, unless a pivot shares a
+    # factor with the modulus (ValueError) or, with the Krylov determinant not
+    # a unit, no column has a nonzero pivot left (None)
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    modulus = rng.choice([4, 6, 15, 35, 1001, 2 ** 64 * 3])
+    omega = random_omega(rng, n)
+    word = random_word(rng, n)
+    m = twist_product(omega, word)
+    try:
+        found = krylov_charpoly_mod(omega.entries, letters(word), modulus)
+    except ValueError:
+        return
+    if found is None:
+        assert math.gcd(int(krylov_determinant(m)), modulus) > 1
+    else:
+        assert found == [c % modulus for c in char_poly_exact(m).coeffs]
 
 
 @settings(max_examples=40, deadline=None)
