@@ -3,12 +3,17 @@
 A polynomial modulo ``prime`` is a list of residues in ``[0, prime)``,
 constant term first, with no trailing zeros; ``[]`` is zero.  This module is
 the one place that knows that format.  It imports only the standard library.
+
+Its two characteristic polynomial kernels are :func:`charpoly_mod`, by
+Hessenberg reduction of a residue matrix, and :func:`krylov_charpoly_mod`,
+by a Krylov solve on a product of rank-one letters that it never forms,
+through half the Krylov space where the letters are 2-coloured.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: ``nextprime(2^b)`` for ``b`` = 64, 128, ..., 1024, checked against sympy by the tests.
 TABLE_PRIMES = tuple((1 << 64 * j) + offset for j, offset in enumerate(
@@ -141,37 +146,115 @@ def krylov_charpoly_mod(rows: Sequence[Sequence], letters: Sequence[Tuple[int, i
                         prime: int) -> Optional[List[int]]:
     """``det(x I - M)`` modulo ``prime``, constant term first, for
     ``M = L_K ... L_1``, ``L_j = I + p_j e_g w^T`` with ``w`` row ``g = g_j``
-    (1-based) of the rationals ``rows``, zero on the diagonal, from the
-    ``letters`` ``(g_j, p_j)``; ``None`` when ``v = (1, ..., 1)``,
-    ``M v, ..., M^(n-1) v`` are dependent modulo ``prime``, which divides no
+    (1-based) of the rationals ``rows``, which are symmetric with a zero
+    diagonal, from the ``letters`` ``(g_j, p_j)``; ``None`` when the Krylov
+    vectors below are dependent modulo ``prime``, which divides no
     denominator of the rows read.
 
-    Each ``M x`` applies the letters in turn, ``x_g += p w^T x``.  The
-    ``c_j`` of ``sum_(j<n) c_j M^j v = -M^n v`` come from one forward
-    elimination, about ``n^3 / 3`` operations with the row updates left
-    unreduced as in :func:`charpoly_mod`, and a back substitution.  With the
-    ``M^j v`` independent the relation is unique, and ``det(x I - M)``
-    satisfies it (Cayley-Hamilton) modulo any integer: a composite modulus
-    can only make ``pow`` raise ``ValueError`` on a pivot that shares a
-    factor with it, or give ``None``.
+    Each ``M x`` applies the letters in turn, ``x_g += p w^T x``, through
+    the residues of the nonzero entries of each letter's row.  The relation among the
+    Krylov vectors comes from one forward elimination and a back
+    substitution (:func:`_relation`).  With the vectors independent the
+    relation is unique, and ``det(x I - M)`` gives one modulo any integer:
+    a composite modulus can only make ``pow`` raise ``ValueError`` on a
+    pivot that shares a factor with it, or give ``None``.
+
+    *Full size.*  ``sum_(j<n) c_j M^j v = -M^n v`` for ``v = (1, ..., 1)``,
+    about ``n^3 / 3`` operations (Cayley-Hamilton).
+
+    *Half size*, for even ``n = 2m`` where some ``d`` in ``{1, -1}^n`` has
+    ``d_i = -d_g`` for each letter ``g`` and each ``i`` with ``w_i`` nonzero
+    (a 2-colouring of the letters' supports).  Symmetry
+    and the zero diagonal give ``L_g^T omega = omega L_g`` (both are
+    ``omega + p w w^T``), so ``M^T omega = omega R`` for the letters
+    multiplied in reverse order, ``R = L_1 ... L_K``: ``M^T`` and ``R`` are
+    similar for invertible ``omega``, and ``chi_M = chi_R`` for every
+    ``omega``, the invertible ones being Zariski dense among the symmetric
+    ones with zero diagonal.  With ``D = diag(d)``,
+    ``D L_g D = I - p e_g w^T = L_g^-1``, so ``D M D = R^-1``, and
+    ``chi = chi_M = chi_(M^-1)`` is palindromic, ``c_(m-i) = c_(m+i)``.
+    Then ``M^-m chi(M) = c_m I + sum_(0<i<=m) c_(m+i) (M^i + M^-i) = 0``,
+    so ``sum_(i<m) c_(m+i) s_i = -s_m`` for ``s_0 = v`` and
+    ``s_i = M^i v + M^-i v``, where ``M^-1`` applies the inverse letters
+    ``I - p e_g w^T`` in reverse order.  ``M^i + M^-i`` is a monic
+    polynomial of degree ``i`` in ``N = M + M^-1``, so the ``s_i`` with
+    ``i < m`` span what ``v, N v, ..., N^(m-1) v`` span: the solve, about
+    ``5 n^3 / 48`` operations, runs through half the Krylov space and gives
+    the upper half of ``chi``.  Each identity is one of polynomials in the
+    entries of ``omega`` and the ``p_j``, so it holds modulo any integer.
     """
-    support = {g: [(i, w) for i, w in enumerate(residues(rows[g - 1], prime)) if w]
+    support = {g: [(i, x.numerator * pow(x.denominator, -1, prime) % prime)
+                   for i, x in enumerate(rows[g - 1]) if x]
                for g in {g for g, _p in letters}}
     steps = [(g - 1, [(i, p * w) for i, w in support[g]]) for g, p in letters]
     n = len(rows)
-    x, columns = [1] * n, []
-    while True:
-        columns.append(x)
-        if len(columns) > n:
-            break
-        x = list(x)
-        for g, pairs in steps:
-            x[g] = (x[g] + sum([w * x[i] for i, w in pairs])) % prime
-    a = [list(row) for row in zip(*columns)]  # row i: entry i of each M^j v
-    for j in range(n):
+    if n % 2 or not _two_coloured(support):
+        columns = [[1] * n]
+        for _ in range(n):
+            columns.append(_applied(columns[-1], steps, prime))
+        return _relation(columns, prime)
+    inverse = [(g, [(i, -w) for i, w in pairs]) for g, pairs in reversed(steps)]
+    up = down = [1] * n  # M^i v and M^-i v
+    columns = [up]
+    for _ in range(n // 2):
+        up, down = _applied(up, steps, prime), _applied(down, inverse, prime)
+        columns.append([(a + b) % prime for a, b in zip(up, down)])
+    upper = _relation(columns, prime)
+    return None if upper is None else upper[::-1] + upper[1:]
+
+
+def _two_coloured(support: Dict[int, List[Tuple[int, int]]]) -> bool:
+    """Whether some ``d`` in ``{1, -1}^n`` has ``d_i = -d_(g-1)`` for each
+    curve ``g`` (1-based) of ``support`` and each ``(i, w)`` in
+    ``support[g]``: a 2-colouring of the graph with those edges, by depth-first search."""
+    edges: Dict[int, List[int]] = {}
+    for g, pairs in support.items():
+        for i, _w in pairs:
+            edges.setdefault(g - 1, []).append(i)
+            edges.setdefault(i, []).append(g - 1)
+    colour: Dict[int, bool] = {}
+    for start in edges:
+        if start in colour:
+            continue
+        colour[start], stack = True, [start]
+        while stack:
+            a = stack.pop()
+            for b in edges[a]:
+                if b not in colour:
+                    colour[b] = not colour[a]
+                    stack.append(b)
+                elif colour[b] == colour[a]:
+                    return False
+    return True
+
+
+def _applied(x: List[int], steps: Sequence[Tuple[int, Sequence[Tuple[int, int]]]],
+             prime: int) -> List[int]:
+    """``x`` after the rank-one steps ``(g, pairs)`` in turn, each
+    ``x_g += sum w x_i`` over ``(i, w)`` in ``pairs``, modulo ``prime``."""
+    x = list(x)
+    for g, pairs in steps:
+        x[g] = (x[g] + sum([w * x[i] for i, w in pairs])) % prime
+    return x
+
+
+def _relation(columns: List[List[int]], prime: int) -> Optional[List[int]]:
+    """``c_0, ..., c_(k-1), 1`` with ``sum_(j<k) c_j u_j = -u_k`` modulo
+    ``prime``, for the ``k + 1`` vectors ``columns``, each of length at
+    least ``k``, where ``u_k`` is a combination of the others; ``None``
+    when ``u_0, ..., u_(k-1)`` are dependent.
+
+    One forward elimination, pivot rows scaled to a leading 1 and the row
+    updates left unreduced as in :func:`charpoly_mod` (a row takes at most
+    ``k`` of them, each below ``p^2`` in size), then a back substitution on
+    the first ``k`` rows.
+    """
+    k = len(columns) - 1
+    a = [list(row) for row in zip(*columns)]  # row i: entry i of each vector
+    for j in range(k):
         for row in a[j:]:
             row[j] %= prime
-        pivot = next((i for i in range(j, n) if a[i][j]), None)
+        pivot = next((i for i in range(j, len(a)) if a[i][j]), None)
         if pivot is None:
             return None
         a[j], a[pivot] = a[pivot], a[j]
@@ -181,8 +264,8 @@ def krylov_charpoly_mod(rows: Sequence[Sequence], letters: Sequence[Tuple[int, i
             u = row[j]
             if u:
                 row[j:] = [y - u * t for y, t in zip(row[j:], top)]
-    coeffs = [0] * n + [1]
-    for j in range(n - 1, -1, -1):
+    coeffs = [0] * k + [1]
+    for j in range(k - 1, -1, -1):
         coeffs[j] = -sum(map(operator.mul, a[j][j + 1:], coeffs[j + 1:])) % prime
     return coeffs
 

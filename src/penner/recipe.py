@@ -5,6 +5,7 @@ stretch factor of a twist product has algebraic degree equal to the rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Tuple
 
 import mpmath as mp
@@ -67,11 +68,11 @@ def run_recipe(
     polynomial is irreducible gets its degree from the exact factorization
     alone, so the eigenvalue is found only at ``k*`` and at scales whose
     reduced polynomial factors.  A scale whose eigenvalue is not needed
-    raises nothing, even where the root finder would fail.  Each scale
-    builds its twist product once, for its report, whose
-    :func:`~penner.spectral.pf_eigenvalue` reads the eigenvalue from the
-    product's exact bounds; its characteristic polynomial comes from the
-    word's letters without it.
+    raises nothing, even where the root finder would fail.  Each report
+    holds a function that builds its scale's twist product, which
+    :func:`~penner.spectral.pf_eigenvalue` reads the eigenvalue from, by
+    its exact bounds, so only a scale whose eigenvalue is read builds it;
+    the characteristic polynomial comes from the word's letters without it.
 
     Raises :class:`ValidationError` for a ``k_max`` or ``window`` below 1
     or a ``window`` above ``k_max``,
@@ -103,9 +104,8 @@ def run_recipe(
     streak: List[Tuple[int, SpectralReport, Poly]] = []  # (k, report, minpoly)
     for k in range(1, k_max + 1):
         scaled = scale(omega, k)
-        product = twist_product(scaled, word)
-        report = SpectralReport.from_charpoly(twist_charpoly(scaled, word),
-                                              rank, digits, product)
+        report = SpectralReport.from_charpoly(twist_charpoly(scaled, word), rank, digits,
+                                              partial(twist_product, scaled, word))
         degree, minpoly, _fz = degree_of_pf_root(report)
         if degree == rank:
             streak.append((k, report, minpoly))

@@ -5,8 +5,11 @@ one prime larger than four times a bound on their coefficients: that of a
 twist product by :func:`twist_charpoly`, with a bound read off the word, and
 that of a limit map by :func:`hadamard_charpoly`, with Hadamard's bound.
 Modulo the prime, a twist product's comes from a Krylov solve on the word's
-letters, which never forms the product, and a limit map's, or a twist
-product's where the Krylov vectors are dependent, by Hessenberg reduction.
+letters, which never forms the product and, where its characteristic
+polynomial is palindromic by a 2-colouring of the letters (as over a
+bipartite intersection matrix), runs through half the Krylov space; a
+limit map's, or a twist product's where the Krylov vectors are dependent,
+comes by Hessenberg reduction.
 The primes come from a table up to ``2^1024``, so neither loads sympy up to
 there; past it sympy's Berkowitz takes over.  The arithmetic modulo a prime,
 there and in :func:`squarefree_parts`, is :mod:`penner.modp`'s.  Ranks are
@@ -294,11 +297,21 @@ def twist_charpoly(omega: IntersectionMatrix, word: TwistWord) -> Poly:
     for the relation among ``v, M v, ..., M^n v``.  When
     ``v, ..., M^(n-1) v`` are independent modulo the prime, the minimal
     polynomial of ``v`` has degree ``n`` and divides ``chi``, so the
-    relation is ``chi``.  Otherwise ``M`` is formed and reduced to
-    Hessenberg form (:func:`~penner.modp.charpoly_mod`); over ``omega`` of
-    rank ``r <= n - 2`` always, since every letter fixes ``ker omega``, so
-    eigenvalue 1 has ``n - r >= 2`` independent eigenvectors and no ``v``
-    has ``n`` independent Krylov vectors.
+    relation is ``chi``.  Where ``n`` is even and the letters' rows of
+    ``omega`` are 2-coloured, as over a bipartite ``omega``, ``chi`` is
+    palindromic and half the space suffices: the relation among
+    ``v, N v, ..., N^(n/2) v`` for ``N = M + M^-1``, in the basis
+    ``(M^i + M^-i) v``, gives its upper half.  Where the vectors that the
+    path takes are dependent, ``M`` is formed and reduced to Hessenberg
+    form (:func:`~penner.modp.charpoly_mod`).  Every letter fixes
+    ``ker omega``, so off the half-size path that happens over every
+    ``omega`` of rank ``r <= n - 2``: eigenvalue 1 has ``n - r >= 2``
+    independent eigenvectors and no ``v`` has ``n`` independent Krylov
+    vectors.  On it ``N`` is 2 on ``ker omega``, so its minimal polynomial
+    holds ``y - 2`` once, where ``T`` with ``chi(x) = x^(n/2) T(x + 1/x)``
+    holds it ``(n - r) / 2`` times: the path still answers where
+    ``r = n - 2``, as over the star ``K_(1,3)``, and falls back where
+    ``r <= n - 4``.
 
     Its coefficients have denominators dividing ``E`` (1 for an integral
     ``omega``), the product over the letters ``(g_j, p_j)`` of the least
@@ -688,8 +701,12 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS,
     Newton's error, the bounds answer alone: the value is their midpoint at
     ``digits + 15`` digits, the error its largest distance to ``lo`` or
     ``hi``, rounded up, and the answer stands when the sign-change check
-    passes.  Otherwise the remaining roots are located by
-    :func:`all_roots` and the dominant one Newton-refined on the exact
+    passes.  Where it fails, as when that rounding moves the midpoint
+    farther than ``lambda`` lies from another root, the midpoint is rounded
+    once more, at ``d + 15`` digits for the ``d`` digits of
+    ``floor(lo / (hi - lo))``, and checked again.  Otherwise the remaining
+    roots are located by :func:`all_roots` and the dominant one
+    Newton-refined on the exact
     reduced polynomial.  The returned ``error`` is proven: the reduced
     polynomial changes sign on ``[value - error, value + error]``, checked
     exactly (see :func:`brackets_root`).
@@ -712,13 +729,16 @@ def pf_eigenvalue(chi: Poly, digits: int = DEFAULT_DIGITS,
         if (value - error <= lo and hi <= value + error
                 and brackets_root(reduced, pf.value, pf.error)):
             return pf
-        centre = _mpf_to_fraction(midpoint)
-        distance = max(centre - lo, hi - centre)
-        with mp.workdps(digits + 15):
-            pf = PFEigenvalue(midpoint, mp.fdiv(distance.numerator, distance.denominator,
-                                                rounding="u"))
-        if brackets_root(reduced, pf.value, pf.error):
-            return pf
+        finer = len(str(lo // (hi - lo))) + 15 if hi > lo else 0
+        for dps in [digits + 15] + ([finer] if finer > digits + 15 else []):
+            with mp.workdps(dps):
+                midpoint = to_mpf((lo + hi) / 2)
+                centre = _mpf_to_fraction(midpoint)
+                distance = max(centre - lo, hi - centre)
+                pf = PFEigenvalue(midpoint, mp.fdiv(distance.numerator, distance.denominator,
+                                                    rounding="u"))
+            if brackets_root(reduced, pf.value, pf.error):
+                return pf
     roots = all_roots(reduced, digits)
     with mp.workdps(digits + 15):
         radius = max(abs(r) for r in roots)
@@ -754,7 +774,8 @@ class SpectralReport:
     the product is certified.  The leading eigenvalue ``pf_value`` and its
     error bound ``pf_error`` are computed at ``digits`` digits on first
     access and cached, by :func:`pf_eigenvalue` from ``reduced`` and, when
-    the report holds it, the twist ``product``: ``pf_error`` is Newton's
+    the report holds ``build_product``, the twist product it builds then,
+    and only then: ``pf_error`` is Newton's
     stopping tolerance, or the bounds' half-width where they answer alone.
     ``reduced`` changes sign on ``[pf_value - pf_error, pf_value + pf_error]``
     (see :func:`brackets_root`).  Reading them may raise
@@ -767,16 +788,18 @@ class SpectralReport:
     rank: int
     reduced: Poly
     digits: int
-    product: Optional[ExactMatrix] = field(default=None, compare=False, repr=False)
+    build_product: Optional[Callable[[], ExactMatrix]] = field(default=None, compare=False,
+                                                              repr=False)
 
     @classmethod
     def from_charpoly(cls, charpoly: Poly, rank: int, digits: int = DEFAULT_DIGITS,
-                      product: Optional[ExactMatrix] = None) -> "SpectralReport":
+                      build_product: Optional[Callable[[], ExactMatrix]] = None,
+                      ) -> "SpectralReport":
         """The report on a certified product with characteristic polynomial
-        ``charpoly`` over an ``omega`` of rank ``rank``; the product itself
-        may come along as ``product``."""
+        ``charpoly`` over an ``omega`` of rank ``rank``; a function that
+        builds the product itself may come along as ``build_product``."""
         _exponent, reduced = structure_split(charpoly, rank)
-        return cls(charpoly, rank, reduced, digits, product)
+        return cls(charpoly, rank, reduced, digits, build_product)
 
     @property
     def unit_exponent(self) -> int:
@@ -785,7 +808,8 @@ class SpectralReport:
 
     @cached_property
     def _pf(self) -> PFEigenvalue:
-        return pf_eigenvalue(self.reduced, self.digits, self.product)
+        product = None if self.build_product is None else self.build_product()
+        return pf_eigenvalue(self.reduced, self.digits, product)
 
     @property
     def pf_value(self) -> mp.mpf:

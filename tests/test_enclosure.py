@@ -161,14 +161,16 @@ def test_an_answer_the_checks_reject_falls_back(omega3, monkeypatch):
     real_check = penner.spectral.brackets_root
     checks = []
 
-    def reject_first(p, value, error):
+    def reject_bounds(p, value, error):
         checks.append(value)
-        return len(checks) > 1 and real_check(p, value, error)
+        return len(checks) > 2 and real_check(p, value, error)
 
-    monkeypatch.setattr(penner.spectral, "brackets_root", reject_first)
+    monkeypatch.setattr(penner.spectral, "brackets_root", reject_bounds)
     starts.clear()
     pf = pf_eigenvalue(reduced, 50, m)
-    assert len(starts) == 2 and len(checks) == 2  # the second from all_roots
+    # the bounds answer is checked at two roundings of the midpoint, the
+    # third check comes from all_roots
+    assert len(starts) == 2 and len(checks) == 3
     monkeypatch.setattr(penner.spectral, "brackets_root", real_check)
     assert pf == pf_eigenvalue(reduced, 50)
 
@@ -200,24 +202,6 @@ def test_the_recipe_keeps_the_root_locators_failure_where_the_enclosure_stalls()
     assert str(info.value) == "leading eigenvalue 1.0 +- 1.0e-55 does not enclose a root"
 
 
-@pytest.mark.parametrize("exponent", [66, 67, 68, 70])
-def test_a_derivative_that_rounds_to_zero_is_no_crash(exponent, tmp_path, capsys):
-    # A known defect (ROADMAP item 19), pinned as it stands: Newton's first
-    # run meets a derivative that rounds to 0, which must not crash, and the
-    # root locator's failure stands, one line and exit 3.  Item 19 turns
-    # these into success tests.
-    message = "dominant eigenvalue is not a simple real eigenvalue"
-    epsilon = Fraction(1, 10**exponent)
-    omega, word = tiny_edge(epsilon)
-    with pytest.raises(NotPerronFrobenius, match=f"^{message}$"):
-        run_recipe(omega, word, digits=50)
-    path = tmp_path / "omega.json"
-    path.write_text(json.dumps({"entries": [[0, str(epsilon)], [str(epsilon), 0]]}))
-    for command in ["recipe"] + (["limit"] if exponent > 66 else []):
-        assert main([command, "--omega", str(path), "--gamma", "1,2", "--json"]) == 3
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
 def holds_the_larger_root(t, a, b):
     """Whether ``[a, b]`` holds the larger root of ``x^2 - t x + 1`` (``t >
     2``), checked exactly: the root lies right of the vertex ``t / 2``,
@@ -234,14 +218,11 @@ def printed_interval(text):
     return Fraction(text) - unit, Fraction(text) + unit
 
 
-@pytest.mark.parametrize("exponent", [33, 56, 60])
-def test_the_bounds_answer_where_newtons_answer_fails(exponent, tmp_path, capsys, monkeypatch):
-    # At 10^-56 and 10^-60 Newton's error is wider than lambda - 1/lambda,
-    # about 2 epsilon, so its interval holds both roots; at 10^-33 Newton
-    # ends outside [lo, hi].  The bounds then answer alone, without
-    # locating a root, through the library and both commands.
-    located = count_calls(monkeypatch, penner.spectral, "_durand_kerner")
-    epsilon = Fraction(1, 10**exponent)
+def assert_the_bounds_answer(epsilon, tmp_path, capsys):
+    """Check that the recipe on ``tiny_edge(epsilon)``, through the library
+    and ``penner recipe``, and every row of ``penner limit`` bracket the
+    larger root of ``x^2 - (2 + (k epsilon)^2) x + 1``; returns the path of
+    the matrix file."""
     omega, word = tiny_edge(epsilon)
     result = run_recipe(omega, word, digits=50)
     assert (result.k_star, result.degree) == (1, 2)
@@ -261,7 +242,34 @@ def test_the_bounds_answer_where_newtons_answer_fails(exponent, tmp_path, capsys
     for row in rows:
         assert holds_the_larger_root(2 + (row["k"] * epsilon) ** 2,
                                      *printed_interval(row["lambda"]))
+    return path
+
+
+@pytest.mark.parametrize("exponent", [33, 56, 60])
+def test_the_bounds_answer_where_newtons_answer_fails(exponent, tmp_path, capsys, monkeypatch):
+    # At 10^-56 and 10^-60 Newton's error is wider than lambda - 1/lambda,
+    # about 2 epsilon, so its interval holds both roots; at 10^-33 Newton
+    # ends outside [lo, hi].  The bounds then answer alone, without
+    # locating a root, through the library and both commands.
+    located = count_calls(monkeypatch, penner.spectral, "_durand_kerner")
+    assert_the_bounds_answer(Fraction(1, 10**exponent), tmp_path, capsys)
     assert located == []
+
+
+@pytest.mark.parametrize("exponent", [66, 67, 68, 70])
+def test_a_derivative_that_rounds_to_zero_is_no_crash(exponent, tmp_path, capsys, monkeypatch):
+    # Newton's first run meets a derivative that rounds to 0, and the bounds,
+    # 10^-(2 exponent) apart, round at digits + 15 to a midpoint of exactly
+    # 1, whose interval holds 1/lambda too; rounded once more, at the
+    # bounds' own precision, the midpoint answers, again without locating a
+    # root.  `degree` holds no product and still reports the root locator's
+    # failure, one line and exit 3 (ROADMAP item 18).
+    located = count_calls(monkeypatch, penner.spectral, "_durand_kerner")
+    path = assert_the_bounds_answer(Fraction(1, 10**exponent), tmp_path, capsys)
+    assert located == []
+    message = "dominant eigenvalue is not a simple real eigenvalue"
+    assert main(["degree", "--omega", str(path), "--gamma", "1,2", "--json"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_collatz_wielandt_matches_the_fraction_reference_on_the_catalog():

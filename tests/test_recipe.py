@@ -25,11 +25,12 @@ from conftest import count_calls
 def s43_recipe():
     """``(result, calls)`` of the recipe on the S43-max tour, with ``calls``
     the number of calls of ``pf_eigenvalue``, ``_durand_kerner`` (the root
-    locator's iteration), ``rank_exact`` and ``pf_certify``."""
+    locator's iteration), ``rank_exact``, ``pf_certify`` and
+    ``twist_product``."""
     omega = catalog_get("S43-max").omega
     gamma = spanning_tree_tour(graph_of(omega))
     word = TwistWord(gamma, (1,) * len(gamma))
-    names = ("pf_eigenvalue", "_durand_kerner", "rank_exact", "pf_certify")
+    names = ("pf_eigenvalue", "_durand_kerner", "rank_exact", "pf_certify", "twist_product")
     with pytest.MonkeyPatch.context() as patch:
         calls = {name: count_calls(patch, penner.spectral, name) for name in names}
         result = run_recipe(omega, word, k_max=256, window=3, digits=50)
@@ -41,6 +42,12 @@ def test_recipe_computes_lambda_once(s43_recipe):
     assert result.degree == result.rank == 24
     # once, from the twist product; no roots are located
     assert calls["pf_eigenvalue"] == 1 and calls["_durand_kerner"] == 0
+
+
+def test_recipe_builds_one_product(s43_recipe):
+    # three scales, and only k*'s report reads its eigenvalue
+    _result, calls = s43_recipe
+    assert calls["twist_product"] == 1
 
 
 def test_recipe_computes_rank_and_certificate_once(s43_recipe):

@@ -12,12 +12,13 @@ import mpmath as mp
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
-from sympy import QQ, ZZ
+from sympy import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from penner import (
     IntersectionMatrix,
     Poly,
+    SpectralReport,
     TwistWord,
     char_poly_exact,
     complexity,
@@ -42,7 +43,7 @@ from penner.errors import (
     NotPerronFrobenius,
     PreconditionViolated,
 )
-from penner.graphs import graph_of, is_connected, spanning_tree_tour
+from penner.graphs import bipartition, graph_of, is_connected, spanning_tree_tour
 from penner.modp import TABLE_PRIMES, charpoly_mod, krylov_charpoly_mod, residues
 from penner.spectral import (
     ROOT_BOUND_MARGIN,
@@ -370,11 +371,39 @@ def letters(word):
     return list(zip(word.gamma, word.powers))
 
 
+def half_krylov_rank(m, prime):
+    """The rank modulo ``prime`` of ``v, N v, ..., N^(n/2-1) v`` for
+    ``v = (1, ..., 1)`` and ``N = M + M^-1``, by sympy."""
+    a = sympy.Matrix(m)
+    n_matrix = a + a.inv()
+    columns = [sympy.ones(len(m), 1)]
+    for _ in range(len(m) // 2 - 1):
+        columns.append(n_matrix * columns[-1])
+    rows = [residues([Fraction(str(x)) for x in row], prime)
+            for row in sympy.Matrix.hstack(*columns).tolist()]
+    return DomainMatrix([[GF(prime)(x) for x in row] for row in rows],
+                        (len(m), len(m) // 2), GF(prime)).rank()
+
+
+def letters_two_coloured(omega, word):
+    """Whether the graph whose edges join each letter's curve to the curves
+    its row of ``omega`` meets is bipartite."""
+    n = omega.n
+    edges = [[0] * n for _ in range(n)]
+    for g in set(word.gamma):
+        for i, x in enumerate(omega.entries[g - 1]):
+            if x:
+                edges[g - 1][i] = edges[i][g - 1] = 1
+    return bipartition(graph_of(IntersectionMatrix(tuple(map(tuple, edges))))) is not None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
 def test_krylov_charpoly_mod_is_hessenbergs_on_random_words(seed, rational):
     # modulo each prime that divides no denominator of omega: the kernel's
-    # residues where v, ..., M^(n-1) v are independent, None where they are not
+    # residues where its Krylov vectors are independent, None where they are
+    # not; those are v, ..., N^(n/2-1) v, N = M + M^-1, for even n where the
+    # letters' rows are 2-coloured, else v, ..., M^(n-1) v
     rng = random.Random(seed)
     n = rng.randint(1, 6)
     omega = random_rational_omega(rng, n) if rational else random_omega(rng, n)
@@ -387,18 +416,41 @@ def test_krylov_charpoly_mod_is_hessenbergs_on_random_words(seed, rational):
         if any(x.denominator % prime == 0 for row in omega.entries for x in row):
             continue
         found = krylov_charpoly_mod(omega.entries, letters(word), prime)
-        assert (found is None) == (residues([det], prime) == [0]), prime
+        if n % 2 == 0 and letters_two_coloured(omega, word):
+            assert (found is None) == (half_krylov_rank(m, prime) < n // 2), prime
+        else:
+            assert (found is None) == (residues([det], prime) == [0]), prime
         if found is not None:
             assert found == charpoly_mod([residues(row, prime) for row in m], prime), prime
     assert twist_charpoly(omega, word) == char_poly_exact(m)
 
 
-def test_a_word_over_the_star_falls_back_to_hessenberg(monkeypatch):
-    # K_(1,3) has rank 2 = n - 2: M fixes the plane ker omega, so no vector
-    # has four independent Krylov vectors
-    omega = validate_omega([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+def star_tour(leaves):
+    """``K_(1, leaves)``, rank 2, and its tour from the centre."""
+    n = leaves + 1
+    omega = validate_omega([[int((i == 0) != (j == 0)) for j in range(n)] for i in range(n)])
     tour = spanning_tree_tour(graph_of(omega), root=1)
-    word = TwistWord(tour, (1,) * len(tour))
+    return omega, TwistWord(tour, (1,) * len(tour))
+
+
+def test_a_word_over_the_three_star_takes_the_half_size_path(monkeypatch):
+    # K_(1,3) has rank 2 = n - 2: M fixes the plane ker omega, so no vector
+    # has four independent Krylov vectors under M, but T = (y - 2) (y - t)
+    # needs only v and N v
+    omega, word = star_tour(3)
+    assert rank_exact(omega) == 2
+    for prime in (5, TABLE_PRIMES[0]):
+        m = [residues(row, prime) for row in twist_product(omega, word)]
+        assert krylov_charpoly_mod(omega.entries, letters(word), prime) == charpoly_mod(m, prime)
+    hessenberg = count_calls(monkeypatch, penner.modp, "charpoly_mod")
+    assert twist_charpoly(omega, word) == sympy_twist_charpoly(omega, word)
+    assert hessenberg == []
+
+
+def test_a_word_over_the_star_falls_back_to_hessenberg(monkeypatch):
+    # K_(1,5): rank 2, n = 6, and (y - 2)^2 divides T, while N is 2 on the
+    # four-dimensional ker omega, so v, N v, N^2 v are dependent
+    omega, word = star_tour(5)
     assert rank_exact(omega) == 2
     for prime in (5, TABLE_PRIMES[0]):
         assert krylov_charpoly_mod(omega.entries, letters(word), prime) is None
@@ -429,6 +481,94 @@ def test_krylov_charpoly_mod_with_a_composite_modulus_is_right_or_raises(seed):
     modulus = rng.choice([4, 6, 15, 35, 1001, 2 ** 64 * 3])
     omega = random_omega(rng, n)
     word = random_word(rng, n)
+    m = twist_product(omega, word)
+    try:
+        found = krylov_charpoly_mod(omega.entries, letters(word), modulus)
+    except ValueError:
+        return
+    if found is None:
+        assert math.gcd(int(krylov_determinant(m)), modulus) > 1
+    else:
+        assert found == [c % modulus for c in char_poly_exact(m).coeffs]
+
+
+def random_bipartite(rng, rational):
+    """A connected bipartite ``omega`` on an even number of curves, at most
+    eight, each entry over its own denominator when ``rational``."""
+    a = rng.randint(1, 4)
+    b = rng.choice([b for b in range(1, 5) if (a + b) % 2 == 0])
+    rows = [list(row) for row in bipartite_omega(rng, a, b).entries]
+    if rational:
+        for i in range(a):
+            for j in range(a, a + b):
+                rows[i][j] = rows[j][i] = Fraction(rows[i][j], rng.randint(1, 9))
+    return validate_omega(rows)
+
+
+def singular_omega(rng, n):
+    """A random ``omega`` on ``n >= 2`` curves with two equal rows."""
+    rows = [list(row) for row in random_omega(rng, n, connected=False).entries]
+    a, b = rng.sample(range(n), 2)
+    for i in range(n):
+        rows[b][i] = rows[i][b] = rows[a][i]
+    rows[a][b] = rows[b][a] = rows[b][b] = 0
+    return validate_omega(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["integral", "rational", "singular"]))
+def test_a_word_and_its_reversal_share_one_characteristic_polynomial(seed, kind):
+    # L_g^T omega = omega L_g, so M^T omega = omega R for the letters in
+    # reverse order: similar where omega is invertible, and equal
+    # characteristic polynomials for every omega
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    omega = {"integral": lambda: random_omega(rng, n, connected=False),
+             "rational": lambda: random_rational_omega(rng, n),
+             "singular": lambda: singular_omega(rng, n)}[kind]()
+    if kind == "singular":
+        assert rank_exact(omega) < n
+    word = random_word(rng, n)
+    reversal = TwistWord(word.gamma[::-1], word.powers[::-1])
+    assert (char_poly_exact(twist_product(omega, word))
+            == char_poly_exact(twist_product(omega, reversal)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_a_bipartite_omega_on_evenly_many_curves_has_a_palindromic_charpoly(seed, rational):
+    # D M D = R^-1 for the 2-colouring D, and chi_R = chi_M
+    rng = random.Random(seed)
+    omega = random_bipartite(rng, rational)
+    coeffs = char_poly_exact(twist_product(omega, random_word(rng, omega.n))).coeffs
+    assert coeffs == coeffs[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_krylov_charpoly_mod_on_bipartite_omegas_is_hessenbergs(seed, rational):
+    rng = random.Random(seed)
+    omega = random_bipartite(rng, rational)
+    word = random_word(rng, omega.n)
+    m = twist_product(omega, word)
+    for prime in (2, 3, 5, 7, 11, 13, TABLE_PRIMES[0], TABLE_PRIMES[-1]):
+        if any(x.denominator % prime == 0 for row in omega.entries for x in row):
+            continue
+        found = krylov_charpoly_mod(omega.entries, letters(word), prime)
+        if found is not None:
+            assert found == charpoly_mod([residues(row, prime) for row in m], prime), prime
+    assert twist_charpoly(omega, word) == char_poly_exact(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_the_half_size_kernel_with_a_composite_modulus_is_right_or_raises(seed):
+    # a None needs half-size Krylov vectors dependent modulo a prime factor
+    # of the modulus, and so a full-size Krylov determinant that is no unit
+    rng = random.Random(seed)
+    modulus = rng.choice([4, 6, 15, 35, 1001, 2 ** 64 * 3])
+    omega = random_bipartite(rng, False)
+    word = random_word(rng, omega.n)
     m = twist_product(omega, word)
     try:
         found = krylov_charpoly_mod(omega.entries, letters(word), modulus)
@@ -712,6 +852,25 @@ def test_uncertified_report_never_computes_lambda(monkeypatch):
 
 NOT_CERTIFIED = ("twist product is not Perron-Frobenius: the intersection graph "
                  "must be connected and the path must visit every curve")
+
+
+def test_a_report_builds_its_product_only_when_lambda_is_read():
+    omega = catalog_get("S43-max").omega
+    tour = spanning_tree_tour(graph_of(omega), root=1)
+    word = TwistWord(tour, (1,) * len(tour))
+    built = []
+
+    def build():
+        built.append(word)
+        return twist_product(omega, word)
+
+    chi = twist_charpoly(omega, word)
+    report = SpectralReport.from_charpoly(chi, rank_exact(omega), 50, build)
+    assert degree_of_pf_root(report)[0] == 24  # irreducible: no eigenvalue read
+    assert built == []
+    pf = pf_eigenvalue(chi, 50, twist_product(omega, word))
+    assert (report.pf_value._mpf_, report.pf_error._mpf_) == (pf.value._mpf_, pf.error._mpf_)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("entries, gamma, message", [
